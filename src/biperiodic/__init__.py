@@ -44,7 +44,6 @@ from .identities import (
     IdentityId,
     IdentityReport,
     ParityMismatchError,
-    TermTable,
     addition_eval,
     cassini_fib,
     cassini_lucas,
@@ -60,6 +59,7 @@ from .sequences import (
     PRESET_K_LUCAS,
     SeqParams,
     SequenceKind,
+    TermTable,
     parity,
     preset,
     term_recurrence,

@@ -217,15 +217,7 @@ def cmd_matrix(args) -> tuple[str, int]:
     if show in ("entries", "all"):
         result["entries"] = _mat_strings(matrix_power(p, n))
     if show in ("det", "all"):
-        if n >= 1:
-            det = det_power(p, n)
-        else:
-            if n < 0 and p.ab_plus_4 == 0:
-                raise SingularMatrixError(
-                    "ab + 4 = 0: determinant is 0, negative powers do not exist"
-                )
-            det = ((p.a * p.a) / (p.b * p.b) * p.ab_plus_4) ** n
-        result["det"] = format_rational(det)
+        result["det"] = format_rational(det_power(p, n))
     if show in ("closed-form", "all") and n >= 1:
         result["closed_form"] = _closed_form_json(p, n)
     record = {
@@ -417,6 +409,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # A term of any size prints. In-process callers of main() keep the
+    # interpreter's int->str digit limit.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(main())
 
 

@@ -19,7 +19,7 @@ Degenerate point ab + 4 = 0: det(G) = (a^2/b^2)(ab+4) = 0, so G has no
 inverse and G^n = 0 for n >= 2 (trace and determinant both vanish). The
 prefactor then carries no information and term extraction is impossible;
 ``term_fast`` refuses such parameters and callers fall back to the
-recurrence.
+``TermTable`` walk.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .exact import Mat2, Rational, SingularMatrixError, mat_pow_counted
-from .sequences import SeqParams, SequenceKind, parity, term_recurrence
+from .sequences import SeqParams, SequenceKind, TermTable, parity
 
 
 def generating_matrix(p: SeqParams) -> Mat2:
@@ -56,9 +56,14 @@ def matrix_power(p: SeqParams, n: int) -> Mat2:
 
 
 def det_power(p: SeqParams, n: int) -> Rational:
-    """det(G^n) = ((a^2/b^2)(ab+4))^n, computed without touching the matrix."""
-    if n < 1:
-        raise ValueError("det_power requires n >= 1")
+    """det(G^n) = ((a^2/b^2)(ab+4))^n for any integer n, without touching the matrix.
+
+    On the singular line ab + 4 = 0 the determinant is 0 for n >= 1 and 1
+    at n = 0; negative powers do not exist there and raise
+    SingularMatrixError.
+    """
+    if n < 0 and p.ab_plus_4 == 0:
+        raise SingularMatrixError("ab + 4 = 0: determinant is 0, negative powers do not exist")
     return ((p.a * p.a) / (p.b * p.b) * p.ab_plus_4) ** n
 
 
@@ -83,34 +88,38 @@ class ClosedForm:
         return SequenceKind.FIBONACCI if self.parity == "even" else SequenceKind.LUCAS
 
     def scale(self) -> Rational:
-        p = self.params
-        return (p.a / p.b) ** self.scale_ab_pow * p.ab_plus_4**self.scale_abp4_pow
+        return _prefactor(self.params, self.n)
 
     def materialize(self) -> Mat2:
         return self.core.scaled(self.scale())
 
 
-def power_closed_form(p: SeqParams, n: int) -> ClosedForm:
-    """Build the factored form of G^n (n >= 1) from sequence terms.
-
-    The three core terms come from the fast term path, except at the
-    degenerate point ab + 4 = 0 where extraction is undefined and the
-    recurrence supplies them instead.
-    """
-    if n < 1:
-        raise ValueError("power_closed_form requires n >= 1")
+def _closed_form(p: SeqParams, n: int, term) -> ClosedForm:
+    """The factored form of G^n, its core read from ``term(kind, k)``."""
     kind = SequenceKind.FIBONACCI if parity(n) == 0 else SequenceKind.LUCAS
-    term = term_recurrence if p.ab_plus_4 == 0 else term_fast
-    below, mid, above = (term(p, kind, n - 1), term(p, kind, n), term(p, kind, n + 1))
-    core = Mat2(above, mid, (p.b / p.a) * mid, below)
+    below, mid, above = (term(kind, k) for k in (n - 1, n, n + 1))
     return ClosedForm(
         params=p,
         n=n,
         parity="even" if parity(n) == 0 else "odd",
         scale_ab_pow=n,
         scale_abp4_pow=n // 2,
-        core=core,
+        core=Mat2(above, mid, (p.b / p.a) * mid, below),
     )
+
+
+def power_closed_form(p: SeqParams, n: int) -> ClosedForm:
+    """Build the factored form of G^n (n >= 1) from sequence terms.
+
+    The three core terms come from the fast term path, except at the
+    degenerate point ab + 4 = 0 where extraction is undefined and one
+    ``TermTable`` walk supplies them instead.
+    """
+    if n < 1:
+        raise ValueError("power_closed_form requires n >= 1")
+    if p.ab_plus_4 == 0:
+        return _closed_form(p, n, TermTable(p).term)
+    return _closed_form(p, n, lambda kind, k: term_fast(p, kind, k))
 
 
 def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rational, int]:
@@ -123,7 +132,7 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
     if p.ab_plus_4 == 0:
         raise SingularMatrixError(
             "term extraction needs ab + 4 != 0 (the prefactor vanishes); "
-            "use term_recurrence for this parameter point"
+            "use the recurrence for this parameter point"
         )
     exposed = SequenceKind.FIBONACCI if parity(n) == 0 else SequenceKind.LUCAS
     if kind is exposed:

@@ -15,7 +15,9 @@ recurrence.
 
 ``term_recurrence`` is the designated oracle of the whole package. It is
 deliberately a plain Theta(|n|) loop and must never be optimized; every
-fast path elsewhere is tested against it for exact equality.
+fast path elsewhere is tested against it for exact equality. ``TermTable``
+is the fast walker: the same rule (``_coefficient``, ``_seeds``), each term
+computed once per parameter pair and then read in O(1).
 """
 from __future__ import annotations
 
@@ -93,6 +95,41 @@ def term_recurrence(p: SeqParams, kind: SequenceKind, n: int) -> Rational:
     for i in range(0, n, -1):
         above, cur = cur, above - _coefficient(p, kind, i + 1) * cur
     return cur
+
+
+class TermTable:
+    """Both sequences for one parameter pair, each term computed once.
+
+    A lookup extends a forward list t(0), t(1), ... or a backward list
+    t(1), t(0), t(-1), ... by the steps of ``_coefficient``; later lookups
+    are O(1) and any access order yields the same values.
+    """
+
+    def __init__(self, params: SeqParams):
+        self.params = params
+        seeds = {kind: _seeds(params, kind) for kind in SequenceKind}
+        self._fwd = {kind: [t0, t1] for kind, (t0, t1) in seeds.items()}
+        self._bwd = {kind: [t1, t0] for kind, (t0, t1) in seeds.items()}
+
+    def term(self, kind: SequenceKind, n: int) -> Rational:
+        p = self.params
+        if n >= 0:
+            fwd = self._fwd[kind]
+            while len(fwd) <= n:
+                i = len(fwd)
+                fwd.append(_coefficient(p, kind, i) * fwd[i - 1] + fwd[i - 2])
+            return fwd[n]
+        bwd = self._bwd[kind]  # bwd[k] = t(1 - k)
+        while len(bwd) <= 1 - n:
+            # t(i) = t(i+2) - c(i+2)*t(i+1) for the next index i = 1 - len(bwd)
+            bwd.append(bwd[-2] - _coefficient(p, kind, 3 - len(bwd)) * bwd[-1])
+        return bwd[1 - n]
+
+    def fib(self, n: int) -> Rational:
+        return self.term(SequenceKind.FIBONACCI, n)
+
+    def lucas(self, n: int) -> Rational:
+        return self.term(SequenceKind.LUCAS, n)
 
 
 PRESET_CLASSICAL = "classical-fibonacci-lucas"

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -108,6 +109,15 @@ class TestMatrix:
         proc = run_cli("matrix", "--a", "1", "--b", "-4", "--n", "-2", "--show", "entries")
         assert proc.returncode == 3
 
+    def test_det_at_nonpositive_n(self):
+        record = run_json("matrix", "--a", "2", "--b", "3", "--n", "-2", "--show", "det")
+        assert record["result"]["det"] == "81/1600"
+        record = run_json("matrix", "--a", "1", "--b", "-4", "--n", "0", "--show", "det")
+        assert record["result"]["det"] == "1"
+        proc = run_cli("matrix", "--a", "1", "--b", "-4", "--n", "-1", "--show", "det")
+        assert proc.returncode == 3
+        assert b"domain error" in proc.stderr
+
     def test_negative_power_entries(self):
         record = run_json("matrix", "--a", "2", "--b", "3", "--n", "-1", "--show", "entries")
         assert record["result"]["entries"] == [["3/10", "-3/10"], ["-9/20", "6/5"]]
@@ -139,16 +149,30 @@ class TestVerify:
         assert proc.returncode == 2
 
     def test_unexpected_outcome_exits_1(self):
-        # the defective Cassini variant coincides with the true identity at
-        # a == b, so "expected to fail" is not met and the run reports 1
+        # at a != b the defective Cassini variant also fails at even n, but
+        # its documented signature is an odd-index failure, which an
+        # even-only index range cannot show: the outcome is unexpected
         proc = run_cli(
             "verify", "--identity", "thm4-i-printed",
-            "--a-set", "1", "--b-set", "1", "--n-range", "1..20",
+            "--a-set", "2", "--b-set", "3", "--n-range", "2..2",
         )
         assert proc.returncode == 1
         record = json.loads(proc.stdout)
         assert record["all_as_expected"] is False
-        assert record["reports"][0]["failed"] == 0
+        assert record["reports"][0]["failed"] == 1
+
+    def test_defective_cassini_variant_passes_where_a_equals_b(self):
+        # the variant coincides with cassini-fib when a == b, so on an
+        # all-a == b grid a pass everywhere is the expected outcome
+        for a_set, b_set, n_range in (("1", "1", "1..20"), ("2", "2", "1..200")):
+            proc = run_cli(
+                "verify", "--identity", "thm4-i-printed",
+                "--a-set", a_set, "--b-set", b_set, "--n-range", n_range,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            report = json.loads(proc.stdout)["reports"][0]
+            assert report["failed"] == 0 and report["as_expected"] is True
+            assert report["expected"] == "fails-for-some-odd-index"
 
     def test_single_identity_with_default_grid(self):
         record = run_json("verify", "--identity", "det-power")
@@ -199,3 +223,22 @@ def test_byte_determinism_of_cheap_commands():
         second = run_cli(*command)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
+
+
+def test_terms_past_the_interpreter_digit_limit_print():
+    # 10^4-th and 2*10^4-th powers have far more than 4300 decimal digits
+    matrix = run_json(
+        "term", "--kind", "fib", "--a", "2", "--b", "3", "--n", "10000", "--method", "matrix"
+    )
+    recurrence = run_json(
+        "term", "--kind", "fib", "--a", "2", "--b", "3", "--n", "10000", "--method", "recurrence"
+    )
+    value = matrix["results"][0]["value"]
+    assert len(value) > 4300
+    assert value == recurrence["results"][0]["value"]
+    det = run_json("matrix", "--a", "2", "--b", "3", "--n", "20000", "--show", "det")
+    # (40/9)^20000; int() of these strings would trip the limit in this process
+    num, den = det["result"]["det"].split("/")
+    assert num.isdigit() and den.isdigit()
+    assert len(num) == int(20000 * math.log10(40)) + 1
+    assert len(den) == int(20000 * math.log10(9)) + 1

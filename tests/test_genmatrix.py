@@ -139,9 +139,22 @@ class TestDetPower:
                 power = power * g
                 assert det_power(p, n) == power.det(), (a, b, n)
 
-    def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            det_power(SeqParams(2, 3), 0)
+    def test_zero_and_negative_n(self):
+        assert det_power(SeqParams(2, 3), 0) == 1
+        assert det_power(SeqParams(2, 3), -2) == F(81, 1600)
+        assert det_power(SeqParams(1, -4), 0) == 1  # G^0 = I even where G is singular
+        for a, b in MODULE_GRID:
+            p = SeqParams(a, b)
+            if p.ab_plus_4 == 0:
+                continue
+            for n in range(-8, 1):
+                assert det_power(p, n) == matrix_power(p, n).det(), (a, b, n)
+
+    def test_negative_n_on_singular_line_raises(self):
+        for p in (SeqParams(1, -4), SeqParams(2, -2)):
+            assert det_power(p, 3) == 0
+            with pytest.raises(SingularMatrixError):
+                det_power(p, -1)
 
 
 class TestTermFast:

@@ -1,0 +1,72 @@
+"""Golden CLI outputs: stdout digests and exit codes pinned byte for byte.
+
+The digests were recorded before the sequence rules were consolidated into
+one home each (one walker, one catalog table, one determinant formula); a
+refactor of the engines must leave every one of them unchanged. The
+commands run in-process through ``cli.main``.
+"""
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from biperiodic import cli
+from test_acceptance import DOCUMENTED_COMMANDS
+
+DOCUMENTED_DIGESTS = [
+    (0, "d23faf7d1983ef9a29999c00d55a07925e13912cda33c80e94c904e0ef71fed9"),
+    (0, "e3cb004837bbdb9bc7a231279e2a3852d162dc2ce8206f3af49a7ac7450ff8a0"),
+    (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (0, "707218173ce3fb0d117267e8b673b5411557deb3e07a65b8ac27653413830c4c"),
+    (0, "4df7712301a428e23e74c6ea11d2ad38c7efe9271376126c093441f56c927f5c"),
+    (0, "aef2b1e594cee936349e1e759e26eb50e5ca736e298c3c5ebab3dba8608d91ce"),
+    (0, "9b80982b88e0a882ca1024d8b2b64d2a7ab76ef17b793e748c7a36af855f81b5"),
+    (0, "43dc59303710d8725ac2efaf54f0d57198ed17c5d39b002c419bd2cdaa77bc72"),
+    (0, "f84672a00d0d32b6798343be22034cca3cbf95c69e59f6d7415ce1f558d124b4"),
+    (0, "3f3dfdd0b2bd3ab6ed7fb7bcb5bc5f6f5a7d2c6d19d4cddf54b5a09d6da63b73"),
+    (0, "5f157c8acf4c97a8627fca70675dfff9fa130658a507e8aab7afbb15a3f3605d"),
+    (0, "696ef662c5fc5c31d85128150bb64134620762d0085acc25f183f8096da20e64"),
+]
+
+#: Commands beyond the documented ones that reach the code paths the
+#: consolidation touches: determinants at n <= 0 and on the singular line,
+#: closed forms at ab + 4 = 0, and small matrix-form / det-power grids.
+EXTRA_GOLDEN = [
+    (("matrix", "--a", "2", "--b", "3", "--n", "-3", "--show", "all"),
+     0, "539611f89c7339941b64e32e6ba9dde166ff1a36dffeb3668f45ea217666123c"),
+    (("matrix", "--a", "1/2", "--b", "-3/2", "--n", "0", "--show", "det"),
+     0, "9b7cdd61cf87691d834cd890e146db5e424bf2b260ca4be5974ee72029d38079"),
+    (("matrix", "--a", "1", "--b", "-4", "--n", "0", "--show", "det"),
+     0, "2633694dac687ac0ce1e8506168d558f6a68cd68c344b8b983d8d14cebe5f9b0"),
+    (("matrix", "--a", "1", "--b", "-4", "--n", "-1", "--show", "det"),
+     3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("matrix", "--a", "2", "--b", "-2", "--n", "5", "--show", "all"),
+     0, "17710649a7a219a2e2aca4e5fda0e85bb683c8b94eb658edc17ad7d94a0d7428"),
+    (("matrix", "--a", "-3/2", "--b", "1/2", "--n", "7", "--show", "closed-form"),
+     0, "98de4e46e8b28bd9f5187b45cd4cdb016f2136e2025ee889132ba746c53de6d4"),
+    (("verify", "--identity", "matrix-form", "--a-set", "1,2,-2", "--b-set", "-2,3,1/2",
+      "--n-range", "1..12"),
+     0, "45329c100aa48c8b3868cbdca235cabbf704992a38b6ea51dce1390b25e54713"),
+    (("verify", "--identity", "det-power", "--a-set", "1,2", "--b-set", "-4,-2,3",
+      "--n-range", "1..9"),
+     0, "8ad8bc2e3a5b35bb83461496cb9faf465a1c43990a0b02254bad42467b2d4993"),
+    (("verify", "--identity", "thm4-i-printed", "--a-set", "2,3", "--b-set", "3,2",
+      "--n-range", "1..9"),
+     0, "f3006ee25ba29600f69040f43dd7937326f8a8f347a7b8dd116b65840c759767"),
+]
+
+GOLDEN = [
+    (args, code, digest)
+    for args, (code, digest) in zip(DOCUMENTED_COMMANDS, DOCUMENTED_DIGESTS, strict=True)
+] + EXTRA_GOLDEN
+
+
+@pytest.mark.parametrize(
+    "args, code, digest", GOLDEN, ids=[" ".join(args) for args, _, _ in GOLDEN]
+)
+def test_stdout_digest_and_exit_code(args, code, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        got = cli.main(list(args))
+    assert (got, hashlib.sha256(out.getvalue().encode()).hexdigest()) == (code, digest)

@@ -15,21 +15,24 @@ from biperiodic import (
     evaluate,
     expectation,
     report_matches_expectation,
-    term_recurrence,
     verify_grid,
 )
+from conftest import oracle_fib_table, oracle_lucas_table
 
 GENERIC_PAIRS = [(F(2), F(3)), (F(5, 3), F(-7, 2)), (F(-1), F(1, 2))]
 
 
 class TestTermTable:
     def test_agrees_with_recurrence(self):
-        for a, b in GENERIC_PAIRS:
-            p = SeqParams(a, b)
-            table = TermTable(p)
+        # checked against the conftest tables, which share no code with the
+        # package: the walker and term_recurrence share _coefficient
+        for a, b in GENERIC_PAIRS + [(F(1), F(-4))]:
+            table = TermTable(SeqParams(a, b))
+            fib = oracle_fib_table(a, b, -40, 40)
+            luc = oracle_lucas_table(a, b, -40, 40)
             for n in range(-40, 41):
-                assert table.fib(n) == term_recurrence(p, SequenceKind.FIBONACCI, n)
-                assert table.lucas(n) == term_recurrence(p, SequenceKind.LUCAS, n)
+                assert table.fib(n) == fib[n], (a, b, n)
+                assert table.term(SequenceKind.LUCAS, n) == luc[n], (a, b, n)
 
     def test_random_access_order_does_not_matter(self):
         p = SeqParams(F(1, 2), F(-3, 2))
@@ -218,6 +221,18 @@ class TestVerifyGrid:
         for ce in report.counterexamples:
             assert ce.lhs == -ce.rhs
         assert report_matches_expectation(report)
+
+    def test_matrix_form_does_not_use_the_fast_term_path(self, monkeypatch):
+        # the closed form's core comes from the walk, so binary
+        # exponentiation is checked against an independent engine
+        from biperiodic import genmatrix
+
+        def refuse(*args):
+            raise AssertionError("term_fast called")
+
+        monkeypatch.setattr(genmatrix, "term_fast", refuse)
+        report = verify_grid(IdentityId.MATRIX_FORM, [2, F(-3, 2)], [3, -2], n_range=(1, 12))
+        assert report.passed == report.checked == 48
 
     def test_det_power_at_singular_point(self):
         report = verify_grid(IdentityId.DET_POWER, [1], [-4], n_range=(1, 5))
