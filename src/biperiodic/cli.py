@@ -105,6 +105,12 @@ def _emit_json(record) -> str:
     return json.dumps(record, indent=2) + "\n"
 
 
+def _csv(columns: list[str], rows: list[dict]) -> str:
+    """A header row of ``columns``, then each row's values in that order."""
+    lines = [columns] + [[str(row[c]) for c in columns] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="biperiodic", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -186,14 +192,13 @@ def cmd_term(args) -> tuple[str, int]:
         "results": results,
     }
     if args.format == "csv":
-        lines = ["n,value"] + [f"{r['n']},{r['value']}" for r in results]
-        return "\n".join(lines) + "\n", 0
+        return _csv(["n", "value"], results), 0
     return _emit_json(record), 0
 
 
 def _closed_form_json(p: SeqParams, n: int):
     cf = power_closed_form(p, n)
-    symbol = "q" if cf.parity == "even" else "l"
+    symbol = "q" if cf.kind is SequenceKind.FIBONACCI else "l"
     labels = [
         [f"{symbol}({n + 1})", f"{symbol}({n})"],
         [f"(b/a)*{symbol}({n})", f"{symbol}({n - 1})"],
@@ -339,11 +344,7 @@ def cmd_table(args) -> tuple[str, int]:
         "results": rows,
     }
     if args.format == "csv":
-        header = ",".join(["n"] + kinds)
-        lines = [header] + [
-            ",".join([str(r["n"])] + [r[k] for k in kinds]) for r in rows
-        ]
-        return "\n".join(lines) + "\n", 0
+        return _csv(["n"] + kinds, rows), 0
     return _emit_json(record), 0
 
 
@@ -354,38 +355,22 @@ _COMMANDS = {
     "table": cmd_table,
 }
 
-#: Flags that always take a value. Each "--flag value" pair is merged into
-#: "--flag=value" before parsing so values with a leading dash (negative
-#: rationals, ranges like -3..3) are never mistaken for option strings.
-_VALUE_FLAGS = frozenset(
-    {
-        "--a",
-        "--b",
-        "--n",
-        "--kind",
-        "--kinds",
-        "--method",
-        "--format",
-        "--show",
-        "--identity",
-        "--a-set",
-        "--b-set",
-        "--n-range",
-        "--m-range",
-    }
-)
-
-
 def _absorb_flag_values(argv: list[str]) -> list[str]:
+    """Merge "--flag -value" into "--flag=-value" before parsing.
+
+    Every long option but --help takes a value, so a token with a single
+    leading dash after a bare long option is its value (a negative
+    rational, a range like -3..3), never an option string. Abbreviated
+    flags merge too.
+    """
     merged = []
-    i = 0
-    while i < len(argv):
-        if argv[i] in _VALUE_FLAGS and i + 1 < len(argv):
-            merged.append(f"{argv[i]}={argv[i + 1]}")
-            i += 2
+    for token in argv:
+        prev = merged[-1] if merged else ""
+        single_dash = token.startswith("-") and not token.startswith("--")
+        if single_dash and prev.startswith("--") and "=" not in prev:
+            merged[-1] = f"{prev}={token}"
         else:
-            merged.append(argv[i])
-            i += 1
+            merged.append(token)
     return merged
 
 

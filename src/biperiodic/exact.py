@@ -180,12 +180,7 @@ class QuadExt:
         if not isinstance(n, int):
             return NotImplemented
         base = self if n >= 0 else self.inverse()
-        result = QuadExt(Fraction(1), Fraction(0), self.d)
-        for bit in bin(abs(n))[2:]:
-            result = result * result
-            if bit == "1":
-                result = result * base
-        return result
+        return _power(base, abs(n), QuadExt(Fraction(1), Fraction(0), self.d))[0]
 
     def as_rational(self) -> Fraction:
         """Extract the rational part, requiring the radical part to be exactly 0."""
@@ -248,25 +243,30 @@ class Mat2:
         return result
 
 
-def mat_pow_counted(m: Mat2, n: int) -> tuple[Mat2, int]:
-    """Square-and-multiply power for n >= 0, returning the matrix product count.
+def _power(x, n: int, one):
+    """x**n for n >= 0 by square-and-multiply, with the number of products.
 
-    The count is at most 2*ceil(log2(n+1)): one squaring per bit after the
-    leading one, plus one extra product per set bit after the leading one.
+    ``one`` is returned for n = 0. Otherwise the count is at most
+    2*ceil(log2(n+1)): one squaring per bit after the leading one, plus one
+    extra product per set bit after the leading one.
     """
-    if n < 0:
-        raise ValueError("mat_pow_counted requires n >= 0; invert first for negative powers")
     if n == 0:
-        return Mat2.identity(), 0
-    result = m
-    count = 0
+        return one, 0
+    result, count = x, 0
     for bit in bin(n)[3:]:
         result = result * result
         count += 1
         if bit == "1":
-            result = result * m
+            result = result * x
             count += 1
     return result, count
+
+
+def mat_pow_counted(m: Mat2, n: int) -> tuple[Mat2, int]:
+    """Square-and-multiply power for n >= 0, returning the matrix product count."""
+    if n < 0:
+        raise ValueError("mat_pow_counted requires n >= 0; invert first for negative powers")
+    return _power(m, n, Mat2.identity())
 
 
 def mat_pow(m: Mat2, n: int) -> Mat2:

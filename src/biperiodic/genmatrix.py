@@ -13,13 +13,14 @@ matrix of sequence terms:
 
 where t = fibonacci terms for even n and lucas terms for odd n. Reading
 the factorization backward turns binary exponentiation into an
-O(log |n|) term evaluator (``term_fast``).
+O(log |n|) term evaluator (``term_fast``), and one power divided by the
+prefactor is the whole core (``power_closed_form``).
 
 Degenerate point ab + 4 = 0: det(G) = (a^2/b^2)(ab+4) = 0, so G has no
 inverse and G^n = 0 for n >= 2 (trace and determinant both vanish). The
 prefactor then carries no information and term extraction is impossible;
-``term_fast`` refuses such parameters and callers fall back to the
-``TermTable`` walk.
+``term_fast`` refuses such parameters, and ``power_closed_form`` reads its
+core from one ``TermTable`` walk instead.
 """
 from __future__ import annotations
 
@@ -67,6 +68,11 @@ def det_power(p: SeqParams, n: int) -> Rational:
     return ((p.a * p.a) / (p.b * p.b) * p.ab_plus_4) ** n
 
 
+def _exposed_kind(n: int) -> SequenceKind:
+    """The sequence the core of G^n holds: fibonacci at even n, lucas at odd n."""
+    return SequenceKind.FIBONACCI if parity(n) == 0 else SequenceKind.LUCAS
+
+
 def _prefactor(p: SeqParams, n: int) -> Rational:
     # (a/b)^n * (ab+4)^floor(n/2); floor toward -infinity for negative n.
     return (p.a / p.b) ** n * p.ab_plus_4 ** (n // 2)
@@ -78,14 +84,23 @@ class ClosedForm:
 
     params: SeqParams
     n: int
-    parity: Literal["even", "odd"]
-    scale_ab_pow: int
-    scale_abp4_pow: int
     core: Mat2
 
     @property
+    def parity(self) -> Literal["even", "odd"]:
+        return "even" if self.kind is SequenceKind.FIBONACCI else "odd"
+
+    @property
     def kind(self) -> SequenceKind:
-        return SequenceKind.FIBONACCI if self.parity == "even" else SequenceKind.LUCAS
+        return _exposed_kind(self.n)
+
+    @property
+    def scale_ab_pow(self) -> int:
+        return self.n
+
+    @property
+    def scale_abp4_pow(self) -> int:
+        return self.n // 2
 
     def scale(self) -> Rational:
         return _prefactor(self.params, self.n)
@@ -96,30 +111,22 @@ class ClosedForm:
 
 def _closed_form(p: SeqParams, n: int, term) -> ClosedForm:
     """The factored form of G^n, its core read from ``term(kind, k)``."""
-    kind = SequenceKind.FIBONACCI if parity(n) == 0 else SequenceKind.LUCAS
-    below, mid, above = (term(kind, k) for k in (n - 1, n, n + 1))
-    return ClosedForm(
-        params=p,
-        n=n,
-        parity="even" if parity(n) == 0 else "odd",
-        scale_ab_pow=n,
-        scale_abp4_pow=n // 2,
-        core=Mat2(above, mid, (p.b / p.a) * mid, below),
-    )
+    below, mid, above = (term(_exposed_kind(n), k) for k in (n - 1, n, n + 1))
+    return ClosedForm(p, n, Mat2(above, mid, (p.b / p.a) * mid, below))
 
 
 def power_closed_form(p: SeqParams, n: int) -> ClosedForm:
-    """Build the factored form of G^n (n >= 1) from sequence terms.
+    """The factored form of G^n (n >= 1).
 
-    The three core terms come from the fast term path, except at the
-    degenerate point ab + 4 = 0 where extraction is undefined and one
-    ``TermTable`` walk supplies them instead.
+    The core is one matrix power divided by the prefactor, except at the
+    degenerate point ab + 4 = 0 where the prefactor vanishes and one
+    ``TermTable`` walk supplies the core terms instead.
     """
     if n < 1:
         raise ValueError("power_closed_form requires n >= 1")
     if p.ab_plus_4 == 0:
         return _closed_form(p, n, TermTable(p).term)
-    return _closed_form(p, n, lambda kind, k: term_fast(p, kind, k))
+    return ClosedForm(p, n, matrix_power(p, n).scaled(1 / _prefactor(p, n)))
 
 
 def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rational, int]:
@@ -134,8 +141,7 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
             "term extraction needs ab + 4 != 0 (the prefactor vanishes); "
             "use the recurrence for this parameter point"
         )
-    exposed = SequenceKind.FIBONACCI if parity(n) == 0 else SequenceKind.LUCAS
-    if kind is exposed:
+    if kind is _exposed_kind(n):
         m, count = matrix_power_counted(p, n)
         return m.e12 / _prefactor(p, n), count
     m, count = matrix_power_counted(p, n + 1)

@@ -206,6 +206,12 @@ class TestTable:
         )
         assert csv_cells == json_cells
 
+    def test_abbreviated_flag_takes_a_negative_range(self):
+        full = run_cli("table", "--a", "2", "--b", "3", "--n-range", "-3..3")
+        short = run_cli("table", "--a", "2", "--b", "3", "--n-r", "-3..3")
+        assert full.returncode == short.returncode == 0, short.stderr.decode()
+        assert short.stdout == full.stdout
+
     def test_bad_kind_exits_2(self):
         proc = run_cli("table", "--a", "1", "--b", "1", "--n-range", "0..3", "--kinds", "fib,weird")
         assert proc.returncode == 2

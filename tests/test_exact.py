@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biperiodic import (
     DiscriminantMismatchError,
@@ -15,6 +17,10 @@ from biperiodic import (
 from conftest import brute_mat_pow
 
 RATIONAL_SAMPLES = [F(0), F(1), F(-1), F(2, 3), F(-7, 5), F(22, 7), F(5)]
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=20)
+#: discriminants: 0 (dual numbers), perfect squares (zero divisors exist) and any rational
+discriminants = st.one_of(st.just(F(0)), rationals.map(lambda r: r * r), rationals)
 
 
 class TestRational:
@@ -129,6 +135,17 @@ class TestQuadExt:
             acc = acc * x
         assert x**-4 == (x**4).inverse()
 
+    @settings(deadline=None)
+    @given(u=rationals, v=rationals, d=discriminants, n=st.integers(-30, 30))
+    def test_pow_matches_repeated_multiplication_differential(self, u, v, d, n):
+        x = QuadExt(u, v, d)
+        assume(x.norm() != 0)
+        base = x if n >= 0 else x.inverse()
+        expected = QuadExt(1, 0, d)
+        for _ in range(abs(n)):
+            expected = expected * base
+        assert x**n == expected
+
     def test_formal_arithmetic_with_zero_discriminant(self):
         # d = 0 behaves like dual numbers; powers stay exact
         x = QuadExt(-2, F(1, 2), 0)
@@ -178,6 +195,14 @@ class TestMat2:
                 assert result == brute_mat_pow(m, n)
                 # n.bit_length() == ceil(log2(n+1)) for n >= 0
                 assert count <= 2 * n.bit_length()
+
+    @settings(deadline=None)
+    @given(entries=st.tuples(rationals, rationals, rationals, rationals), n=st.integers(0, 64))
+    def test_pow_matches_brute_power_differential(self, entries, n):
+        m = Mat2(*entries)
+        result, count = mat_pow_counted(m, n)
+        assert result == brute_mat_pow(m, n)
+        assert count <= 2 * n.bit_length()
 
     def test_pow_rejects_negative_exponent(self):
         with pytest.raises(ValueError):

@@ -93,6 +93,18 @@ class TestClosedForm:
                 direct = direct * g
                 assert power_closed_form(p, n).materialize() == direct, (a, b, n)
 
+    def test_core_holds_oracle_terms_over_module_grid(self):
+        # [[t(n+1), t(n)], [(b/a)*t(n), t(n-1)]]: fibonacci at even n, lucas at odd n
+        for a, b in MODULE_GRID:
+            p = SeqParams(a, b)
+            fib = oracle_fib_table(a, b, 0, 41)
+            luc = oracle_lucas_table(a, b, 0, 41)
+            for n in range(1, 41):
+                t, kind = (fib, FIB) if n % 2 == 0 else (luc, LUC)
+                cf = power_closed_form(p, n)
+                assert cf.kind is kind, (a, b, n)
+                assert cf.core == Mat2(t[n + 1], t[n], (b / a) * t[n], t[n - 1]), (a, b, n)
+
     def test_holds_at_singular_point(self):
         p = SeqParams(2, -2)
         assert p.ab_plus_4 == 0
