@@ -19,6 +19,7 @@ from fractions import Fraction
 from .binet import DegenerateDiscriminantError, binet_fib, binet_lucas
 from .exact import Mat2, SingularMatrixError, format_rational, parse_rational
 from .genmatrix import (
+    ClosedForm,
     det_power,
     matrix_power,
     power_closed_form,
@@ -33,7 +34,7 @@ from .identities import (
     report_matches_expectation,
     verify_grid,
 )
-from .sequences import SeqParams, SequenceKind, term_recurrence
+from .sequences import SeqParams, SequenceKind, terms
 
 SCHEMA_VERSION = "1"
 MAX_COUNTEREXAMPLES_SHOWN = 25
@@ -82,10 +83,6 @@ def _params(args) -> SeqParams:
         return SeqParams(a, b)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _kind(text: str) -> SequenceKind:
-    return SequenceKind.FIBONACCI if text == "fib" else SequenceKind.LUCAS
 
 
 def _mat_strings(m: Mat2) -> list[list[str]]:
@@ -151,15 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _term_values(p: SeqParams, kind: SequenceKind, method: str, ns):
-    for n in ns:
-        if method == "recurrence":
-            yield n, term_recurrence(p, kind, n)
-        elif method == "matrix":
-            yield n, term_fast(p, kind, n)
-        else:
-            value = binet_fib(p, n) if kind is SequenceKind.FIBONACCI else binet_lucas(p, n)
-            yield n, value
+def _term_values(p: SeqParams, kind: SequenceKind, method: str, lo: int, hi: int):
+    """t(lo..hi) by one method; the recurrence walks forward once for the whole range."""
+    if method == "recurrence":
+        return terms(p, kind, lo, hi)
+    if method == "matrix":
+        return [term_fast(p, kind, n) for n in range(lo, hi + 1)]
+    closed_form = binet_fib if kind is SequenceKind.FIBONACCI else binet_lucas
+    return [closed_form(p, n) for n in range(lo, hi + 1)]
 
 
 def cmd_term(args) -> tuple[str, int]:
@@ -167,16 +163,14 @@ def cmd_term(args) -> tuple[str, int]:
     if (args.n is None) == (args.n_range is None):
         raise UsageError("exactly one of --n and --n-range is required")
     if args.n is not None:
-        ns = [args.n]
+        lo = hi = args.n
         range_echo = None
     else:
         lo, hi = _parse_range(args.n_range)
-        ns = range(lo, hi + 1)
         range_echo = f"{lo}..{hi}"
-    kind = _kind(args.kind)
+    values = _term_values(p, SequenceKind(args.kind), args.method, lo, hi)
     results = [
-        {"n": n, "value": format_rational(v)}
-        for n, v in _term_values(p, kind, args.method, ns)
+        {"n": n, "value": format_rational(v)} for n, v in zip(range(lo, hi + 1), values)
     ]
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -196,8 +190,8 @@ def cmd_term(args) -> tuple[str, int]:
     return _emit_json(record), 0
 
 
-def _closed_form_json(p: SeqParams, n: int):
-    cf = power_closed_form(p, n)
+def _closed_form_json(cf: ClosedForm):
+    n = cf.n
     symbol = "q" if cf.kind is SequenceKind.FIBONACCI else "l"
     labels = [
         [f"{symbol}({n + 1})", f"{symbol}({n})"],
@@ -218,13 +212,15 @@ def cmd_matrix(args) -> tuple[str, int]:
     n, show = args.n, args.show
     if show == "closed-form" and n < 1:
         raise UsageError("--show closed-form requires --n >= 1")
+    # when both are shown, the entries come from the closed form's one power
+    cf = power_closed_form(p, n) if show in ("closed-form", "all") and n >= 1 else None
     result = {}
     if show in ("entries", "all"):
-        result["entries"] = _mat_strings(matrix_power(p, n))
+        result["entries"] = _mat_strings(matrix_power(p, n) if cf is None else cf.materialize())
     if show in ("det", "all"):
         result["det"] = format_rational(det_power(p, n))
-    if show in ("closed-form", "all") and n >= 1:
-        result["closed_form"] = _closed_form_json(p, n)
+    if cf is not None:
+        result["closed_form"] = _closed_form_json(cf)
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "matrix",
@@ -326,12 +322,11 @@ def cmd_table(args) -> tuple[str, int]:
             raise UsageError(f"invalid kind {item!r}: expected fib or lucas")
         if item not in kinds:
             kinds.append(item)
-    rows = []
-    for n in range(lo, hi + 1):
-        row = {"n": n}
-        for kind in kinds:
-            row[kind] = format_rational(term_recurrence(p, _kind(kind), n))
-        rows.append(row)
+    columns = [terms(p, SequenceKind(kind), lo, hi) for kind in kinds]
+    rows = [
+        {"n": n, **{kind: format_rational(v) for kind, v in zip(kinds, values)}}
+        for n, *values in zip(range(lo, hi + 1), *columns)
+    ]
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "table",

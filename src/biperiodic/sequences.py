@@ -9,21 +9,35 @@ of the index, and the coefficient roles are swapped between them:
                seeds t(0) = 2, t(1) = a
 
 Negative indices are defined by running the same recurrence backward:
-t(n-2) = t(n) - c*t(n-1), where c is the coefficient the forward rule
-assigns at index n. This is the unique extension consistent with the
-recurrence.
+t(n-2) = t(n) - c(n)*t(n-1), where c(n) is the coefficient the forward
+rule assigns at index n. This is the unique extension consistent with the
+recurrence, and it is a sign reflection of the positive terms:
+
+    fibonacci: t(-n) = (-1)^(n+1) * t(n)      lucas: t(-n) = (-1)^n * t(n)
+
+Proof: c depends only on the parity of its index, so c(2-n) = c(n) and
+the backward rule at index 2-n reads t(-n) = t(2-n) - c(n)*t(1-n). Let
+u(n) be the right-hand side above. Its sign alternates with n, so the
+forward rule t(n) = c(n)*t(n-1) + t(n-2) times the sign of u(n) is
+u(n) = u(n-2) - c(n)*u(n-1): the same rule, and with the same seeds,
+u(0) = t(0) and u(1) = t(-1) (fibonacci: 1 = 1 - b*0; lucas:
+-a = a - a*2). So u(n) = t(-n) for every n >= 0.
 
 ``term_recurrence`` is the designated oracle of the whole package. It is
-deliberately a plain Theta(|n|) loop and must never be optimized; every
-fast path elsewhere is tested against it for exact equality. ``TermTable``
-is the fast walker: the same rule (``_coefficient``, ``_seeds``), each term
-computed once per parameter pair and then read in O(1).
+deliberately a plain Theta(|n|) loop, steps backward for negative n and
+must never be optimized; every fast path elsewhere is tested against it
+for exact equality. The fast path never steps backward: ``_forward`` is
+its one walk, and ``_reflect`` reads every negative index from it.
+``TermTable`` keeps each term of one parameter pair once and reads it in
+O(1); ``terms`` walks once to the far end of an index range and keeps only
+the terms inside it.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 from .exact import Rational
 
@@ -97,33 +111,65 @@ def term_recurrence(p: SeqParams, kind: SequenceKind, n: int) -> Rational:
     return cur
 
 
+def _forward(p: SeqParams, kind: SequenceKind):
+    """t(0), t(1), t(2), ... without end; each term is stepped only when asked for."""
+    prev, cur = _seeds(p, kind)
+    yield prev
+    for i in count(2):
+        yield cur
+        prev, cur = cur, _coefficient(p, kind, i) * cur + prev
+
+
+def _reflect(kind: SequenceKind, k: int, t: Rational) -> Rational:
+    """t(-k) from t = t(k): the sign is (-1)^(k+1) for fibonacci, (-1)^k for lucas."""
+    sign_exponent = k + 1 if kind is SequenceKind.FIBONACCI else k
+    return -t if parity(sign_exponent) == 1 else t
+
+
+def terms(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:
+    """t(lo), ..., t(hi) from one forward walk to max(|lo|, |hi|).
+
+    Only the terms inside the range are kept, so a far range costs its
+    walk but no memory beyond its own width.
+    """
+    if lo > hi:
+        raise ValueError(f"empty index range {lo}..{hi}")
+    below, above = [], []  # t(min(hi, -1)) down to t(lo); t(max(lo, 0)) up to t(hi)
+    for k, t in enumerate(islice(_forward(p, kind), max(-lo, hi) + 1)):
+        if lo <= k <= hi:
+            above.append(t)
+        if k and lo <= -k <= hi:
+            below.append(_reflect(kind, k, t))
+    return below[::-1] + above
+
+
 class TermTable:
     """Both sequences for one parameter pair, each term computed once.
 
-    A lookup extends a forward list t(0), t(1), ... or a backward list
-    t(1), t(0), t(-1), ... by the steps of ``_coefficient``; later lookups
-    are O(1) and any access order yields the same values.
+    A lookup extends one forward list t(0), t(1), ... per kind from
+    ``_forward``; a negative index reads its reflection, kept once
+    computed. Later lookups are O(1) and any access order yields the same
+    values.
     """
 
     def __init__(self, params: SeqParams):
         self.params = params
-        seeds = {kind: _seeds(params, kind) for kind in SequenceKind}
-        self._fwd = {kind: [t0, t1] for kind, (t0, t1) in seeds.items()}
-        self._bwd = {kind: [t1, t0] for kind, (t0, t1) in seeds.items()}
+        self._walks = {kind: _forward(params, kind) for kind in SequenceKind}
+        self._fwd = {kind: [] for kind in SequenceKind}
+        self._reflected = {kind: [] for kind in SequenceKind}  # [k] = t(-k)
 
     def term(self, kind: SequenceKind, n: int) -> Rational:
-        p = self.params
         if n >= 0:
             fwd = self._fwd[kind]
-            while len(fwd) <= n:
-                i = len(fwd)
-                fwd.append(_coefficient(p, kind, i) * fwd[i - 1] + fwd[i - 2])
+            if len(fwd) <= n:
+                fwd.extend(islice(self._walks[kind], n + 1 - len(fwd)))
             return fwd[n]
-        bwd = self._bwd[kind]  # bwd[k] = t(1 - k)
-        while len(bwd) <= 1 - n:
-            # t(i) = t(i+2) - c(i+2)*t(i+1) for the next index i = 1 - len(bwd)
-            bwd.append(bwd[-2] - _coefficient(p, kind, 3 - len(bwd)) * bwd[-1])
-        return bwd[1 - n]
+        reflected = self._reflected[kind]
+        if len(reflected) <= -n:
+            self.term(kind, -n)
+            fwd = self._fwd[kind]
+            reflected.extend(_reflect(kind, k, fwd[k]) for k in range(len(reflected), 1 - n))
+        return reflected[-n]
 
     def fib(self, n: int) -> Rational:
         return self.term(SequenceKind.FIBONACCI, n)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,6 +7,8 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+from biperiodic import cli, genmatrix, sequences
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -19,6 +23,21 @@ def run_cli(*args):
         env=env,
         cwd=ROOT,
     )
+
+
+def call_counted(monkeypatch, module, name, argv):
+    """Run the CLI in-process with ``module.name`` counting its calls; return the count."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    return len(calls)
 
 
 def run_json(*args, expect_code=0):
@@ -118,6 +137,11 @@ class TestMatrix:
         assert proc.returncode == 3
         assert b"domain error" in proc.stderr
 
+    def test_show_all_computes_one_power(self, monkeypatch):
+        # the entries and power_closed_form both reach G^n through matrix_power_counted
+        argv = ["matrix", "--a", "5/3", "--b", "-4/3", "--n", "9", "--show", "all"]
+        assert call_counted(monkeypatch, genmatrix, "matrix_power_counted", argv) == 1
+
     def test_negative_power_entries(self):
         record = run_json("matrix", "--a", "2", "--b", "3", "--n", "-1", "--show", "entries")
         assert record["result"]["entries"] == [["3/10", "-3/10"], ["-9/20", "6/5"]]
@@ -211,6 +235,11 @@ class TestTable:
         short = run_cli("table", "--a", "2", "--b", "3", "--n-r", "-3..3")
         assert full.returncode == short.returncode == 0, short.stderr.decode()
         assert short.stdout == full.stdout
+
+    def test_each_kind_is_walked_once(self, monkeypatch):
+        # one forward walk to 200 per kind, not one walk per row
+        argv = ["table", "--a", "2", "--b", "3", "--n-range", "-200..200"]
+        assert call_counted(monkeypatch, sequences, "_coefficient", argv) <= 2 * 201
 
     def test_bad_kind_exits_2(self):
         proc = run_cli("table", "--a", "1", "--b", "1", "--n-range", "0..3", "--kinds", "fib,weird")

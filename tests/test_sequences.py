@@ -1,22 +1,48 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biperiodic import (
     PRESET_CLASSICAL,
     PRESET_K_LUCAS,
     SeqParams,
     SequenceKind,
+    TermTable,
     parity,
     preset,
     term_recurrence,
 )
+from biperiodic.sequences import terms
 from conftest import classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table
 
 FIB = SequenceKind.FIBONACCI
 LUC = SequenceKind.LUCAS
 
 GENERIC_PAIRS = [(F(2), F(3)), (F(5, 3), F(-7, 2)), (F(-1), F(1, 2))]
+
+nonzero = st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(bool)
+#: random nonzero pairs, and pairs on the line ab = -4
+pairs = st.one_of(st.tuples(nonzero, nonzero), nonzero.map(lambda a: (a, -4 / a)))
+indices = st.integers(-40, 40)
+
+
+def ordered(lo, hi):
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(sorted)
+
+
+RANGE_SHAPES = {
+    "below-0": ordered(-40, -1),
+    "above-0": ordered(1, 40),
+    "straddling-0": st.tuples(st.integers(-40, -1), st.integers(0, 40)),
+    "single-point": indices.map(lambda n: (n, n)),
+}
+
+
+def oracle(a, b, kind, lo, hi):
+    table = oracle_fib_table if kind is FIB else oracle_lucas_table
+    return table(a, b, min(lo, 0), max(hi, 1))
 
 
 def test_parity_indicator():
@@ -108,6 +134,33 @@ def test_negative_index_reflection():
             sign = 1 if parity(n) == 1 else -1
             assert term_recurrence(p, FIB, -n) == sign * term_recurrence(p, FIB, n)
             assert term_recurrence(p, LUC, -n) == -sign * term_recurrence(p, LUC, n)
+
+
+@pytest.mark.parametrize("shape", RANGE_SHAPES)
+@settings(deadline=None)
+@given(data=st.data())
+def test_terms_match_oracle_tables(shape, data):
+    a, b = data.draw(pairs)
+    lo, hi = data.draw(RANGE_SHAPES[shape])
+    p = SeqParams(a, b)
+    for kind in (FIB, LUC):
+        expected = oracle(a, b, kind, lo, hi)
+        assert terms(p, kind, lo, hi) == [expected[n] for n in range(lo, hi + 1)]
+
+
+def test_terms_rejects_an_empty_range():
+    with pytest.raises(ValueError):
+        terms(SeqParams(2, 3), FIB, 1, 0)
+
+
+@settings(deadline=None)
+@given(ab=pairs, reads=st.lists(st.tuples(st.sampled_from([FIB, LUC]), indices), max_size=40))
+def test_term_table_reads_in_any_order_match_oracle_tables(ab, reads):
+    a, b = ab
+    table = TermTable(SeqParams(a, b))
+    expected = {kind: oracle(a, b, kind, -40, 40) for kind in (FIB, LUC)}
+    for kind, n in reads:
+        assert table.term(kind, n) == expected[kind][n], (kind, n)
 
 
 def test_classical_degeneration():
