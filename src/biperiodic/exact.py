@@ -57,18 +57,27 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: _RationalLike) -> str:
     """Canonical string form: ``num/den`` with ``/den`` omitted when den is 1."""
-    x = Fraction(x)
+    x = _rational(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
-def _coerce_scalar(x):
-    if isinstance(x, (Fraction, QuadExt)):
+def _rational(x) -> Fraction:
+    """An int or Fraction as a Fraction; a Fraction comes back unchanged.
+
+    Anything else (float, str, Decimal, ...) raises TypeError: converting
+    it would accept an approximation or a parse the caller did not ask for.
+    """
+    if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    raise TypeError(f"unsupported scalar type {type(x).__name__}")
+    raise TypeError(f"unsupported scalar type {type(x).__name__}: expected int or Fraction")
+
+
+def _coerce_scalar(x):
+    return x if isinstance(x, QuadExt) else _rational(x)
 
 
 @dataclass(frozen=True)
@@ -84,9 +93,9 @@ class QuadExt:
     d: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "v", Fraction(self.v))
-        object.__setattr__(self, "d", Fraction(self.d))
+        object.__setattr__(self, "u", _rational(self.u))
+        object.__setattr__(self, "v", _rational(self.v))
+        object.__setattr__(self, "d", _rational(self.d))
 
     def __repr__(self) -> str:
         return f"QuadExt({self.u!s}, {self.v!s}, d={self.d!s})"

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import binet as _binet
 from . import genmatrix as _gm
-from .exact import Mat2
+from .exact import Mat2, _rational
 from .sequences import SeqParams, TermTable, parity
 
 
@@ -411,8 +411,8 @@ def verify_grid(
     so reports are reproducible byte for byte.
     """
     idef = _CATALOG[ident]
-    a_vals = tuple(Fraction(a) for a in a_values)
-    b_vals = tuple(Fraction(b) for b in b_values)
+    a_vals = tuple(_rational(a) for a in a_values)
+    b_vals = tuple(_rational(b) for b in b_values)
     if not a_vals or not b_vals:
         raise ValueError("a_values and b_values must be nonempty")
     if any(v == 0 for v in a_vals + b_vals):

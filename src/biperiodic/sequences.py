@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 
-from .exact import Rational
+from .exact import Rational, _rational
 
 
 class SequenceKind(enum.Enum):
@@ -55,8 +55,8 @@ class SeqParams:
     b: Rational
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", _rational(self.a))
+        object.__setattr__(self, "b", _rational(self.b))
         if self.a == 0 or self.b == 0:
             raise ValueError("sequence parameters a and b must both be nonzero")
 
@@ -187,7 +187,7 @@ def preset(name: str, k: Rational | None = None) -> SeqParams:
     if name == PRESET_CLASSICAL:
         return SeqParams(Fraction(1), Fraction(1))
     if name == PRESET_K_LUCAS:
-        if k is None or Fraction(k) == 0:
+        if k is None or _rational(k) == 0:
             raise ValueError("k-lucas preset requires a nonzero k")
-        return SeqParams(Fraction(k), Fraction(k))
+        return SeqParams(k, k)
     raise ValueError(f"unknown preset {name!r}")

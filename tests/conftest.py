@@ -7,7 +7,13 @@ arithmetic that shares none of their code.
 """
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from biperiodic import Mat2
+
+nonzero = st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(bool)
+#: random nonzero parameter pairs, and pairs on the line ab = -4
+pairs = st.one_of(st.tuples(nonzero, nonzero), nonzero.map(lambda a: (a, -4 / a)))
 
 
 def oracle_fib_table(a, b, lo, hi):

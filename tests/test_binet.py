@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biperiodic import (
     DegenerateDiscriminantError,
@@ -16,7 +18,7 @@ from biperiodic import (
     roots,
     term_recurrence,
 )
-from conftest import classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table
+from conftest import classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
 
 FIB = SequenceKind.FIBONACCI
 LUC = SequenceKind.LUCAS
@@ -94,6 +96,39 @@ class TestBinetValues:
         for n in range(25):
             assert binet_fib(p, n) == fib[n]
             assert binet_lucas(p, n) == lucas[n]
+
+    @settings(deadline=None)
+    @given(ab=pairs, n=st.integers(-60, 60))
+    def test_random_parameters_match_oracle_tables(self, ab, n):
+        a, b = ab
+        p = SeqParams(a, b)
+        lo, hi = min(n, 0), max(n, 1)
+        assert binet_lucas(p, n) == oracle_lucas_table(a, b, lo, hi)[n]
+        if p.disc == 0:
+            with pytest.raises(DegenerateDiscriminantError):
+                binet_fib(p, n)
+        else:
+            assert binet_fib(p, n) == oracle_fib_table(a, b, lo, hi)[n]
+
+    def test_each_term_raises_alpha_to_one_power(self, monkeypatch):
+        calls = []
+        power = QuadExt.__pow__
+
+        def counted(self, n):
+            calls.append(n)
+            return power(self, n)
+
+        monkeypatch.setattr(QuadExt, "__pow__", counted)
+        cases = [
+            (binet_fib, SeqParams(2, 3)),
+            (binet_lucas, SeqParams(2, 3)),
+            (binet_lucas, SeqParams(1, -4)),
+        ]
+        for closed_form, p in cases:
+            for n in (-7, 0, 1, 12):
+                calls.clear()
+                closed_form(p, n)
+                assert calls == [n], (closed_form.__name__, p, n)
 
 
 class TestRadicalCancellation:

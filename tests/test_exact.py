@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -5,14 +6,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biperiodic import (
+    PRESET_K_LUCAS,
     DiscriminantMismatchError,
+    IdentityId,
     Mat2,
     QuadExt,
+    SeqParams,
     SingularMatrixError,
     format_rational,
     mat_pow,
     mat_pow_counted,
     parse_rational,
+    preset,
+    verify_grid,
 )
 from conftest import brute_mat_pow
 
@@ -82,6 +88,21 @@ class TestRationalSyntax:
     def test_format_omits_unit_denominator(self):
         assert format_rational(F(55)) == "55"
         assert format_rational(F(-3, 10)) == "-3/10"
+
+    def test_inexact_scalars_are_refused_at_every_entry_point(self):
+        entry_points = {
+            "SeqParams": lambda x: SeqParams(x, 1),
+            "QuadExt": lambda x: QuadExt(x, 0, 5),
+            "Mat2": lambda x: Mat2(x, 0, 0, 1),
+            "verify_grid": lambda x: verify_grid(IdentityId.CASSINI_FIB, [x], [1], n_range=(1, 3)),
+            "preset": lambda x: preset(PRESET_K_LUCAS, x),
+            "format_rational": format_rational,
+        }
+        for name, build in entry_points.items():
+            for bad in (0.1, "1/2", Decimal("0.5")):
+                with pytest.raises(TypeError):
+                    build(bad)
+                    pytest.fail(f"{name} accepted {bad!r}")
 
 
 class TestQuadExt:

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biperiodic import (
     Mat2,
@@ -16,7 +18,7 @@ from biperiodic import (
     term_fast_counted,
     term_recurrence,
 )
-from conftest import brute_mat_pow, classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table
+from conftest import brute_mat_pow, classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
 
 FIB = SequenceKind.FIBONACCI
 LUC = SequenceKind.LUCAS
@@ -203,6 +205,19 @@ class TestTermFast:
             term_fast(p, FIB, 5)
         with pytest.raises(SingularMatrixError):
             term_fast(p, LUC, -3)
+
+    @settings(deadline=None)
+    @given(ab=pairs, n=st.integers(-60, 60))
+    def test_random_parameters_match_oracle_tables(self, ab, n):
+        a, b = ab
+        p = SeqParams(a, b)
+        lo, hi = min(n, 0), max(n, 1)
+        for kind, table in ((FIB, oracle_fib_table), (LUC, oracle_lucas_table)):
+            if p.ab_plus_4 == 0:
+                with pytest.raises(SingularMatrixError):
+                    term_fast(p, kind, n)
+            else:
+                assert term_fast(p, kind, n) == table(a, b, lo, hi)[n]
 
     def test_classical_values(self):
         p = SeqParams(1, 1)

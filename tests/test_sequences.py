@@ -15,16 +15,13 @@ from biperiodic import (
     term_recurrence,
 )
 from biperiodic.sequences import terms
-from conftest import classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table
+from conftest import classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
 
 FIB = SequenceKind.FIBONACCI
 LUC = SequenceKind.LUCAS
 
 GENERIC_PAIRS = [(F(2), F(3)), (F(5, 3), F(-7, 2)), (F(-1), F(1, 2))]
 
-nonzero = st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(bool)
-#: random nonzero pairs, and pairs on the line ab = -4
-pairs = st.one_of(st.tuples(nonzero, nonzero), nonzero.map(lambda a: (a, -4 / a)))
 indices = st.integers(-40, 40)
 
 
