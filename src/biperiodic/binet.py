@@ -19,9 +19,19 @@ conj(x * 1/x) = 1, hence negative powers too. As beta = conj(alpha), this
 gives beta^n = conj(alpha)^n = conj(alpha^n). The same rule gives the
 second eigenvalue and eigenvector of the generating matrix from the first.
 
-All arithmetic stays inside QuadExt with the formal radical sqrt(D); the
-radical component of the finished expression must cancel to exactly zero
-before the rational part is extracted, and extraction enforces that.
+The power itself runs on integers. With ab = r/s in lowest terms (s > 0)
+and d = r(r+4s) = s^2*D, an integer,
+
+    alpha = (r + sqrt(d))/(2s),  N(alpha) = alpha*beta = (r^2 - d)/(4s^2) = -ab
+
+so alpha^n = (X + Y*sqrt(d))/(2s)^n for n >= 0, where (X, Y) is the n-th
+power of the integer pair r + sqrt(d). The lucas kernel alpha^n + beta^n
+is 2X/(2s)^n and, as alpha - beta = sqrt(d)/s, the fibonacci kernel is
+2s*Y/(2s)^n. For n < 0, alpha^n = conj(alpha^|n|)/N(alpha)^|n|, whose
+denominator (2s)^|n|*(-ab)^|n| = (-2r)^|n| is again an integer (r != 0).
+Each term is normalized once, at the end: the finished kernel becomes one
+QuadExt whose radical component must cancel to exactly zero before the
+rational part is extracted, and extraction enforces that.
 
 D = 0 (equivalently ab = -4) collapses the two roots. The fibonacci
 formula divides by alpha - beta and is rejected there; the lucas formula
@@ -32,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Mat2, QuadExt, Rational
+from .exact import Mat2, QuadExt, Rational, _power
 from .genmatrix import generating_matrix
 from .sequences import SeqParams, parity
 
@@ -56,23 +66,66 @@ def roots(p: SeqParams) -> RootPair:
     return RootPair(alpha, alpha.conj())
 
 
+class _IntPair:
+    """x + y*sqrt(d) with integer coordinates and an integer d."""
+
+    __slots__ = ("x", "y", "d")
+
+    def __init__(self, x: int, y: int, d: int):
+        self.x, self.y, self.d = x, y, d
+
+    def __mul__(self, other: "_IntPair") -> "_IntPair":
+        return _IntPair(
+            self.x * other.x + self.d * (self.y * other.y),
+            self.x * other.y + self.y * other.x,
+            self.d,
+        )
+
+    def __add__(self, other: "_IntPair") -> "_IntPair":
+        return _IntPair(self.x + other.x, self.y + other.y, self.d)
+
+    def __sub__(self, other: "_IntPair") -> "_IntPair":
+        return _IntPair(self.x - other.x, self.y - other.y, self.d)
+
+    def conj(self) -> "_IntPair":
+        return _IntPair(self.x, -self.y, self.d)
+
+
+def _alpha_power(p: SeqParams, n: int) -> tuple[_IntPair, int]:
+    """alpha^n as an integer pair and an integer denominator (module docstring)."""
+    r, s = p.ab.numerator, p.ab.denominator
+    d = r * (r + 4 * s)
+    x, _ = _power(_IntPair(r, 1, d), abs(n), _IntPair(1, 0, d))
+    if n >= 0:
+        return x, (2 * s) ** n
+    return x.conj(), (-2 * r) ** -n
+
+
+def _finish(prefactor: Rational, kernel: _IntPair, den: int) -> Rational:
+    """prefactor * kernel/den, normalized once; its radical part must cancel."""
+    num, den = prefactor.numerator, prefactor.denominator * den
+    value = QuadExt(Fraction(num * kernel.x, den), Fraction(num * kernel.y, den), kernel.d)
+    return value.as_rational()
+
+
 def binet_fib(p: SeqParams, n: int) -> Rational:
     if p.disc == 0:
         raise DegenerateDiscriminantError(
             "ab = -4 gives a repeated root; the fibonacci closed form divides by alpha - beta"
         )
-    pair = roots(p)
-    x = pair.alpha**n
-    kernel = (x - x.conj()) / (pair.alpha - pair.beta)
-    prefactor = p.a ** (1 - parity(n)) / p.ab ** (n // 2)
-    return (prefactor * kernel).as_rational()
+    x, den = _alpha_power(p, n)
+    d = x.d
+    # dividing by alpha - beta = sqrt(d)/s multiplies by sqrt(d) and by s/d
+    kernel = (x - x.conj()) * _IntPair(0, 1, d)
+    prefactor = p.a ** (1 - parity(n)) / p.ab ** (n // 2) * Fraction(p.ab.denominator, d)
+    return _finish(prefactor, kernel, den)
 
 
 def binet_lucas(p: SeqParams, n: int) -> Rational:
-    x = roots(p).alpha**n
-    kernel = x + x.conj()
-    prefactor = 1 / (p.a ** (n // 2) * p.b ** ((n + 1) // 2))
-    return (prefactor * kernel).as_rational()
+    x, den = _alpha_power(p, n)
+    # a^floor(n/2) * b^floor((n+1)/2) = (ab)^floor(n/2) * b^parity(n)
+    prefactor = 1 / (p.ab ** (n // 2) * p.b ** parity(n))
+    return _finish(prefactor, x + x.conj(), den)
 
 
 @dataclass(frozen=True)

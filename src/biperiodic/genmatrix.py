@@ -16,6 +16,25 @@ the factorization backward turns binary exponentiation into an
 O(log |n|) term evaluator (``term_fast``), and one power divided by the
 prefactor is the whole core (``power_closed_form``).
 
+Both O(log |n|) paths power an integer matrix. G factors exactly as
+
+    G = (a/b) * S * N * S^-1,  S = diag(1, 1/a),  N = [[ab+2, 1], [ab, 2]]
+
+Proof: conjugating by S multiplies entry (1,2) by a and divides entry
+(2,1) by a, so S*N*S^-1 = [[ab+2, a], [b, 2]], and (a/b) times it is G.
+Hence G^n = (a/b)^n * S * N^n * S^-1 for every integer n. With ab = r/s in
+lowest terms (s > 0), N = K/s for the integer matrix
+
+    K = [[r+2s, s], [r, 2s]],  and  N^-1 = K'/(r+4s),  K' = [[2s, -s], [-r, r+2s]]
+
+Proof of the inverse: det N = 2(ab+2) - ab = ab+4, so
+N^-1 = [[2, -1], [-ab, ab+2]]/(ab+4); multiply above and below by s. So
+N^n = K^n/s^n for n >= 0 and N^n = K'^|n|/(r+4s)^|n| for n < 0: the
+square-and-multiply loop runs on integers, and each result is built with
+one normalization at the end. Since S only moves a factor a between the
+off-diagonal entries, (a/b)^n cancels from a term read off G^n:
+t = a*K12/(den*(ab+4)^floor(n/2)) from the (1,2) entry.
+
 Degenerate point ab + 4 = 0: det(G) = (a^2/b^2)(ab+4) = 0, so G has no
 inverse and G^n = 0 for n >= 2 (trace and determinant both vanish). The
 prefactor then carries no information and term extraction is impossible;
@@ -25,9 +44,10 @@ core from one ``TermTable`` walk instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Literal
 
-from .exact import Mat2, Rational, SingularMatrixError, mat_pow_counted
+from .exact import Mat2, Rational, SingularMatrixError, _power
 from .sequences import SeqParams, SequenceKind, TermTable, parity
 
 
@@ -36,20 +56,58 @@ def generating_matrix(p: SeqParams) -> Mat2:
     return Mat2(a * a + 2 * a / b, a * a / b, a, 2 * a / b)
 
 
+class _IntMat:
+    """Row-major 2x2 integer matrix: K, K' and their powers."""
+
+    __slots__ = ("e11", "e12", "e21", "e22")
+
+    def __init__(self, e11: int, e12: int, e21: int, e22: int):
+        self.e11, self.e12, self.e21, self.e22 = e11, e12, e21, e22
+
+    def __mul__(self, other: "_IntMat") -> "_IntMat":
+        return _IntMat(
+            self.e11 * other.e11 + self.e12 * other.e21,
+            self.e11 * other.e12 + self.e12 * other.e22,
+            self.e21 * other.e11 + self.e22 * other.e21,
+            self.e21 * other.e12 + self.e22 * other.e22,
+        )
+
+
+def _kernel(p: SeqParams, n: int) -> tuple[_IntMat, int, int]:
+    """(K^n, s^n) for n >= 0 and (K'^|n|, (r+4s)^|n|) for n < 0, with the product count.
+
+    N^n is the matrix divided by the integer; see the module docstring.
+    """
+    r, s = p.ab.numerator, p.ab.denominator
+    if n >= 0:
+        base, den = _IntMat(r + 2 * s, s, r, 2 * s), s**n
+    elif r + 4 * s == 0:
+        raise SingularMatrixError(
+            "generating matrix is singular (ab + 4 = 0); negative powers do not exist"
+        )
+    else:
+        base, den = _IntMat(2 * s, -s, -r, r + 2 * s), (r + 4 * s) ** -n
+    power, count = _power(base, abs(n), _IntMat(1, 0, 0, 1))
+    return power, den, count
+
+
 def matrix_power_counted(p: SeqParams, n: int) -> tuple[Mat2, int]:
     """G^n for any integer n, with the number of 2x2 products performed.
 
-    Negative powers invert first, which requires ab + 4 != 0 (inversion
-    itself costs no matrix products).
+    G^n = (a/b)^n/den * [[K11, a*K12], [K21/a, K22]] from the kernel, one
+    normalization per entry. Negative powers require ab + 4 != 0.
     """
-    base = generating_matrix(p)
-    if n < 0:
-        if p.ab_plus_4 == 0:
-            raise SingularMatrixError(
-                "generating matrix is singular (ab + 4 = 0); negative powers do not exist"
-            )
-        return mat_pow_counted(base.inverse(), -n)
-    return mat_pow_counted(base, n)
+    k, den, count = _kernel(p, n)
+    scale = (p.a / p.b) ** n
+    num, den = scale.numerator, scale.denominator * den
+    a_num, a_den = p.a.numerator, p.a.denominator
+    power = Mat2(
+        Fraction(k.e11 * num, den),
+        Fraction(k.e12 * num * a_num, den * a_den),
+        Fraction(k.e21 * num * a_den, den * a_num),
+        Fraction(k.e22 * num, den),
+    )
+    return power, count
 
 
 def matrix_power(p: SeqParams, n: int) -> Mat2:
@@ -130,22 +188,27 @@ def power_closed_form(p: SeqParams, n: int) -> ClosedForm:
 
 
 def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rational, int]:
-    """Sequence term via one matrix power, with the 2x2 product count.
+    """Sequence term via one kernel power, with the 2x2 product count.
 
     Even powers expose fibonacci terms and odd powers expose lucas terms,
     so when the requested kind sits at the wrong parity the adjacent power
-    n+1 is used and the term is read from the trailing diagonal entry.
+    m = n+1 is used and the term is read from the trailing diagonal entry:
+    t(n) = K22/(den*(ab+4)^floor(m/2)). No Mat2 is built, and the term is
+    normalized once.
     """
     if p.ab_plus_4 == 0:
         raise SingularMatrixError(
             "term extraction needs ab + 4 != 0 (the prefactor vanishes); "
             "use the recurrence for this parameter point"
         )
-    if kind is _exposed_kind(n):
-        m, count = matrix_power_counted(p, n)
-        return m.e12 / _prefactor(p, n), count
-    m, count = matrix_power_counted(p, n + 1)
-    return m.e22 / _prefactor(p, n + 1), count
+    m = n if kind is _exposed_kind(n) else n + 1
+    k, _, count = _kernel(p, m)
+    # den * (ab+4)^floor(m/2) = s^ceil(|m|/2) * (r+4s)^floor(|m|/2) for either sign of m
+    r, s, j = p.ab.numerator, p.ab.denominator, abs(m)
+    divisor = s ** (j - j // 2) * (r + 4 * s) ** (j // 2)
+    if m == n:
+        return Fraction(p.a.numerator * k.e12, p.a.denominator * divisor), count
+    return Fraction(k.e22, divisor), count
 
 
 def term_fast(p: SeqParams, kind: SequenceKind, n: int) -> Rational:

@@ -10,8 +10,10 @@ Catalog notes:
   identities; they hold at every integer index.
 * ``thm4-i-printed`` is a published variant of the fibonacci Cassini
   identity carrying the same coefficient on both products. It is wrong at
-  generic parameters (demonstrably at odd indices) and is kept so the
-  discrepancy stays reproducible.
+  generic parameters, at even and odd indices alike: lhs - rhs =
+  (-1)^n * (b - a) * q(n)^2 exactly (checked on the standard 6x6 grid for
+  n in -20..59), so it holds only where a = b or q(n) = 0. It is kept so
+  the discrepancy stays reproducible.
 * ``thm6-i`` .. ``thm6-v`` relate terms at doubled indices; ``thm6-vi``
   ships in two flavors: the published ``-printed`` form fails with the
   stable signature lhs = -rhs wherever lhs != 0, and ``-corrected`` (the

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biperiodic import binet as binet_module, exact
 from biperiodic import (
     DegenerateDiscriminantError,
     Mat2,
@@ -112,13 +113,15 @@ class TestBinetValues:
 
     def test_each_term_raises_alpha_to_one_power(self, monkeypatch):
         calls = []
-        power = QuadExt.__pow__
+        power = exact._power
 
-        def counted(self, n):
+        def counted(x, n, one):
             calls.append(n)
-            return power(self, n)
+            return power(x, n, one)
 
-        monkeypatch.setattr(QuadExt, "__pow__", counted)
+        # every binding Binet can reach: its own import and QuadExt.__pow__'s
+        for module in (exact, binet_module):
+            monkeypatch.setattr(module, "_power", counted)
         cases = [
             (binet_fib, SeqParams(2, 3)),
             (binet_lucas, SeqParams(2, 3)),
@@ -128,7 +131,7 @@ class TestBinetValues:
             for n in (-7, 0, 1, 12):
                 calls.clear()
                 closed_form(p, n)
-                assert calls == [n], (closed_form.__name__, p, n)
+                assert calls == [abs(n)], (closed_form.__name__, p, n)
 
 
 class TestRadicalCancellation:

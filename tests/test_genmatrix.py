@@ -9,6 +9,8 @@ from biperiodic import (
     SeqParams,
     SequenceKind,
     SingularMatrixError,
+    binet_fib,
+    binet_lucas,
     det_power,
     generating_matrix,
     matrix_power,
@@ -18,6 +20,7 @@ from biperiodic import (
     term_fast_counted,
     term_recurrence,
 )
+from biperiodic.sequences import terms
 from conftest import brute_mat_pow, classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
 
 FIB = SequenceKind.FIBONACCI
@@ -129,6 +132,19 @@ class TestDirectPower:
         with pytest.raises(SingularMatrixError):
             matrix_power(SeqParams(1, -4), -2)
 
+    @settings(deadline=None)
+    @given(ab=pairs, n=st.integers(-40, 40))
+    def test_random_parameters_match_repeated_multiplication(self, ab, n):
+        p = SeqParams(*ab)
+        g = generating_matrix(p)
+        if n >= 0:
+            assert matrix_power(p, n) == brute_mat_pow(g, n)
+        elif p.ab_plus_4 == 0:
+            with pytest.raises(SingularMatrixError):
+                matrix_power(p, n)
+        else:
+            assert matrix_power(p, n) == brute_mat_pow(g.inverse(), -n)
+
     def test_inverse_power_cancellation(self):
         for a, b in MODULE_GRID:
             p = SeqParams(a, b)
@@ -218,6 +234,18 @@ class TestTermFast:
                     term_fast(p, kind, n)
             else:
                 assert term_fast(p, kind, n) == table(a, b, lo, hi)[n]
+
+    def test_deep_terms_agree_with_binet_and_the_walk(self):
+        # operands of thousands of bits, through both kernels and the negative-n rescales
+        indices = (-2000, -1999, 1999, 2000)
+        for a, b in ((F(5, 3), F(-4, 3)), (F(1, 2), F(-3)), (F(-3, 2), F(1, 2))):
+            p = SeqParams(a, b)
+            for kind, closed_form in ((FIB, binet_fib), (LUC, binet_lucas)):
+                walked = terms(p, kind, -2000, 2000)
+                for n in indices:
+                    expected = walked[n + 2000]
+                    assert term_fast(p, kind, n) == expected, (a, b, kind, n)
+                    assert closed_form(p, n) == expected, (a, b, kind, n)
 
     def test_classical_values(self):
         p = SeqParams(1, 1)
