@@ -13,8 +13,8 @@ matrix of sequence terms:
 
 where t = fibonacci terms for even n and lucas terms for odd n. Reading
 the factorization backward turns binary exponentiation into an
-O(log |n|) term evaluator (``term_fast``), and one power divided by the
-prefactor is the whole core (``power_closed_form``).
+O(log |n|) term evaluator (``term_fast``), and one power read the same
+way is the whole core (``power_closed_form``).
 
 Both O(log |n|) paths power an integer matrix. G factors exactly as
 
@@ -32,8 +32,10 @@ N^-1 = [[2, -1], [-ab, ab+2]]/(ab+4); multiply above and below by s. So
 N^n = K^n/s^n for n >= 0 and N^n = K'^|n|/(r+4s)^|n| for n < 0: the
 square-and-multiply loop runs on integers, and each result is built with
 one normalization at the end. Since S only moves a factor a between the
-off-diagonal entries, (a/b)^n cancels from a term read off G^n:
-t = a*K12/(den*(ab+4)^floor(n/2)) from the (1,2) entry.
+off-diagonal entries, (a/b)^n cancels from the core of G^n. With the
+integer divisor den*(ab+4)^floor(n/2) = s^ceil(|n|/2) * (r+4s)^floor(|n|/2),
+the core is [[K11, a*K12], [K21/a, K22]] over it; for example
+t(n) = a*K12/divisor from the (1,2) entry.
 
 Degenerate point ab + 4 = 0: det(G) = (a^2/b^2)(ab+4) = 0, so G has no
 inverse and G^n = 0 for n >= 2 (trace and determinant both vanish). The
@@ -91,23 +93,26 @@ def _kernel(p: SeqParams, n: int) -> tuple[_IntMat, int, int]:
     return power, den, count
 
 
-def matrix_power_counted(p: SeqParams, n: int) -> tuple[Mat2, int]:
-    """G^n for any integer n, with the number of 2x2 products performed.
-
-    G^n = (a/b)^n/den * [[K11, a*K12], [K21/a, K22]] from the kernel, one
-    normalization per entry. Negative powers require ab + 4 != 0.
-    """
-    k, den, count = _kernel(p, n)
-    scale = (p.a / p.b) ** n
-    num, den = scale.numerator, scale.denominator * den
+def _conjugated(p: SeqParams, k: _IntMat, num: int, den: int) -> Mat2:
+    """num/den * S*k*S^-1 = num/den * [[K11, a*K12], [K21/a, K22]], one normalization per entry."""
     a_num, a_den = p.a.numerator, p.a.denominator
-    power = Mat2(
+    return Mat2(
         Fraction(k.e11 * num, den),
         Fraction(k.e12 * num * a_num, den * a_den),
         Fraction(k.e21 * num * a_den, den * a_num),
         Fraction(k.e22 * num, den),
     )
-    return power, count
+
+
+def matrix_power_counted(p: SeqParams, n: int) -> tuple[Mat2, int]:
+    """G^n for any integer n, with the number of 2x2 products performed.
+
+    G^n = (a/b)^n/den * [[K11, a*K12], [K21/a, K22]] from the kernel.
+    Negative powers require ab + 4 != 0.
+    """
+    k, den, count = _kernel(p, n)
+    scale = (p.a / p.b) ** n
+    return _conjugated(p, k, scale.numerator, scale.denominator * den), count
 
 
 def matrix_power(p: SeqParams, n: int) -> Mat2:
@@ -173,18 +178,29 @@ def _closed_form(p: SeqParams, n: int, term) -> ClosedForm:
     return ClosedForm(p, n, Mat2(above, mid, (p.b / p.a) * mid, below))
 
 
+def _core_divisor(p: SeqParams, m: int) -> int:
+    """den * (ab+4)^floor(m/2) = s^ceil(|m|/2) * (r+4s)^floor(|m|/2), for either sign of m.
+
+    The kernel power of ``_kernel(p, m)`` over it is the core of G^m.
+    """
+    r, s, j = p.ab.numerator, p.ab.denominator, abs(m)
+    return s ** (j - j // 2) * (r + 4 * s) ** (j // 2)
+
+
 def power_closed_form(p: SeqParams, n: int) -> ClosedForm:
     """The factored form of G^n (n >= 1).
 
-    The core is one matrix power divided by the prefactor, except at the
-    degenerate point ab + 4 = 0 where the prefactor vanishes and one
-    ``TermTable`` walk supplies the core terms instead.
+    The core is [[K11, a*K12], [K21/a, K22]] / ``_core_divisor`` from one
+    kernel power, one normalization per entry, except at the degenerate
+    point ab + 4 = 0 where the divisor vanishes and one ``TermTable`` walk
+    supplies the core terms instead.
     """
     if n < 1:
         raise ValueError("power_closed_form requires n >= 1")
     if p.ab_plus_4 == 0:
         return _closed_form(p, n, TermTable(p).term)
-    return ClosedForm(p, n, matrix_power(p, n).scaled(1 / _prefactor(p, n)))
+    k, _, _ = _kernel(p, n)
+    return ClosedForm(p, n, _conjugated(p, k, 1, _core_divisor(p, n)))
 
 
 def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rational, int]:
@@ -193,7 +209,7 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
     Even powers expose fibonacci terms and odd powers expose lucas terms,
     so when the requested kind sits at the wrong parity the adjacent power
     m = n+1 is used and the term is read from the trailing diagonal entry:
-    t(n) = K22/(den*(ab+4)^floor(m/2)). No Mat2 is built, and the term is
+    t(n) = K22/``_core_divisor(p, m)``. No Mat2 is built, and the term is
     normalized once.
     """
     if p.ab_plus_4 == 0:
@@ -203,9 +219,7 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
         )
     m = n if kind is _exposed_kind(n) else n + 1
     k, _, count = _kernel(p, m)
-    # den * (ab+4)^floor(m/2) = s^ceil(|m|/2) * (r+4s)^floor(|m|/2) for either sign of m
-    r, s, j = p.ab.numerator, p.ab.denominator, abs(m)
-    divisor = s ** (j - j // 2) * (r + 4 * s) ** (j // 2)
+    divisor = _core_divisor(p, m)
     if m == n:
         return Fraction(p.a.numerator * k.e12, p.a.denominator * divisor), count
     return Fraction(k.e22, divisor), count

@@ -1,8 +1,10 @@
 """Catalog of checkable identities and the exhaustive grid verifier.
 
 Every identity is an evaluator returning the exact pair (lhs, rhs) rather
-than a boolean: failures keep full forensics, and the two deliberately
-broken catalog entries are recognized by the *shape* of their failures.
+than a boolean: failures keep full forensics. The two deliberately broken
+catalog entries also carry their documented exact lhs - rhs, so every
+grid point is judged on its own: a point is as expected exactly when
+lhs - rhs equals the documented value (0 for an identity that holds).
 
 Catalog notes:
 
@@ -10,14 +12,17 @@ Catalog notes:
   identities; they hold at every integer index.
 * ``thm4-i-printed`` is a published variant of the fibonacci Cassini
   identity carrying the same coefficient on both products. It is wrong at
-  generic parameters, at even and odd indices alike: lhs - rhs =
-  (-1)^n * (b - a) * q(n)^2 exactly (checked on the standard 6x6 grid for
-  n in -20..59), so it holds only where a = b or q(n) = 0. It is kept so
-  the discrepancy stays reproducible.
+  generic parameters, at even and odd indices alike. Both share rhs and
+  the q(n-1)q(n+1) product; cassini-fib weighs q(n)^2 by the other
+  coefficient (b at even n, a at odd n). So its lhs is cassini-fib's lhs
+  plus (-1)^n * (b - a) * q(n)^2, lhs - rhs = (-1)^n * (b - a) * q(n)^2
+  exactly, and it holds only where a = b or q(n) = 0. It is kept so the
+  discrepancy stays reproducible.
 * ``thm6-i`` .. ``thm6-v`` relate terms at doubled indices; ``thm6-vi``
-  ships in two flavors: the published ``-printed`` form fails with the
-  stable signature lhs = -rhs wherever lhs != 0, and ``-corrected`` (the
-  two products swapped) holds everywhere.
+  ships in two flavors: the published ``-printed`` form has rhs = -lhs
+  at every point (its two products are those of ``-corrected`` swapped),
+  so lhs - rhs = 2 * lhs and it fails wherever lhs != 0, and
+  ``-corrected`` holds everywhere.
 * ``add-*`` / ``sub-*`` are the index addition/subtraction rules behind
   the doubled-index family. Each is asserted only on its parity domain;
   outside it the evaluator raises ParityMismatchError rather than
@@ -70,6 +75,8 @@ class IdentityId(str, enum.Enum):
 
 
 class Expectation(enum.Enum):
+    """The documented outcome as a report label; points are judged by ``_IdentityDef.gap``."""
+
     HOLDS = "holds"
     SIGN_FLIP = "fails-with-lhs-equal-minus-rhs"
     FAILS_AT_ODD_INDEX = "fails-for-some-odd-index"
@@ -113,6 +120,10 @@ def _eval_thm4_printed(t: TermTable, p: SeqParams, n: int):
     c = p.a ** (1 - parity(n)) * p.b ** parity(n)
     lhs = c * (t.fib(n + 1) * t.fib(n - 1) - t.fib(n) ** 2)
     return lhs, p.a * _sign(n)
+
+
+def _gap_thm4_printed(t: TermTable, p: SeqParams, lhs, n: int):
+    return _sign(n) * (p.b - p.a) * t.fib(n) ** 2
 
 
 def _eval_det_power(t: TermTable, p: SeqParams, n: int):
@@ -170,6 +181,10 @@ def _eval_thm6_vi_printed(t: TermTable, p: SeqParams, m: int, n: int):
     lhs = t.lucas(2 * (m - n) + 1)
     rhs = t.fib(2 * m + 1) * t.lucas(2 * n + 1) - t.fib(2 * (m + 1)) * t.lucas(2 * n)
     return lhs, rhs
+
+
+def _gap_thm6_vi_printed(t: TermTable, p: SeqParams, lhs, m: int, n: int):
+    return 2 * lhs  # rhs = -lhs
 
 
 def _eval_thm6_vi_corrected(t: TermTable, p: SeqParams, m: int, n: int):
@@ -239,6 +254,8 @@ class _IdentityDef:
     exclude: Optional[Callable[[SeqParams], Optional[str]]] = None
     min_index: Optional[int] = None
     expected: Expectation = Expectation.HOLDS
+    #: documented exact lhs - rhs as gap(table, p, lhs, *indices); None: lhs == rhs
+    gap: Optional[Callable] = None
 
     @property
     def arity(self) -> int:
@@ -252,7 +269,8 @@ _CATALOG: dict[IdentityId, _IdentityDef] = {
     IdentityId.CASSINI_FIB: _IdentityDef(_eval_cassini_fib, (1, 200)),
     IdentityId.CASSINI_LUCAS: _IdentityDef(_eval_cassini_lucas, (1, 200)),
     IdentityId.THM4_I_PRINTED: _IdentityDef(
-        _eval_thm4_printed, (1, 200), expected=Expectation.FAILS_AT_ODD_INDEX
+        _eval_thm4_printed, (1, 200),
+        expected=Expectation.FAILS_AT_ODD_INDEX, gap=_gap_thm4_printed,
     ),
     IdentityId.DET_POWER: _IdentityDef(_eval_det_power, (1, 32), min_index=1),
     IdentityId.THM6_I: _IdentityDef(_eval_thm6_i, _DOUBLED, _DOUBLED),
@@ -261,7 +279,8 @@ _CATALOG: dict[IdentityId, _IdentityDef] = {
     IdentityId.THM6_IV: _IdentityDef(_eval_thm6_iv, _DOUBLED, _DOUBLED),
     IdentityId.THM6_V: _IdentityDef(_eval_thm6_v, _DOUBLED, _DOUBLED),
     IdentityId.THM6_VI_PRINTED: _IdentityDef(
-        _eval_thm6_vi_printed, _DOUBLED, _DOUBLED, expected=Expectation.SIGN_FLIP
+        _eval_thm6_vi_printed, _DOUBLED, _DOUBLED,
+        expected=Expectation.SIGN_FLIP, gap=_gap_thm6_vi_printed,
     ),
     IdentityId.THM6_VI_CORRECTED: _IdentityDef(_eval_thm6_vi_corrected, _DOUBLED, _DOUBLED),
     IdentityId.ADD_QQ: _IdentityDef(_eval_add_qq, _SHIFTED, _SHIFTED, parity_domain=_BOTH_EVEN),
@@ -354,6 +373,8 @@ class IdentityReport:
     m_range: Optional[tuple[int, int]]
     checked: int
     passed: int
+    #: points where lhs - rhs is not the documented value
+    unexpected: int
     counterexamples: tuple[Counterexample, ...] = field(default=())
     excluded: tuple[ExcludedPoint, ...] = field(default=())
 
@@ -363,22 +384,13 @@ class IdentityReport:
 
 
 def report_matches_expectation(report: IdentityReport) -> bool:
-    """True when the grid outcome is the documented one for this identity.
+    """True when every grid point is exactly as documented for this identity.
 
-    Identities expected to hold must pass everywhere. The two erratum
-    entries must fail, and fail in their documented shape: a global sign
-    flip for thm6-vi-printed, at least one odd-index failure for
-    thm4-i-printed. thm4-i-printed coincides with cassini-fib when a = b,
-    so on a grid where every point has a = b it must pass everywhere.
+    A point is as documented when lhs - rhs equals the identity's
+    documented gap: 0 for an identity that holds, the exact discrepancy
+    for the two erratum entries. So the verdict holds on any grid.
     """
-    exp = expectation(report.identity)
-    if exp is Expectation.SIGN_FLIP:
-        return report.failed > 0 and all(
-            ce.lhs == -ce.rhs for ce in report.counterexamples
-        )
-    if exp is Expectation.HOLDS or len(set(report.a_values + report.b_values)) == 1:
-        return report.passed == report.checked
-    return any(parity(ce.indices[0]) == 1 for ce in report.counterexamples)
+    return report.unexpected == 0
 
 
 def _index_tuples(idef: _IdentityDef, n_range, m_range):
@@ -430,7 +442,8 @@ def verify_grid(
     else:
         m_range = None
 
-    checked = passed = 0
+    gap = idef.gap
+    checked = passed = unexpected = 0
     counterexamples: list[Counterexample] = []
     excluded: list[ExcludedPoint] = []
     for a in a_vals:
@@ -445,10 +458,15 @@ def verify_grid(
             for indices in _index_tuples(idef, n_range, m_range):
                 lhs, rhs = idef.evaluate(table, p, *indices)
                 checked += 1
-                if lhs == rhs:
+                held = lhs == rhs
+                if held:
                     passed += 1
                 else:
                     counterexamples.append(Counterexample(a, b, indices, lhs, rhs))
+                if gap is None:
+                    unexpected += not held
+                elif lhs - rhs != gap(table, p, lhs, *indices):
+                    unexpected += 1
     counterexamples.sort(key=lambda ce: (ce.a, ce.b, ce.indices))
     excluded.sort(key=lambda ex: (ex.a, ex.b))
     return IdentityReport(
@@ -459,6 +477,7 @@ def verify_grid(
         m_range=m_range,
         checked=checked,
         passed=passed,
+        unexpected=unexpected,
         counterexamples=tuple(counterexamples),
         excluded=tuple(excluded),
     )

@@ -5,10 +5,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from biperiodic import cli, genmatrix, sequences
+import pytest
+
+from biperiodic import IdentityId, cli, genmatrix, identities, sequences
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -138,9 +141,9 @@ class TestMatrix:
         assert b"domain error" in proc.stderr
 
     def test_show_all_computes_one_power(self, monkeypatch):
-        # the entries and power_closed_form both reach G^n through matrix_power_counted
+        # the entries are the closed form materialized, and its core is one kernel power
         argv = ["matrix", "--a", "5/3", "--b", "-4/3", "--n", "9", "--show", "all"]
-        assert call_counted(monkeypatch, genmatrix, "matrix_power_counted", argv) == 1
+        assert call_counted(monkeypatch, genmatrix, "_kernel", argv) == 1
 
     def test_negative_power_entries(self):
         record = run_json("matrix", "--a", "2", "--b", "3", "--n", "-1", "--show", "entries")
@@ -172,18 +175,53 @@ class TestVerify:
         proc = run_cli("verify", "--identity", "no-such-identity")
         assert proc.returncode == 2
 
-    def test_unexpected_outcome_exits_1(self):
-        # at a != b the defective Cassini variant also fails at even n, but
-        # its documented signature is an odd-index failure, which an
-        # even-only index range cannot show: the outcome is unexpected
-        proc = run_cli(
-            "verify", "--identity", "thm4-i-printed",
-            "--a-set", "2", "--b-set", "3", "--n-range", "2..2",
-        )
-        assert proc.returncode == 1
-        record = json.loads(proc.stdout)
-        assert record["all_as_expected"] is False
-        assert record["reports"][0]["failed"] == 1
+    def test_unexpected_outcome_exits_1(self, monkeypatch):
+        # an evaluator off by one disagrees with its documented value at
+        # every point, for an identity that holds and for each erratum entry
+        for ident, ranges in (
+            (IdentityId.CASSINI_FIB, ["--n-range", "1..3"]),
+            (IdentityId.THM4_I_PRINTED, ["--n-range", "1..3"]),
+            (IdentityId.THM6_VI_PRINTED, ["--n-range", "0..1", "--m-range", "0..1"]),
+        ):
+            idef = identities._CATALOG[ident]
+
+            def off_by_one(*args, evaluate=idef.evaluate):
+                lhs, rhs = evaluate(*args)
+                return lhs + 1, rhs
+
+            with monkeypatch.context() as patch:
+                patch.setitem(identities._CATALOG, ident, replace(idef, evaluate=off_by_one))
+                out = io.StringIO()
+                argv = ["verify", "--identity", ident.value, "--a-set", "2", "--b-set", "3"]
+                with contextlib.redirect_stdout(out):
+                    assert cli.main(argv + ranges) == 1, ident
+            record = json.loads(out.getvalue())
+            assert record["all_as_expected"] is False, ident
+            assert record["reports"][0]["as_expected"] is False, ident
+
+    @pytest.mark.parametrize(
+        "argv, checked, failed",
+        [
+            (["thm4-i-printed", "--a-set", "2", "--b-set", "3", "--n-range", "2..2"], 1, 1),
+            # q(3) = 0 at (1, -1), so the variant holds there
+            (["thm4-i-printed", "--a-set", "1", "--b-set", "-1", "--n-range", "3..3"], 1, 0),
+            (["thm4-i-printed", "--a-set", "1,2", "--b-set", "1", "--n-range", "2..2"], 2, 1),
+            # lhs = rhs = 0: the sign flip leaves nothing to fail
+            (
+                ["thm6-vi-printed", "--a-set", "1", "--b-set", "-3",
+                 "--n-range", "0..0", "--m-range", "1..1"],
+                1, 0,
+            ),
+        ],
+        ids=["thm4-at-2-3", "thm4-where-q-vanishes", "thm4-mixed-grid", "thm6-vi-at-zero"],
+    )
+    def test_erratum_points_off_the_default_grid_are_as_expected(self, argv, checked, failed):
+        # each point is exactly the documented discrepancy, whatever the grid's shape
+        record = run_json("verify", "--identity", *argv)
+        report = record["reports"][0]
+        assert (report["checked"], report["failed"]) == (checked, failed)
+        assert report["as_expected"] is True
+        assert record["all_as_expected"] is True
 
     def test_defective_cassini_variant_passes_where_a_equals_b(self):
         # the variant coincides with cassini-fib when a == b, so on an

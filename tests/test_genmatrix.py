@@ -241,11 +241,16 @@ class TestTermFast:
         for a, b in ((F(5, 3), F(-4, 3)), (F(1, 2), F(-3)), (F(-3, 2), F(1, 2))):
             p = SeqParams(a, b)
             for kind, closed_form in ((FIB, binet_fib), (LUC, binet_lucas)):
-                walked = terms(p, kind, -2000, 2000)
+                walked = terms(p, kind, -2000, 2001)
                 for n in indices:
                     expected = walked[n + 2000]
                     assert term_fast(p, kind, n) == expected, (a, b, kind, n)
                     assert closed_form(p, n) == expected, (a, b, kind, n)
+                if kind is FIB:
+                    # the core of G^2000 holds q(1999), q(2000), q(2001)
+                    q = walked[3999:]
+                    core = Mat2(q[2], q[1], (b / a) * q[1], q[0])
+                    assert power_closed_form(p, 2000).core == core, (a, b)
 
     def test_classical_values(self):
         p = SeqParams(1, 1)

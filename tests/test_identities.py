@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biperiodic import (
     Expectation,
@@ -17,8 +19,10 @@ from biperiodic import (
     report_matches_expectation,
     verify_grid,
 )
-from conftest import oracle_fib_table, oracle_lucas_table
+from conftest import oracle_fib_table, oracle_lucas_table, pairs
 
+#: small index windows lo..hi with lo <= 0 <= hi
+WINDOW = st.tuples(st.integers(-8, 0), st.integers(0, 8))
 GENERIC_PAIRS = [(F(2), F(3)), (F(5, 3), F(-7, 2)), (F(-1), F(1, 2))]
 
 
@@ -279,6 +283,16 @@ class TestVerifyGrid:
         report = verify_grid(IdentityId.ADD_QQ, [2], [3], n_range=(-30, 30))
         assert report.checked == 31 * 31
         assert report.passed == report.checked
+
+    @settings(deadline=None)
+    @given(ab=pairs, n_range=WINDOW, m_range=WINDOW)
+    def test_erratum_entries_are_as_documented_on_any_grid(self, ab, n_range, m_range):
+        # every point carries its documented discrepancy, so any grid is as expected
+        a, b = ab
+        thm4 = verify_grid(IdentityId.THM4_I_PRINTED, [a], [b], n_range=n_range)
+        thm6 = verify_grid(IdentityId.THM6_VI_PRINTED, [a], [b], n_range=n_range, m_range=m_range)
+        assert report_matches_expectation(thm4)
+        assert report_matches_expectation(thm6)
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
