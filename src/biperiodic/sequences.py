@@ -26,18 +26,32 @@ u(0) = t(0) and u(1) = t(-1) (fibonacci: 1 = 1 - b*0; lucas:
 ``term_recurrence`` is the designated oracle of the whole package. It is
 deliberately a plain Theta(|n|) loop, steps backward for negative n and
 must never be optimized; every fast path elsewhere is tested against it
-for exact equality. The fast path never steps backward: ``_forward`` is
-its one walk, and ``_reflect`` reads every negative index from it.
-``TermTable`` keeps each term of one parameter pair once and reads it in
-O(1); ``terms`` walks once to the far end of an index range and keeps only
-the terms inside it.
+for exact equality.
+
+The fast path walks integers, forward only. With D = lcm(den a, den b),
+D*a and D*b are integers, and the scaled terms T(k) = D^k * t(k) obey
+
+    T(k) = (D*c(k)) * T(k-1) + D^2 * T(k-2),
+    fibonacci T(0) = 0, T(1) = D;   lucas T(0) = 2, T(1) = D*a.
+
+Proof: multiply t(k) = c(k)*t(k-1) + t(k-2) by D^k and write
+D^k = D * D^(k-1) = D^2 * D^(k-2). The seeds are integers and so are both
+coefficients, so every T(k) is an integer by induction. ``_forward`` is
+this one walk; it yields the unreduced pair (T(k), D^k) and takes no gcd.
+``_reflect`` reads every negative index from it, so the fast path never
+steps backward. ``TermTable`` and ``terms`` build each ``Fraction`` term
+from one pair, one normalization per term; ``TermTable`` keeps each term of
+one parameter pair once and reads it in O(1), and ``terms`` walks once to
+the far end of an index range and keeps only the terms inside it. The
+identity catalog reads the pairs themselves (see ``identities``).
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice
+from math import lcm
 
 from .exact import Rational, _rational
 
@@ -49,29 +63,27 @@ class SequenceKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SeqParams:
-    """Validated nonzero parameter pair (a, b) with derived constants."""
+    """Validated nonzero parameter pair (a, b) with derived constants.
+
+    ``ab``, ``ab_plus_4`` and ``disc`` = ab*(ab+4) = (ab)^2 + 4ab, the
+    radicand of the characteristic roots, are computed once per instance.
+    Equality, hashing and repr use (a, b) only.
+    """
 
     a: Rational
     b: Rational
+    ab: Rational = field(init=False, repr=False, compare=False)
+    ab_plus_4: Rational = field(init=False, repr=False, compare=False)
+    disc: Rational = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _rational(self.a))
-        object.__setattr__(self, "b", _rational(self.b))
-        if self.a == 0 or self.b == 0:
+        a, b = _rational(self.a), _rational(self.b)
+        if a == 0 or b == 0:
             raise ValueError("sequence parameters a and b must both be nonzero")
-
-    @property
-    def ab(self) -> Rational:
-        return self.a * self.b
-
-    @property
-    def ab_plus_4(self) -> Rational:
-        return self.a * self.b + 4
-
-    @property
-    def disc(self) -> Rational:
-        """ab*(ab+4) = (ab)^2 + 4ab, the radicand of the characteristic roots."""
-        return self.ab * self.ab_plus_4
+        ab = a * b
+        derived = {"a": a, "b": b, "ab": ab, "ab_plus_4": ab + 4, "disc": ab * (ab + 4)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def parity(n: int) -> int:
@@ -112,12 +124,20 @@ def term_recurrence(p: SeqParams, kind: SequenceKind, n: int) -> Rational:
 
 
 def _forward(p: SeqParams, kind: SequenceKind):
-    """t(0), t(1), t(2), ... without end; each term is stepped only when asked for."""
-    prev, cur = _seeds(p, kind)
-    yield prev
+    """(T(k), D^k) for k = 0, 1, 2, ... without end, so that t(k) = T(k)/D^k.
+
+    Integers only, no gcd; each pair is stepped only when asked for. See the
+    module docstring for D and the scaled recurrence.
+    """
+    d = lcm(p.a.denominator, p.b.denominator)
+    scaled = [(d * _coefficient(p, kind, k)).numerator for k in (0, 1)]  # D*c(k) by parity
+    t0, t1 = _seeds(p, kind)
+    prev, cur, d2, power = t0.numerator, (d * t1).numerator, d * d, d
+    yield prev, 1
     for i in count(2):
-        yield cur
-        prev, cur = cur, _coefficient(p, kind, i) * cur + prev
+        yield cur, power
+        prev, cur = cur, scaled[i & 1] * cur + d2 * prev
+        power *= d
 
 
 def _reflect(kind: SequenceKind, k: int, t: Rational) -> Rational:
@@ -135,41 +155,56 @@ def terms(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:
     if lo > hi:
         raise ValueError(f"empty index range {lo}..{hi}")
     below, above = [], []  # t(min(hi, -1)) down to t(lo); t(max(lo, 0)) up to t(hi)
-    for k, t in enumerate(islice(_forward(p, kind), max(-lo, hi) + 1)):
-        if lo <= k <= hi:
-            above.append(t)
-        if k and lo <= -k <= hi:
-            below.append(_reflect(kind, k, t))
+    for k, (num, den) in enumerate(islice(_forward(p, kind), max(-lo, hi) + 1)):
+        inside, mirrored = lo <= k <= hi, k and lo <= -k <= hi
+        if inside or mirrored:
+            t = Fraction(num, den)
+            if inside:
+                above.append(t)
+            if mirrored:
+                below.append(_reflect(kind, k, t))
     return below[::-1] + above
 
 
-class TermTable:
-    """Both sequences for one parameter pair, each term computed once.
+class _Walk(dict):
+    """n -> value(T(|n|), D^|n|) for one sequence, signed by ``_reflect`` when n < 0.
 
-    A lookup extends one forward list t(0), t(1), ... per kind from
-    ``_forward``; a negative index reads its reflection, kept once
-    computed. Later lookups are O(1) and any access order yields the same
-    values.
+    A missing index extends the one ``_forward`` walk to |n| and stores both
+    signs of every index it passes, so a stored index is a plain dict read:
+    ``walk.__getitem__`` runs no Python frame. ``value`` builds each stored
+    value from its unreduced pair, once per index walked.
+    """
+
+    def __init__(self, p: SeqParams, kind: SequenceKind, value):
+        super().__init__()
+        self._kind, self._value = kind, value
+        self._pairs = _forward(p, kind)
+        self._next = 0  # the first index not walked yet
+
+    def __missing__(self, n: int):
+        kind, value = self._kind, self._value
+        for k in range(self._next, abs(n) + 1):
+            t = value(*next(self._pairs))
+            self[-k] = _reflect(kind, k, t)
+            self[k] = t
+        self._next = abs(n) + 1
+        return self[n]
+
+
+class TermTable:
+    """Both sequences for one parameter pair as ``Fraction``s, each term computed once.
+
+    A lookup reads one ``_Walk`` per kind, which normalizes each term once
+    and keeps both signs of its index. Later lookups are O(1) and any
+    access order yields the same values.
     """
 
     def __init__(self, params: SeqParams):
         self.params = params
-        self._walks = {kind: _forward(params, kind) for kind in SequenceKind}
-        self._fwd = {kind: [] for kind in SequenceKind}
-        self._reflected = {kind: [] for kind in SequenceKind}  # [k] = t(-k)
+        self._terms = {kind: _Walk(params, kind, Fraction) for kind in SequenceKind}
 
     def term(self, kind: SequenceKind, n: int) -> Rational:
-        if n >= 0:
-            fwd = self._fwd[kind]
-            if len(fwd) <= n:
-                fwd.extend(islice(self._walks[kind], n + 1 - len(fwd)))
-            return fwd[n]
-        reflected = self._reflected[kind]
-        if len(reflected) <= -n:
-            self.term(kind, -n)
-            fwd = self._fwd[kind]
-            reflected.extend(_reflect(kind, k, fwd[k]) for k in range(len(reflected), 1 - n))
-        return reflected[-n]
+        return self._terms[kind][n]
 
     def fib(self, n: int) -> Rational:
         return self.term(SequenceKind.FIBONACCI, n)

@@ -54,6 +54,11 @@ EXTRA_GOLDEN = [
     (("verify", "--identity", "thm4-i-printed", "--a-set", "2,3", "--b-set", "3,2",
       "--n-range", "1..9"),
      0, "f3006ee25ba29600f69040f43dd7937326f8a8f347a7b8dd116b65840c759767"),
+    # the whole catalog where lcm(den a, den b) is 3, 6, 10 and 15, not only
+    # the 1 and 2 of the default grid, with negative indices
+    (("verify", "--identity", "all", "--a-set", "5/3,-2/5", "--b-set", "-4/3,7/2",
+      "--n-range", "-8..8"),
+     0, "902fccf5f64288575692264ae4040c441d4be50293f35d141871925bf8d6d186"),
 ]
 
 GOLDEN = [

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biperiodic import (
+    DEFAULT_RANGES,
+    STANDARD_VALUES,
     Expectation,
     IdentityId,
     ParityMismatchError,
@@ -19,7 +21,8 @@ from biperiodic import (
     report_matches_expectation,
     verify_grid,
 )
-from conftest import oracle_fib_table, oracle_lucas_table, pairs
+from biperiodic.identities import _CATALOG, _index_tuples, _Unreduced
+from conftest import nonzero, oracle_fib_table, oracle_lucas_table, pairs
 
 #: small index windows lo..hi with lo <= 0 <= hi
 WINDOW = st.tuples(st.integers(-8, 0), st.integers(0, 8))
@@ -317,3 +320,163 @@ def test_verify_default_uses_standard_grid_and_ranges():
     assert report.n_range == (1, 32)
     assert report.checked == 36 * 32
     assert report_matches_expectation(report)
+
+
+def _as_unreduced(x: F, scale: int) -> _Unreduced:
+    """x with numerator and denominator both multiplied by ``scale``: unreduced on purpose."""
+    return _Unreduced(x.numerator * scale, x.denominator * scale)
+
+
+#: an unreduced value and the Fraction it stands for
+unreduced = st.builds(
+    lambda x, scale: (_as_unreduced(x, scale), x),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    st.integers(-6, 6).filter(bool),
+)
+#: an int or Fraction operand
+plain = st.one_of(st.integers(-50, 50), st.fractions(min_value=-50, max_value=50, max_denominator=30))
+
+
+class TestUnreduced:
+    """The catalog's gcd-free value against Fraction, alone and mixed with int and Fraction."""
+
+    @settings(deadline=None)
+    @given(x=unreduced, y=unreduced, z=plain, k=st.integers(-4, 4))
+    def test_matches_fraction_arithmetic(self, x, y, z, k):
+        (ux, fx), (uy, fy) = x, y
+        for got, want in [
+            (ux + uy, fx + fy), (ux - uy, fx - fy), (ux * uy, fx * fy),
+            (ux + z, fx + z), (z + ux, z + fx),
+            (ux - z, fx - z), (z - ux, z - fx),
+            (ux * z, fx * z), (z * ux, z * fx),
+            (-ux, -fx),
+        ]:
+            assert isinstance(got, _Unreduced)
+            assert got.fraction() == want
+        if fy:
+            assert (ux / uy).fraction() == fx / fy
+        if z:
+            assert (ux / z).fraction() == fx / z
+        if fx or k >= 0:
+            assert (ux**k).fraction() == fx**k
+
+    @settings(deadline=None)
+    @given(x=unreduced, y=unreduced, z=plain)
+    def test_equality_matches_fraction(self, x, y, z):
+        (ux, fx), (uy, fy) = x, y
+        assert (ux == uy) is (fx == fy)
+        assert (ux != uy) is (fx != fy)
+        assert (ux == z) is (z == ux) is (fx == z)
+        assert (ux != z) is (z != ux) is (fx != z)
+        assert ux == fx and fx == ux and ux == _as_unreduced(fx, -3)
+
+    def test_division_by_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            _Unreduced(1, 2) / _Unreduced(0, 5)
+        with pytest.raises(ZeroDivisionError):
+            _Unreduced(0, 2) ** -1
+
+
+#: index windows lo..hi with -WINDOW_REACH <= lo <= 0 <= hi <= WINDOW_REACH
+WINDOW_REACH = 4
+SMALL_WINDOW = st.tuples(st.integers(-WINDOW_REACH, 0), st.integers(0, WINDOW_REACH))
+
+
+class _OracleTable:
+    """A catalog table built from the conftest oracle dicts: plain Fractions throughout."""
+
+    def __init__(self, a, b, reach):
+        fib = oracle_fib_table(a, b, -reach, reach)
+        luc = oracle_lucas_table(a, b, -reach, reach)
+        self.params = SeqParams(a, b)
+        self.a, self.b, self.ab_plus_4 = F(a), F(b), F(a) * F(b) + 4
+        self.fib, self.lucas = fib.__getitem__, luc.__getitem__
+        self.term = lambda kind, n: (fib if kind is SequenceKind.FIBONACCI else luc)[n]
+
+
+def _naive_report(ident, a_values, b_values, n_range, m_range):
+    """(checked, passed, unexpected, counterexamples) of every evaluator over oracle tables."""
+    idef = _CATALOG[ident]
+    if idef.arity == 1:
+        grid = [(n,) for n in range(n_range[0], n_range[1] + 1)
+                if idef.min_index is None or n >= idef.min_index]
+    else:
+        grid = [(m, n) for m in range(m_range[0], m_range[1] + 1)
+                for n in range(n_range[0], n_range[1] + 1)
+                if idef.parity_domain is None or idef.parity_domain.ok(m, n)]
+    assert list(_index_tuples(idef, n_range, m_range)) == grid
+    checked = passed = unexpected = 0
+    counterexamples = []
+    for a in a_values:
+        for b in b_values:
+            p = SeqParams(a, b)
+            if idef.exclude is not None and idef.exclude(p) is not None:
+                continue
+            table = _OracleTable(a, b, 4 * (WINDOW_REACH + 1))
+            for indices in grid:
+                lhs, rhs = idef.evaluate(table, *indices)
+                checked += 1
+                passed += lhs == rhs
+                if lhs != rhs:
+                    counterexamples.append((a, b, indices, lhs, rhs))
+                if idef.gap is None:
+                    unexpected += lhs != rhs
+                else:
+                    unexpected += lhs - rhs != idef.gap(table, lhs, *indices)
+    counterexamples.sort(key=lambda ce: ce[:3])
+    return checked, passed, unexpected, counterexamples
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    ab=pairs,
+    more_a=st.lists(nonzero, max_size=1),
+    more_b=st.lists(nonzero, max_size=1),
+    n_range=SMALL_WINDOW,
+    m_range=SMALL_WINDOW,
+)
+def test_verify_grid_matches_naive_reevaluation(ab, more_a, more_b, n_range, m_range):
+    # every evaluator, re-run over oracle tables of Fractions: the counts and
+    # the counterexamples' Fractions must be those of the gcd-free run
+    a_values, b_values = [ab[0], *more_a], [ab[1], *more_b]
+    for ident in IdentityId:
+        report = verify_grid(ident, a_values, b_values, n_range=n_range, m_range=m_range)
+        ranges = (n_range, m_range if _CATALOG[ident].arity == 2 else None)
+        checked, passed, unexpected, counterexamples = _naive_report(
+            ident, a_values, b_values, *ranges
+        )
+        assert (report.checked, report.passed, report.unexpected) == (
+            checked, passed, unexpected
+        ), ident
+        got = [(ce.a, ce.b, ce.indices, ce.lhs, ce.rhs) for ce in report.counterexamples]
+        assert got == counterexamples, ident
+        for ce in report.counterexamples:
+            assert all(isinstance(v, F) for v in (ce.lhs, ce.rhs)), ident
+
+
+def test_cassini_checks_build_fractions_per_point_not_per_check(monkeypatch):
+    # the checks run on gcd-free values: the Fractions built are per
+    # parameter point (parameters, walk seeds), so doubling the checks
+    # leaves the count unchanged
+    new = F.__new__
+    built = 0
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    counts = {}
+    lo, hi = DEFAULT_RANGES[IdentityId.CASSINI_FIB][0]
+    for n_range in ((lo, hi // 2), (lo, hi)):
+        built = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(F, "__new__", counting_new)
+            report = verify_grid(
+                IdentityId.CASSINI_FIB, STANDARD_VALUES, STANDARD_VALUES, n_range=n_range
+            )
+        assert report.passed == report.checked == 36 * (n_range[1] - n_range[0] + 1)
+        counts[n_range] = built
+    assert F.__new__ is new
+    per_point = [count / 36 for count in counts.values()]
+    assert per_point[0] == per_point[1] <= 32, counts

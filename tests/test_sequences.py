@@ -64,6 +64,10 @@ def test_derived_constants():
     assert p.ab_plus_4 == 10
     assert p.disc == 60
     assert SeqParams(1, -4).disc == 0
+    # computed once per instance; equality, hashing and repr see (a, b) only
+    assert p.ab_plus_4 is p.ab_plus_4 and p.disc is p.disc
+    assert p == SeqParams(F(4, 2), 3) and hash(p) == hash(SeqParams(2, F(3)))
+    assert repr(p) == "SeqParams(a=Fraction(2, 1), b=Fraction(3, 1))"
 
 
 def test_seeds():
