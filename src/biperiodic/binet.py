@@ -19,19 +19,44 @@ conj(x * 1/x) = 1, hence negative powers too. As beta = conj(alpha), this
 gives beta^n = conj(alpha)^n = conj(alpha^n). The same rule gives the
 second eigenvalue and eigenvector of the generating matrix from the first.
 
-The power itself runs on integers. With ab = r/s in lowest terms (s > 0)
-and d = r(r+4s) = s^2*D, an integer,
+The power itself runs on integers, at half the index. With ab = r/s in
+lowest terms (s > 0) and d = r(r+4s) = s^2*D, an integer,
 
-    alpha = (r + sqrt(d))/(2s),  N(alpha) = alpha*beta = (r^2 - d)/(4s^2) = -ab
+    alpha = (r + sqrt(d))/(2s),  alpha^2 = ab*(alpha + 1) = (ab/s)*w,
+    w = s*(alpha + 1) = ((r+2s) + sqrt(d))/2,  N(w) = ((r+2s)^2 - d)/4 = s^2
 
-so alpha^n = (X + Y*sqrt(d))/(2s)^n for n >= 0, where (X, Y) is the n-th
-power of the integer pair r + sqrt(d). The lucas kernel alpha^n + beta^n
-is 2X/(2s)^n and, as alpha - beta = sqrt(d)/s, the fibonacci kernel is
-2s*Y/(2s)^n. For n < 0, alpha^n = conj(alpha^|n|)/N(alpha)^|n|, whose
-denominator (2s)^|n|*(-ab)^|n| = (-2r)^|n| is again an integer (r != 0).
-Each term is normalized once, at the end: the finished kernel becomes one
-QuadExt whose radical component must cancel to exactly zero before the
-rational part is extracted, and extraction enforces that.
+So w is a root of X^2 - (r+2s)*X + s^2, and w^j = (V + U*sqrt(d))/2 for
+the integer Lucas sequences V, U with P = r+2s and Q = s^2 (Joye and
+Quisquater, Electron. Lett. 1996). The pairs (x + y*sqrt(d))/2 with
+x = P*y = d*y (mod 2) form the ring Z[w] (d = P^2 - 4Q = P^2 (mod 4)), so
+each product halves exactly. For j < 0, w^j = conj(w^|j|)/N(w)^|j|
+= conj(w^|j|)/s^(2|j|). With T = w^|j|, read as its conjugate when j < 0,
+
+    alpha^(2j) = (ab)^j * w^j / s^j = (ab)^j * T / s^|j|    (either sign of j)
+
+and with c = r + sqrt(d) = 2s*alpha and n = 2j + e, e in {0, 1},
+
+    alpha^n = (ab)^j * Z / (s^|j| * (2s)^e),  Z = T*c^e,  beta^n = conj(alpha^n)
+
+In the two formulas, with 1/(s*b) = a/r and alpha - beta = sqrt(d)/s:
+
+    lucas(n)     = a^e * (Z + conj(Z)) / ((2r)^e * s^|j|)
+    fibonacci(n) = a^(1-e) * ((Z - conj(Z))/sqrt(d)) / (2^e * s^(|j|+e-1))
+
+Writing 2T = V + U*sqrt(d), U negated when j < 0, these read
+l(2j) = V/s^|j|, q(2j) = a*U/s^(|j|-1), l(2j+1) = a*((V + (r+4s)*U)/2)/s^|j|
+and q(2j+1) = ((V + r*U)/2)/s^|j|. The halves are exact: V^2 - d*U^2 =
+4*s^(2|j|) and d = r^2 (mod 4), so (V - r*U)(V + r*U) = 0 (mod 4); the
+two factors differ by 2*r*U and so share a parity, which must be even,
+and V + (r+4s)*U = V + r*U (mod 4). The power of s in each form is the k
+of the lowest-terms lemma (``sequences._term_shape``: t(n) = a^eps * N/s^k
+with gcd(N, s) = 1), except at odd n < 0, where |n| = 2|j| - 1 makes
+k = |j| - 1 and one exact division by s remains. ``exact._lowest_terms``
+then finishes the term with gcds against a's numerator and denominator
+only. q(0) = 0 needs no power of s: there Z - conj(Z) = 0. The finished
+kernel becomes one QuadExt whose radical component must cancel to
+exactly zero before the rational part is extracted, and extraction
+enforces that.
 
 D = 0 (equivalently ab = -4) collapses the two roots. The fibonacci
 formula divides by alpha - beta and is rejected there; the lucas formula
@@ -42,9 +67,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Mat2, QuadExt, Rational, _power
+from .exact import Mat2, QuadExt, Rational, _lowest_terms, _power
 from .genmatrix import generating_matrix
-from .sequences import SeqParams, parity
+from .sequences import SeqParams, SequenceKind, _term_shape, parity
 
 
 class DegenerateDiscriminantError(ValueError):
@@ -67,7 +92,7 @@ def roots(p: SeqParams) -> RootPair:
 
 
 class _IntPair:
-    """x + y*sqrt(d) with integer coordinates and an integer d."""
+    """(x + y*sqrt(d))/2 in Z[w]: integers x = d*y (mod 2), so products halve exactly."""
 
     __slots__ = ("x", "y", "d")
 
@@ -76,8 +101,8 @@ class _IntPair:
 
     def __mul__(self, other: "_IntPair") -> "_IntPair":
         return _IntPair(
-            self.x * other.x + self.d * (self.y * other.y),
-            self.x * other.y + self.y * other.x,
+            (self.x * other.x + self.d * (self.y * other.y)) >> 1,
+            (self.x * other.y + self.y * other.x) >> 1,
             self.d,
         )
 
@@ -91,21 +116,32 @@ class _IntPair:
         return _IntPair(self.x, -self.y, self.d)
 
 
-def _alpha_power(p: SeqParams, n: int) -> tuple[_IntPair, int]:
-    """alpha^n as an integer pair and an integer denominator (module docstring)."""
+def _alpha_power(p: SeqParams, n: int) -> _IntPair:
+    """Z with alpha^n = (ab)^j * Z / (s^|j| * (2s)^e), n = 2j + e, from one power of w."""
     r, s = p.ab.numerator, p.ab.denominator
     d = r * (r + 4 * s)
-    x, _ = _power(_IntPair(r, 1, d), abs(n), _IntPair(1, 0, d))
-    if n >= 0:
-        return x, (2 * s) ** n
-    return x.conj(), (-2 * r) ** -n
+    j, e = divmod(n, 2)
+    t, _ = _power(_IntPair(r + 2 * s, 1, d), abs(j), _IntPair(2, 0, d))
+    if j < 0:
+        t = t.conj()
+    return t * _IntPair(2 * r, 2, d) if e else t
 
 
-def _finish(prefactor: Rational, kernel: _IntPair, den: int) -> Rational:
-    """prefactor * kernel/den, normalized once; its radical part must cancel."""
-    num, den = prefactor.numerator, prefactor.denominator * den
-    value = QuadExt(Fraction(num * kernel.x, den), Fraction(num * kernel.y, den), kernel.d)
-    return value.as_rational()
+def _finish(p: SeqParams, kind: SequenceKind, n: int, kernel: _IntPair, divisor: int) -> Rational:
+    """t(n) = a^eps * kernel / (divisor * s^k), through one QuadExt whose radical part must cancel.
+
+    (eps, k) is the shape of ``sequences._term_shape``; at odd n < 0 the
+    kernel carries one more factor s, divided out exactly here.
+    """
+    eps, k = _term_shape(kind, n)
+    s = p.ab.denominator
+    if n < 0 and parity(n):
+        divisor *= s
+    den = s**k
+    rational = _lowest_terms(p.a, eps, kernel.x // (2 * divisor), den)
+    # the radical part is kernel.y scaled like kernel.x; only a nonzero one needs the scale
+    radical = p.a**eps * Fraction(kernel.y, 2 * divisor * den) if kernel.y else 0
+    return QuadExt(rational, radical, kernel.d).as_rational()
 
 
 def binet_fib(p: SeqParams, n: int) -> Rational:
@@ -113,19 +149,15 @@ def binet_fib(p: SeqParams, n: int) -> Rational:
         raise DegenerateDiscriminantError(
             "ab = -4 gives a repeated root; the fibonacci closed form divides by alpha - beta"
         )
-    x, den = _alpha_power(p, n)
-    d = x.d
-    # dividing by alpha - beta = sqrt(d)/s multiplies by sqrt(d) and by s/d
-    kernel = (x - x.conj()) * _IntPair(0, 1, d)
-    prefactor = p.a ** (1 - parity(n)) / p.ab ** (n // 2) * Fraction(p.ab.denominator, d)
-    return _finish(prefactor, kernel, den)
+    z = _alpha_power(p, n)
+    # dividing by sqrt(d) multiplies by sqrt(d) = (0 + 2*sqrt(d))/2 and divides by d
+    kernel = (z - z.conj()) * _IntPair(0, 2, z.d)
+    return _finish(p, SequenceKind.FIBONACCI, n, kernel, z.d * 2 ** parity(n))
 
 
 def binet_lucas(p: SeqParams, n: int) -> Rational:
-    x, den = _alpha_power(p, n)
-    # a^floor(n/2) * b^floor((n+1)/2) = (ab)^floor(n/2) * b^parity(n)
-    prefactor = 1 / (p.ab ** (n // 2) * p.b ** parity(n))
-    return _finish(prefactor, x + x.conj(), den)
+    z = _alpha_power(p, n)
+    return _finish(p, SequenceKind.LUCAS, n, z + z.conj(), (2 * p.ab.numerator) ** parity(n))
 
 
 @dataclass(frozen=True)

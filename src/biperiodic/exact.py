@@ -5,6 +5,7 @@ Every value in this package is built from these three layers:
 * ``Rational`` -- arbitrary-precision fractions. This is the stdlib
   ``fractions.Fraction``, which already guarantees the canonical form we
   rely on everywhere: positive denominator, lowest terms, zero as 0/1.
+  ``_lowest_terms`` builds sequence terms in that form without renormalizing.
 * ``QuadExt`` -- elements u + v*sqrt(d) of a quadratic extension of the
   rationals. The radical is purely formal: no square root is ever taken,
   so negative and non-square d work the same as positive square d.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 Rational = Fraction
@@ -74,6 +76,27 @@ def _rational(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"unsupported scalar type {type(x).__name__}: expected int or Fraction")
+
+
+def _lowest_terms(a: Fraction, eps: int, num: int, den: int) -> Fraction:
+    """a**eps * num/den in lowest terms, for eps in {0, 1}, den > 0 and gcd(num, den) = 1.
+
+    Both O(log n) engines hand each sequence term over in this shape, den a
+    power of s (``sequences._term_shape``). With a = p/q in lowest terms,
+    gcd(p*num, q*den) = gcd(num, q) * gcd(p, den): a prime dividing p
+    divides neither q nor, if it divides den, num, so its share of the gcd
+    is its share of gcd(p, den); a prime of q likewise; any other prime
+    divides at most one of num and den. So the only gcds taken are against
+    p and q, and the result is canonical without a final normalization.
+    """
+    if eps:
+        p, q = a.numerator, a.denominator
+        g, h = gcd(p, den), gcd(num, q)
+        num, den = (p // g) * (num // h), (q // h) * (den // g)
+    # Fraction(num, den) would take a gcd of the whole operands again
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = num, den
+    return x
 
 
 def _coerce_scalar(x):

@@ -23,25 +23,43 @@ Both O(log |n|) paths power an integer matrix. G factors exactly as
 Proof: conjugating by S multiplies entry (1,2) by a and divides entry
 (2,1) by a, so S*N*S^-1 = [[ab+2, a], [b, 2]], and (a/b) times it is G.
 Hence G^n = (a/b)^n * S * N^n * S^-1 for every integer n. With ab = r/s in
-lowest terms (s > 0), N = K/s for the integer matrix
+lowest terms (s > 0), N = K/s for the integer matrix K = [[r+2s, s], [r, 2s]],
+and K is powered through its square, half as many times:
 
-    K = [[r+2s, s], [r, 2s]],  and  N^-1 = K'/(r+4s),  K' = [[2s, -s], [-r, r+2s]]
+    K^2 = (r+4s) * M,  M = [[r+s, s], [r, s]],  trace M = r+2s,  det M = s^2
 
-Proof of the inverse: det N = 2(ab+2) - ab = ab+4, so
-N^-1 = [[2, -1], [-ab, ab+2]]/(ab+4); multiply above and below by s. So
-N^n = K^n/s^n for n >= 0 and N^n = K'^|n|/(r+4s)^|n| for n < 0: the
-square-and-multiply loop runs on integers, and each result is built with
-one normalization at the end. Since S only moves a factor a between the
-off-diagonal entries, (a/b)^n cancels from the core of G^n. With the
-integer divisor den*(ab+4)^floor(n/2) = s^ceil(|n|/2) * (r+4s)^floor(|n|/2),
-the core is [[K11, a*K12], [K21/a, K22]] over it; for example
-t(n) = a*K12/divisor from the (1,2) entry.
+Proof: K^2 = [[(r+2s)^2 + rs, s(r+2s) + 2s^2], [r(r+2s) + 2rs, rs + 4s^2]],
+and each entry is r+4s times the entry of M. For negative powers
+adj(M) = [[s, -s], [-r, r+s]] stands in for M, as M*adj(M) = s^2 * I.
+
+Core formula. Write m = 2j + e with j = floor(m/2) and e in {0, 1}, let
+B = M for j >= 0 and B = adj(M) for j < 0, and P = B^|j| * K^e. Then the
+core of G^m is
+
+    core = S * P * S^-1 / s^(|j|+e) = [[P11, a*P12], [P21/a, P22]] / s^(|j|+e)
+
+Proof: the core is G^m over the prefactor, S * N^m * S^-1 / (ab+4)^j, and
+ab+4 = (r+4s)/s. For j >= 0, N^(2j) = (K^2/s^2)^j = (r+4s)^j * M^j / s^(2j),
+so N^m/(ab+4)^j = M^j * K^e / s^(j+e). For j < 0 (this needs r+4s != 0),
+M^-1 = adj(M)/s^2 turns N^(2j) = ((r+4s) * M/s^2)^j into
+(r+4s)^j * adj(M)^|j|, so N^m/(ab+4)^j = adj(M)^|j| * K^e / s^(|j|+e). At
+the singular point ab + 4 = 0 the j >= 0 form still holds: M/s and K/s
+have entries polynomial in ab, so both sides are polynomials in a, 1/a
+and b that agree off the curve ab = -4, hence on it too. The kernel never
+forms the factor (r+4s)^j, and the prefactor puts it back where G^m needs it.
+
+Lowest terms. ``term_fast`` reads t(n) from one entry of P; the lemma of
+``sequences._term_shape`` says t(n) = a^eps * N/s^k with gcd(N, s) = 1, so
+the entry over s^(|j|+e) carries at most two spare factors of s
+(|j|+e-k is 0, 1 or 2). One exact division removes them, and
+``exact._lowest_terms`` finishes the term with gcds against a's
+numerator and denominator only: no gcd ever runs on kernel-sized operands.
 
 Degenerate point ab + 4 = 0: det(G) = (a^2/b^2)(ab+4) = 0, so G has no
 inverse and G^n = 0 for n >= 2 (trace and determinant both vanish). The
 prefactor then carries no information and term extraction is impossible;
-``term_fast`` refuses such parameters, and ``power_closed_form`` reads its
-core from one ``TermTable`` walk instead.
+``term_fast`` refuses such parameters, while ``power_closed_form`` still
+reads its core from the kernel (n >= 1, so j >= 0).
 """
 from __future__ import annotations
 
@@ -49,8 +67,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .exact import Mat2, Rational, SingularMatrixError, _power
-from .sequences import SeqParams, SequenceKind, TermTable, parity
+from .exact import Mat2, Rational, SingularMatrixError, _lowest_terms, _power
+from .sequences import SeqParams, SequenceKind, _term_shape, parity
 
 
 def generating_matrix(p: SeqParams) -> Mat2:
@@ -59,7 +77,7 @@ def generating_matrix(p: SeqParams) -> Mat2:
 
 
 class _IntMat:
-    """Row-major 2x2 integer matrix: K, K' and their powers."""
+    """Row-major 2x2 integer matrix: M, adj(M), K and their products."""
 
     __slots__ = ("e11", "e12", "e21", "e22")
 
@@ -75,22 +93,25 @@ class _IntMat:
         )
 
 
-def _kernel(p: SeqParams, n: int) -> tuple[_IntMat, int, int]:
-    """(K^n, s^n) for n >= 0 and (K'^|n|, (r+4s)^|n|) for n < 0, with the product count.
+def _kernel(p: SeqParams, m: int) -> tuple[_IntMat, int, int]:
+    """(P, |j|+e, product count) with P = B^|j| * K^e for m = 2j + e.
 
-    N^n is the matrix divided by the integer; see the module docstring.
+    The core of G^m is S*P*S^-1 / s^(|j|+e); see the module docstring.
     """
     r, s = p.ab.numerator, p.ab.denominator
-    if n >= 0:
-        base, den = _IntMat(r + 2 * s, s, r, 2 * s), s**n
+    j, e = divmod(m, 2)
+    if j >= 0:
+        base = _IntMat(r + s, s, r, s)
     elif r + 4 * s == 0:
         raise SingularMatrixError(
             "generating matrix is singular (ab + 4 = 0); negative powers do not exist"
         )
     else:
-        base, den = _IntMat(2 * s, -s, -r, r + 2 * s), (r + 4 * s) ** -n
-    power, count = _power(base, abs(n), _IntMat(1, 0, 0, 1))
-    return power, den, count
+        base = _IntMat(s, -s, -r, r + s)
+    power, count = _power(base, abs(j), _IntMat(1, 0, 0, 1))
+    if e:
+        power, count = power * _IntMat(r + 2 * s, s, r, 2 * s), count + 1
+    return power, abs(j) + e, count
 
 
 def _conjugated(p: SeqParams, k: _IntMat, num: int, den: int) -> Mat2:
@@ -107,12 +128,13 @@ def _conjugated(p: SeqParams, k: _IntMat, num: int, den: int) -> Mat2:
 def matrix_power_counted(p: SeqParams, n: int) -> tuple[Mat2, int]:
     """G^n for any integer n, with the number of 2x2 products performed.
 
-    G^n = (a/b)^n/den * [[K11, a*K12], [K21/a, K22]] from the kernel.
+    G^n is the prefactor times the core S*P*S^-1 / s^(|j|+e) of the kernel.
     Negative powers require ab + 4 != 0.
     """
-    k, den, count = _kernel(p, n)
-    scale = (p.a / p.b) ** n
-    return _conjugated(p, k, scale.numerator, scale.denominator * den), count
+    k, exponent, count = _kernel(p, n)
+    scale = _prefactor(p, n)
+    den = scale.denominator * p.ab.denominator**exponent
+    return _conjugated(p, k, scale.numerator, den), count
 
 
 def matrix_power(p: SeqParams, n: int) -> Mat2:
@@ -172,35 +194,16 @@ class ClosedForm:
         return self.core.scaled(self.scale())
 
 
-def _closed_form(p: SeqParams, n: int, term) -> ClosedForm:
-    """The factored form of G^n, its core read from ``term(kind, k)``."""
-    below, mid, above = (term(_exposed_kind(n), k) for k in (n - 1, n, n + 1))
-    return ClosedForm(p, n, Mat2(above, mid, (p.b / p.a) * mid, below))
-
-
-def _core_divisor(p: SeqParams, m: int) -> int:
-    """den * (ab+4)^floor(m/2) = s^ceil(|m|/2) * (r+4s)^floor(|m|/2), for either sign of m.
-
-    The kernel power of ``_kernel(p, m)`` over it is the core of G^m.
-    """
-    r, s, j = p.ab.numerator, p.ab.denominator, abs(m)
-    return s ** (j - j // 2) * (r + 4 * s) ** (j // 2)
-
-
 def power_closed_form(p: SeqParams, n: int) -> ClosedForm:
     """The factored form of G^n (n >= 1).
 
-    The core is [[K11, a*K12], [K21/a, K22]] / ``_core_divisor`` from one
-    kernel power, one normalization per entry, except at the degenerate
-    point ab + 4 = 0 where the divisor vanishes and one ``TermTable`` walk
-    supplies the core terms instead.
+    The core is S*P*S^-1 / s^(|j|+e) from one kernel power, one
+    normalization per entry, at every parameter point, ab + 4 = 0 included.
     """
     if n < 1:
         raise ValueError("power_closed_form requires n >= 1")
-    if p.ab_plus_4 == 0:
-        return _closed_form(p, n, TermTable(p).term)
-    k, _, _ = _kernel(p, n)
-    return ClosedForm(p, n, _conjugated(p, k, 1, _core_divisor(p, n)))
+    k, exponent, _ = _kernel(p, n)
+    return ClosedForm(p, n, _conjugated(p, k, 1, p.ab.denominator**exponent))
 
 
 def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rational, int]:
@@ -209,8 +212,8 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
     Even powers expose fibonacci terms and odd powers expose lucas terms,
     so when the requested kind sits at the wrong parity the adjacent power
     m = n+1 is used and the term is read from the trailing diagonal entry:
-    t(n) = K22/``_core_divisor(p, m)``. No Mat2 is built, and the term is
-    normalized once.
+    t(n) = P22 / s^(|j|+e). Otherwise t(n) = a*P12 / s^(|j|+e). No Mat2 is
+    built, and no gcd runs on the entry (module docstring, lowest terms).
     """
     if p.ab_plus_4 == 0:
         raise SingularMatrixError(
@@ -218,11 +221,11 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
             "use the recurrence for this parameter point"
         )
     m = n if kind is _exposed_kind(n) else n + 1
-    k, _, count = _kernel(p, m)
-    divisor = _core_divisor(p, m)
-    if m == n:
-        return Fraction(p.a.numerator * k.e12, p.a.denominator * divisor), count
-    return Fraction(k.e22, divisor), count
+    k, exponent, count = _kernel(p, m)
+    eps, shape = _term_shape(kind, n)
+    s = p.ab.denominator
+    entry = k.e12 if m == n else k.e22
+    return _lowest_terms(p.a, eps, entry // s ** (exponent - shape), s**shape), count
 
 
 def term_fast(p: SeqParams, kind: SequenceKind, n: int) -> Rational:

@@ -279,7 +279,10 @@ def _eval_det_power(t: _Table, n: int):
 
 def _eval_matrix_form(t: _Table, n: int):
     # the core comes from the walk, so binary exponentiation is checked against it
-    return _gm._closed_form(t.params, n, t.term).materialize(), _gm.matrix_power(t.params, n)
+    p, kind = t.params, _gm._exposed_kind(n)
+    below, mid, above = (t.term(kind, k) for k in (n - 1, n, n + 1))
+    core = Mat2(above, mid, (p.b / p.a) * mid, below)
+    return _gm.ClosedForm(p, n, core).materialize(), _gm.matrix_power(p, n)
 
 
 def _eval_inverse_power(t: _Table, n: int):

@@ -146,6 +146,28 @@ def _reflect(kind: SequenceKind, k: int, t: Rational) -> Rational:
     return -t if parity(sign_exponent) == 1 else t
 
 
+def _term_shape(kind: SequenceKind, n: int) -> tuple[int, int]:
+    """(eps, k) with t(n) = a^eps * N/s^k for an integer N prime to s, where ab = r/s in lowest terms.
+
+    Lemma: for j >= 0, with x = ab,
+
+        q(2j+1) = g(x),  q(2j+2) = a*f(x),  l(2j+1) = a*h(x),  l(2j+2) = v(x)
+
+    for monic integer polynomials g, f, h, v of degree j, j, j, j+1. By
+    induction from q(1) = 1, q(2) = a, l(1) = a, l(2) = x + 2: where the
+    coefficient is b it multiplies a term that carries a, so
+    q(2j+3) = x*f(x) + g(x) and l(2j+2) = x*h(x) + l(2j); where it is a
+    it adds a term that carries a, so q(2j+4) = a*(q(2j+3) + f(x)) and
+    l(2j+3) = a*(l(2j+2) + h(x)). A
+    monic F of degree k gives F(r/s) = N/s^k with N = r^k (mod s), so
+    gcd(N, s) = gcd(r^k, s) = 1. The sign reflection t(-n) = +-t(n) keeps
+    the shape, which covers n < 0; q(0) = 0 = 0/1 and l(0) = 2 = 2/1.
+    """
+    if kind is SequenceKind.FIBONACCI:
+        return 1 - parity(n), max(abs(n) - 1, 0) // 2
+    return parity(n), abs(n) // 2
+
+
 def terms(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:
     """t(lo), ..., t(hi) from one forward walk to max(|lo|, |hi|).
 

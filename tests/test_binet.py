@@ -131,7 +131,8 @@ class TestBinetValues:
             for n in (-7, 0, 1, 12):
                 calls.clear()
                 closed_form(p, n)
-                assert calls == [abs(n)], (closed_form.__name__, p, n)
+                # one power of w = s*alpha^2/(ab), at half the index
+                assert calls == [abs(n // 2)], (closed_form.__name__, p, n)
 
 
 class TestRadicalCancellation:

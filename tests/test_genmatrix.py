@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -259,6 +260,40 @@ class TestTermFast:
         for n in range(31):
             assert term_fast(p, FIB, n) == fib[n]
             assert term_fast(p, LUC, n) == lucas[n]
+
+
+#: pairs for the lowest-terms shortcut: a's numerator shares the prime 2 with s
+#: (ab = 1/2); a's denominator divides numerators N (ab = 1/3); integer ab in
+#: {-1, -2, -3}, where terms vanish; ab = -4, where only lucas Binet runs
+CANONICAL_PAIRS = [
+    (F(2), F(1, 4)),
+    (F(1, 2), F(2, 3)),
+    (F(1), F(-1)),
+    (F(1, 2), F(-4)),
+    (F(-3), F(1)),
+    (F(1), F(-4)),
+    (F(1, 2), F(-8)),
+]
+
+
+def assert_engines_canonical(p, n):
+    values = [binet_lucas(p, n)]
+    if p.ab_plus_4 != 0:
+        values += [binet_fib(p, n), term_fast(p, FIB, n), term_fast(p, LUC, n)]
+    for x in values:
+        assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1, (p, n, x)
+
+
+class TestCanonicalForm:
+    @settings(deadline=None)
+    @given(ab=st.sampled_from(CANONICAL_PAIRS), n=st.integers(-60, 60))
+    def test_terms_are_in_lowest_terms(self, ab, n):
+        assert_engines_canonical(SeqParams(*ab), n)
+
+    def test_deep_terms_are_in_lowest_terms(self):
+        for ab in CANONICAL_PAIRS:
+            for n in (-2001, -2000, 2000, 2001):
+                assert_engines_canonical(SeqParams(*ab), n)
 
 
 def test_counted_power_reports_products():
