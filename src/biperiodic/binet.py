@@ -29,34 +29,22 @@ So w is a root of X^2 - (r+2s)*X + s^2, and w^j = (V + U*sqrt(d))/2 for
 the integer Lucas sequences V, U with P = r+2s and Q = s^2 (Joye and
 Quisquater, Electron. Lett. 1996). The pairs (x + y*sqrt(d))/2 with
 x = P*y = d*y (mod 2) form the ring Z[w] (d = P^2 - 4Q = P^2 (mod 4)), so
-each product halves exactly. For j < 0, w^j = conj(w^|j|)/N(w)^|j|
-= conj(w^|j|)/s^(2|j|). With T = w^|j|, read as its conjugate when j < 0,
+each product halves exactly. For j < 0, w^j = conj(w^|j|)/s^(2|j|), so
+alpha^(2j) = (ab)^j * w^j/s^j = (ab)^j * T/s^|j| for either sign of j,
+with T = w^|j| read as its conjugate when j < 0, and
+alpha^(2j+1) = alpha^(2j) * (r + sqrt(d))/(2s). Writing n = 2j + e,
+e in {0, 1}, 2T = V + U*sqrt(d), 1/(s*b) = a/r and
+alpha - beta = sqrt(d)/s, the two formulas above read
 
-    alpha^(2j) = (ab)^j * w^j / s^j = (ab)^j * T / s^|j|    (either sign of j)
+    l(2j) = V/s^|j|,          l(2j+1) = a*((V + (r+4s)*U)/2)/s^|j|,
+    q(2j) = a*U/s^(|j|-1),    q(2j+1) = ((V + r*U)/2)/s^|j|
 
-and with c = r + sqrt(d) = 2s*alpha and n = 2j + e, e in {0, 1},
-
-    alpha^n = (ab)^j * Z / (s^|j| * (2s)^e),  Z = T*c^e,  beta^n = conj(alpha^n)
-
-In the two formulas, with 1/(s*b) = a/r and alpha - beta = sqrt(d)/s:
-
-    lucas(n)     = a^e * (Z + conj(Z)) / ((2r)^e * s^|j|)
-    fibonacci(n) = a^(1-e) * ((Z - conj(Z))/sqrt(d)) / (2^e * s^(|j|+e-1))
-
-Writing 2T = V + U*sqrt(d), U negated when j < 0, these read
-l(2j) = V/s^|j|, q(2j) = a*U/s^(|j|-1), l(2j+1) = a*((V + (r+4s)*U)/2)/s^|j|
-and q(2j+1) = ((V + r*U)/2)/s^|j|. The halves are exact: V^2 - d*U^2 =
-4*s^(2|j|) and d = r^2 (mod 4), so (V - r*U)(V + r*U) = 0 (mod 4); the
-two factors differ by 2*r*U and so share a parity, which must be even,
-and V + (r+4s)*U = V + r*U (mod 4). The power of s in each form is the k
-of the lowest-terms lemma (``sequences._term_shape``: t(n) = a^eps * N/s^k
-with gcd(N, s) = 1), except at odd n < 0, where |n| = 2|j| - 1 makes
-k = |j| - 1 and one exact division by s remains. ``exact._lowest_terms``
-then finishes the term with gcds against a's numerator and denominator
-only. q(0) = 0 needs no power of s: there Z - conj(Z) = 0. The finished
-kernel becomes one QuadExt whose radical component must cancel to
-exactly zero before the rational part is extracted, and extraction
-enforces that.
+(q(0) = 0 needs no power of s: there U = 0). The halves are exact:
+V^2 - d*U^2 = 4*s^(2|j|) and d = r^2 (mod 4), so (V - r*U)(V + r*U) = 0
+(mod 4); the two factors differ by 2*r*U and so share a parity, which must
+be even, and V + (r+4s)*U = V + r*U (mod 4). ``sequences._finished_term``
+finishes each term from its numerator, its power of s and its divisor
+(1 or 2), and checks that division.
 
 D = 0 (equivalently ab = -4) collapses the two roots. The fibonacci
 formula divides by alpha - beta and is rejected there; the lucas formula
@@ -67,9 +55,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Mat2, QuadExt, Rational, _lowest_terms, _power
+from .exact import Mat2, QuadExt, Rational, _power
 from .genmatrix import generating_matrix
-from .sequences import SeqParams, SequenceKind, _term_shape, parity
+from .sequences import SeqParams, SequenceKind, _finished_term, parity
 
 
 class DegenerateDiscriminantError(ValueError):
@@ -106,42 +94,13 @@ class _IntPair:
             self.d,
         )
 
-    def __add__(self, other: "_IntPair") -> "_IntPair":
-        return _IntPair(self.x + other.x, self.y + other.y, self.d)
 
-    def __sub__(self, other: "_IntPair") -> "_IntPair":
-        return _IntPair(self.x - other.x, self.y - other.y, self.d)
-
-    def conj(self) -> "_IntPair":
-        return _IntPair(self.x, -self.y, self.d)
-
-
-def _alpha_power(p: SeqParams, n: int) -> _IntPair:
-    """Z with alpha^n = (ab)^j * Z / (s^|j| * (2s)^e), n = 2j + e, from one power of w."""
+def _alpha_power(p: SeqParams, j: int) -> tuple[int, int]:
+    """(V, U) with 2*w^|j| = V + U*sqrt(d), U negated when j < 0, from one power of w."""
     r, s = p.ab.numerator, p.ab.denominator
     d = r * (r + 4 * s)
-    j, e = divmod(n, 2)
     t, _ = _power(_IntPair(r + 2 * s, 1, d), abs(j), _IntPair(2, 0, d))
-    if j < 0:
-        t = t.conj()
-    return t * _IntPair(2 * r, 2, d) if e else t
-
-
-def _finish(p: SeqParams, kind: SequenceKind, n: int, kernel: _IntPair, divisor: int) -> Rational:
-    """t(n) = a^eps * kernel / (divisor * s^k), through one QuadExt whose radical part must cancel.
-
-    (eps, k) is the shape of ``sequences._term_shape``; at odd n < 0 the
-    kernel carries one more factor s, divided out exactly here.
-    """
-    eps, k = _term_shape(kind, n)
-    s = p.ab.denominator
-    if n < 0 and parity(n):
-        divisor *= s
-    den = s**k
-    rational = _lowest_terms(p.a, eps, kernel.x // (2 * divisor), den)
-    # the radical part is kernel.y scaled like kernel.x; only a nonzero one needs the scale
-    radical = p.a**eps * Fraction(kernel.y, 2 * divisor * den) if kernel.y else 0
-    return QuadExt(rational, radical, kernel.d).as_rational()
+    return t.x, -t.y if j < 0 else t.y
 
 
 def binet_fib(p: SeqParams, n: int) -> Rational:
@@ -149,15 +108,20 @@ def binet_fib(p: SeqParams, n: int) -> Rational:
         raise DegenerateDiscriminantError(
             "ab = -4 gives a repeated root; the fibonacci closed form divides by alpha - beta"
         )
-    z = _alpha_power(p, n)
-    # dividing by sqrt(d) multiplies by sqrt(d) = (0 + 2*sqrt(d))/2 and divides by d
-    kernel = (z - z.conj()) * _IntPair(0, 2, z.d)
-    return _finish(p, SequenceKind.FIBONACCI, n, kernel, z.d * 2 ** parity(n))
+    j = n // 2
+    v, u = _alpha_power(p, j)
+    if parity(n):
+        return _finished_term(p, SequenceKind.FIBONACCI, n, v + p.ab.numerator * u, abs(j), 2)
+    return _finished_term(p, SequenceKind.FIBONACCI, n, u, max(abs(j) - 1, 0), 1)
 
 
 def binet_lucas(p: SeqParams, n: int) -> Rational:
-    z = _alpha_power(p, n)
-    return _finish(p, SequenceKind.LUCAS, n, z + z.conj(), (2 * p.ab.numerator) ** parity(n))
+    j = n // 2
+    v, u = _alpha_power(p, j)
+    if parity(n):
+        r, s = p.ab.numerator, p.ab.denominator
+        return _finished_term(p, SequenceKind.LUCAS, n, v + (r + 4 * s) * u, abs(j), 2)
+    return _finished_term(p, SequenceKind.LUCAS, n, v, abs(j), 1)
 
 
 @dataclass(frozen=True)

@@ -81,13 +81,14 @@ def _rational(x) -> Fraction:
 def _lowest_terms(a: Fraction, eps: int, num: int, den: int) -> Fraction:
     """a**eps * num/den in lowest terms, for eps in {0, 1}, den > 0 and gcd(num, den) = 1.
 
-    Both O(log n) engines hand each sequence term over in this shape, den a
-    power of s (``sequences._term_shape``). With a = p/q in lowest terms,
-    gcd(p*num, q*den) = gcd(num, q) * gcd(p, den): a prime dividing p
-    divides neither q nor, if it divides den, num, so its share of the gcd
-    is its share of gcd(p, den); a prime of q likewise; any other prime
-    divides at most one of num and den. So the only gcds taken are against
-    p and q, and the result is canonical without a final normalization.
+    Its one caller is ``sequences._finished_term``, which finishes the terms
+    of both O(log n) engines in this shape, den a power of s. With a = p/q
+    in lowest terms, gcd(p*num, q*den) = gcd(num, q) * gcd(p, den): a prime
+    dividing p divides neither q nor, if it divides den, num, so its share
+    of the gcd is its share of gcd(p, den); a prime of q likewise; any other
+    prime divides at most one of num and den. So the only gcds taken are
+    against p and q, and the result is canonical without a final
+    normalization.
     """
     if eps:
         p, q = a.numerator, a.denominator

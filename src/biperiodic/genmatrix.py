@@ -48,12 +48,12 @@ have entries polynomial in ab, so both sides are polynomials in a, 1/a
 and b that agree off the curve ab = -4, hence on it too. The kernel never
 forms the factor (r+4s)^j, and the prefactor puts it back where G^m needs it.
 
-Lowest terms. ``term_fast`` reads t(n) from one entry of P; the lemma of
-``sequences._term_shape`` says t(n) = a^eps * N/s^k with gcd(N, s) = 1, so
-the entry over s^(|j|+e) carries at most two spare factors of s
-(|j|+e-k is 0, 1 or 2). One exact division removes them, and
-``exact._lowest_terms`` finishes the term with gcds against a's
-numerator and denominator only: no gcd ever runs on kernel-sized operands.
+Lowest terms. ``term_fast`` reads t(n) = a^eps * entry/s^(|j|+e) from one
+entry of P and hands it to ``sequences._finished_term``. Every term is
+a^eps * N/s^k with gcd(N, s) = 1, so the entry carries at most two spare
+factors of s (|j|+e-k is 0, 1 or 2); that function divides them out,
+checked, and reduces against a's numerator and denominator only: no gcd
+ever runs on kernel-sized operands.
 
 Degenerate point ab + 4 = 0: det(G) = (a^2/b^2)(ab+4) = 0, so G has no
 inverse and G^n = 0 for n >= 2 (trace and determinant both vanish). The
@@ -67,8 +67,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .exact import Mat2, Rational, SingularMatrixError, _lowest_terms, _power
-from .sequences import SeqParams, SequenceKind, _term_shape, parity
+from .exact import Mat2, Rational, SingularMatrixError, _power
+from .sequences import SeqParams, SequenceKind, _finished_term, parity
 
 
 def generating_matrix(p: SeqParams) -> Mat2:
@@ -213,7 +213,8 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
     so when the requested kind sits at the wrong parity the adjacent power
     m = n+1 is used and the term is read from the trailing diagonal entry:
     t(n) = P22 / s^(|j|+e). Otherwise t(n) = a*P12 / s^(|j|+e). No Mat2 is
-    built, and no gcd runs on the entry (module docstring, lowest terms).
+    built; ``sequences._finished_term`` finishes the term from the entry
+    (module docstring, lowest terms).
     """
     if p.ab_plus_4 == 0:
         raise SingularMatrixError(
@@ -222,10 +223,8 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
         )
     m = n if kind is _exposed_kind(n) else n + 1
     k, exponent, count = _kernel(p, m)
-    eps, shape = _term_shape(kind, n)
-    s = p.ab.denominator
     entry = k.e12 if m == n else k.e22
-    return _lowest_terms(p.a, eps, entry // s ** (exponent - shape), s**shape), count
+    return _finished_term(p, kind, n, entry, exponent, 1), count
 
 
 def term_fast(p: SeqParams, kind: SequenceKind, n: int) -> Rational:

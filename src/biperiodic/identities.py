@@ -467,6 +467,9 @@ def evaluate(ident: IdentityId, p: SeqParams, *indices: int):
 
     Raises ParityMismatchError outside a parity-conditional identity's
     domain and ValueError for indices outside the identity's index domain.
+    No parameter point is excluded here, so the engines' domain errors pass
+    through: binet-fib raises DegenerateDiscriminantError at ab = -4, and
+    inverse-power raises SingularMatrixError at ab + 4 = 0.
     Both sides come back as Fractions (a Mat2 for the matrix identities).
     """
     idef = _CATALOG[ident]

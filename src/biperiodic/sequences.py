@@ -53,7 +53,7 @@ from fractions import Fraction
 from itertools import count, islice
 from math import lcm
 
-from .exact import Rational, _rational
+from .exact import Rational, _lowest_terms, _rational
 
 
 class SequenceKind(enum.Enum):
@@ -166,6 +166,25 @@ def _term_shape(kind: SequenceKind, n: int) -> tuple[int, int]:
     if kind is SequenceKind.FIBONACCI:
         return 1 - parity(n), max(abs(n) - 1, 0) // 2
     return parity(n), abs(n) // 2
+
+
+def _finished_term(p: SeqParams, kind: SequenceKind, n: int, num: int, x: int, c: int) -> Rational:
+    """t(n) = a^eps * num/(c * s^x) in lowest terms, where ab = r/s in lowest terms.
+
+    Both O(log n) engines hand each term over in this form. With (eps, k)
+    from ``_term_shape``, the lemma there makes c * s^(x-k) divide num
+    exactly; a remainder means an engine broke that lemma and raises
+    AssertionError (raised, not asserted, so ``python -O`` keeps the check).
+    ``exact._lowest_terms`` then finishes the term with gcds against a's
+    numerator and denominator only.
+    """
+    eps, k = _term_shape(kind, n)
+    s = p.ab.denominator
+    divisor = c * s ** (x - k)
+    quotient, remainder = divmod(num, divisor)
+    if remainder:
+        raise AssertionError(f"{kind.value}({n}): engine numerator is not a multiple of {divisor}")
+    return _lowest_terms(p.a, eps, quotient, s**k)
 
 
 def terms(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:

@@ -115,8 +115,8 @@ def test_criterion_04_binet_agrees_with_recurrence():
         fib = oracle_fib_table(a, b, -50, 50)
         luc = oracle_lucas_table(a, b, -50, 50)
         for n in range(-50, 51):
-            # binet_* extract through QuadExt.as_rational, which raises
-            # unless the radical component is exactly zero
+            # binet_* finish each term through sequences._finished_term,
+            # which raises unless its exact division leaves no remainder
             assert binet_fib(p, n) == fib[n], (a, b, n)
             assert binet_lucas(p, n) == luc[n], (a, b, n)
             checked += 2

@@ -112,16 +112,24 @@ class TestBinetValues:
             assert binet_fib(p, n) == oracle_fib_table(a, b, lo, hi)[n]
 
     def test_each_term_raises_alpha_to_one_power(self, monkeypatch):
-        calls = []
+        calls, counts, products = [], [], []
         power = exact._power
+        multiply = binet_module._IntPair.__mul__
 
         def counted(x, n, one):
             calls.append(n)
-            return power(x, n, one)
+            result = power(x, n, one)
+            counts.append(result[1])
+            return result
+
+        def counted_product(x, y):
+            products.append(None)
+            return multiply(x, y)
 
         # every binding Binet can reach: its own import and QuadExt.__pow__'s
         for module in (exact, binet_module):
             monkeypatch.setattr(module, "_power", counted)
+        monkeypatch.setattr(binet_module._IntPair, "__mul__", counted_product)
         cases = [
             (binet_fib, SeqParams(2, 3)),
             (binet_lucas, SeqParams(2, 3)),
@@ -129,10 +137,13 @@ class TestBinetValues:
         ]
         for closed_form, p in cases:
             for n in (-7, 0, 1, 12):
-                calls.clear()
+                for log in (calls, counts, products):
+                    log.clear()
                 closed_form(p, n)
                 # one power of w = s*alpha^2/(ab), at half the index
                 assert calls == [abs(n // 2)], (closed_form.__name__, p, n)
+                # and no pair product outside it, odd n included
+                assert len(products) == counts[0], (closed_form.__name__, p, n)
 
 
 class TestRadicalCancellation:

@@ -14,7 +14,7 @@ from biperiodic import (
     preset,
     term_recurrence,
 )
-from biperiodic.sequences import terms
+from biperiodic.sequences import _finished_term, _term_shape, terms
 from conftest import classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
 
 FIB = SequenceKind.FIBONACCI
@@ -135,6 +135,22 @@ def test_negative_index_reflection():
             sign = 1 if parity(n) == 1 else -1
             assert term_recurrence(p, FIB, -n) == sign * term_recurrence(p, FIB, n)
             assert term_recurrence(p, LUC, -n) == -sign * term_recurrence(p, LUC, n)
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
+@pytest.mark.parametrize("c", [1, 2])
+def test_finished_term_checks_its_exact_division(kind, c):
+    p = SeqParams(F(5, 3), F(-4, 3))  # ab = -20/9, s = 9
+    s = p.ab.denominator
+    for n in range(-9, 10):
+        eps, k = _term_shape(kind, n)
+        t = term_recurrence(p, kind, n)
+        x = k + 1  # one spare factor of s, as an engine may hand over
+        num = t / p.a**eps * c * s**x
+        assert num.denominator == 1, (kind, c, n)
+        assert _finished_term(p, kind, n, num.numerator, x, c) == t, (kind, c, n)
+        with pytest.raises(AssertionError, match="not a multiple"):
+            _finished_term(p, kind, n, num.numerator + 1, x, c)
 
 
 @pytest.mark.parametrize("shape", RANGE_SHAPES)
