@@ -29,7 +29,16 @@ So w is a root of X^2 - (r+2s)*X + s^2, and w^j = (V + U*sqrt(d))/2 for
 the integer Lucas sequences V, U with P = r+2s and Q = s^2 (Joye and
 Quisquater, Electron. Lett. 1996). The pairs (x + y*sqrt(d))/2 with
 x = P*y = d*y (mod 2) form the ring Z[w] (d = P^2 - 4Q = P^2 (mod 4)), so
-each product halves exactly. For j < 0, w^j = conj(w^|j|)/s^(2|j|), so
+each product halves exactly. A square takes 3 big products, not 4:
+
+    ((x + y*sqrt(d))/2)^2 = ((x^2 + d*y^2)/2 + x*y*sqrt(d))/2,
+
+the pair ((x^2 + d*y^2) >> 1, x*y) from x^2, y^2 and x*y (d is small).
+The shift is exact: x = d*y and d^2 = d (mod 2), so x^2 = d*y^2 and
+x^2 + d*y^2 = 2*d*y^2 = 0 (mod 2). ``_IntPair`` takes this path when both
+factors are one object, the ``result * result`` step of ``exact._power``.
+
+For j < 0, w^j = conj(w^|j|)/s^(2|j|), so
 alpha^(2j) = (ab)^j * w^j/s^j = (ab)^j * T/s^|j| for either sign of j,
 with T = w^|j| read as its conjugate when j < 0, and
 alpha^(2j+1) = alpha^(2j) * (r + sqrt(d))/(2s). Writing n = 2j + e,
@@ -88,6 +97,9 @@ class _IntPair:
         self.x, self.y, self.d = x, y, d
 
     def __mul__(self, other: "_IntPair") -> "_IntPair":
+        if other is self:  # 3 big products instead of 4 (module docstring)
+            x, y = self.x, self.y
+            return _IntPair((x * x + self.d * (y * y)) >> 1, x * y, self.d)
         return _IntPair(
             (self.x * other.x + self.d * (self.y * other.y)) >> 1,
             (self.x * other.y + self.y * other.x) >> 1,

@@ -48,6 +48,25 @@ have entries polynomial in ab, so both sides are polynomials in a, 1/a
 and b that agree off the curve ab = -4, hence on it too. The kernel never
 forms the factor (r+4s)^j, and the prefactor puts it back where G^m needs it.
 
+Squaring. A 2x2 square takes 5 big products, not 8:
+
+    [[a, b], [c, d]]^2 = [[a^2 + bc, b(a+d)], [c(a+d), d^2 + bc]]
+
+Proof: multiply out. The off-diagonal entries are ab + bd and ca + dc,
+and bc is the cross term of both diagonal entries. ``_IntMat`` takes this
+path when both factors are one object, which is the ``result * result``
+step of ``exact._power``. The last square is the largest product of the
+power, so ``_kernel`` leaves it to its callers: it splits |j| = 2h + f
+with f in {0, 1} and returns Q = B^h and the small tail T = B^f * K^e, and
+
+    P = B^|j| * K^e = (B^h)^2 * B^f * K^e = Q^2 * T
+
+by associativity. ``matrix_power`` and ``power_closed_form`` form Q*Q*T.
+``term_fast`` reads one entry P_i2 (i = 1 or 2), and P_i2 = (Q^2)_i1 * T12
++ (Q^2)_i2 * T22 needs only row i of Q^2: a^2 + bc and b(a+d), or c(a+d)
+and d^2 + bc, 3 big products. T's entries have the size of r and s, so
+that last row-times-column costs two small products.
+
 Lowest terms. ``term_fast`` reads t(n) = a^eps * entry/s^(|j|+e) from one
 entry of P and hands it to ``sequences._finished_term``. Every term is
 a^eps * N/s^k with gcd(N, s) = 1, so the entry carries at most two spare
@@ -77,7 +96,11 @@ def generating_matrix(p: SeqParams) -> Mat2:
 
 
 class _IntMat:
-    """Row-major 2x2 integer matrix: M, adj(M), K and their products."""
+    """Row-major 2x2 integer matrix: M, adj(M), K and their products.
+
+    ``x * x`` takes the square path: 5 big products instead of 8 (module
+    docstring, squaring).
+    """
 
     __slots__ = ("e11", "e12", "e21", "e22")
 
@@ -85,6 +108,10 @@ class _IntMat:
         self.e11, self.e12, self.e21, self.e22 = e11, e12, e21, e22
 
     def __mul__(self, other: "_IntMat") -> "_IntMat":
+        if other is self:
+            a, b, c, d = self.e11, self.e12, self.e21, self.e22
+            bc, t = b * c, a + d
+            return _IntMat(a * a + bc, b * t, c * t, d * d + bc)
         return _IntMat(
             self.e11 * other.e11 + self.e12 * other.e21,
             self.e11 * other.e12 + self.e12 * other.e22,
@@ -92,11 +119,22 @@ class _IntMat:
             self.e21 * other.e12 + self.e22 * other.e22,
         )
 
+    def square_row(self, i: int) -> tuple[int, int]:
+        """Row i (1 or 2) of self * self, from 3 big products."""
+        a, b, c, d = self.e11, self.e12, self.e21, self.e22
+        if i == 1:
+            return a * a + b * c, b * (a + d)
+        return c * (a + d), d * d + b * c
 
-def _kernel(p: SeqParams, m: int) -> tuple[_IntMat, int, int]:
-    """(P, |j|+e, product count) with P = B^|j| * K^e for m = 2j + e.
 
-    The core of G^m is S*P*S^-1 / s^(|j|+e); see the module docstring.
+def _kernel(p: SeqParams, m: int) -> tuple[_IntMat, _IntMat, int, int]:
+    """(Q, T, |j|+e, product count) with Q*Q*T = P = B^|j| * K^e for m = 2j + e.
+
+    With |j| = 2h + f, f in {0, 1}: Q = B^h and the small tail T = B^f * K^e.
+    The caller finishes the last, largest square itself, so that
+    ``term_fast`` can form only the row it reads. The count covers the
+    products that form P from Q and T. The core of G^m is S*P*S^-1 /
+    s^(|j|+e); see the module docstring.
     """
     r, s = p.ab.numerator, p.ab.denominator
     j, e = divmod(m, 2)
@@ -108,10 +146,15 @@ def _kernel(p: SeqParams, m: int) -> tuple[_IntMat, int, int]:
         )
     else:
         base = _IntMat(s, -s, -r, r + s)
-    power, count = _power(base, abs(j), _IntMat(1, 0, 0, 1))
+    h, f = divmod(abs(j), 2)
+    one = _IntMat(1, 0, 0, 1)
+    half, count = _power(base, h, one)
+    tail = base if f else one
     if e:
-        power, count = power * _IntMat(r + 2 * s, s, r, 2 * s), count + 1
-    return power, abs(j) + e, count
+        tail = tail * _IntMat(r + 2 * s, s, r, 2 * s)
+    # Q*Q, Q^2*T and B*K: 1 + f + e products when h > 0, only B*K when Q = I
+    count += 1 + f + e if h else f & e
+    return half, tail, abs(j) + e, count
 
 
 def _conjugated(p: SeqParams, k: _IntMat, num: int, den: int) -> Mat2:
@@ -131,10 +174,10 @@ def matrix_power_counted(p: SeqParams, n: int) -> tuple[Mat2, int]:
     G^n is the prefactor times the core S*P*S^-1 / s^(|j|+e) of the kernel.
     Negative powers require ab + 4 != 0.
     """
-    k, exponent, count = _kernel(p, n)
+    half, tail, exponent, count = _kernel(p, n)
     scale = _prefactor(p, n)
     den = scale.denominator * p.ab.denominator**exponent
-    return _conjugated(p, k, scale.numerator, den), count
+    return _conjugated(p, half * half * tail, scale.numerator, den), count
 
 
 def matrix_power(p: SeqParams, n: int) -> Mat2:
@@ -202,8 +245,8 @@ def power_closed_form(p: SeqParams, n: int) -> ClosedForm:
     """
     if n < 1:
         raise ValueError("power_closed_form requires n >= 1")
-    k, exponent, _ = _kernel(p, n)
-    return ClosedForm(p, n, _conjugated(p, k, 1, p.ab.denominator**exponent))
+    half, tail, exponent, _ = _kernel(p, n)
+    return ClosedForm(p, n, _conjugated(p, half * half * tail, 1, p.ab.denominator**exponent))
 
 
 def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rational, int]:
@@ -213,8 +256,9 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
     so when the requested kind sits at the wrong parity the adjacent power
     m = n+1 is used and the term is read from the trailing diagonal entry:
     t(n) = P22 / s^(|j|+e). Otherwise t(n) = a*P12 / s^(|j|+e). No Mat2 is
-    built; ``sequences._finished_term`` finishes the term from the entry
-    (module docstring, lowest terms).
+    built, and P is formed only at that entry (module docstring, squaring);
+    ``sequences._finished_term`` finishes the term from the entry (module
+    docstring, lowest terms).
     """
     if p.ab_plus_4 == 0:
         raise SingularMatrixError(
@@ -222,8 +266,10 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
             "use the recurrence for this parameter point"
         )
     m = n if kind is _exposed_kind(n) else n + 1
-    k, exponent, count = _kernel(p, m)
-    entry = k.e12 if m == n else k.e22
+    half, tail, exponent, count = _kernel(p, m)
+    # one row of Q^2 times column 2 of T: entry (1,2) or (2,2) of P
+    x, y = half.square_row(1 if m == n else 2)
+    entry = x * tail.e12 + y * tail.e22
     return _finished_term(p, kind, n, entry, exponent, 1), count
 
 

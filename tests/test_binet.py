@@ -146,6 +146,20 @@ class TestBinetValues:
                 assert len(products) == counts[0], (closed_form.__name__, p, n)
 
 
+@settings(deadline=None)
+@given(
+    d=st.integers(-(10**6), 10**6),
+    y=st.integers(-(2**80), 2**80),
+    k=st.integers(-(2**80), 2**80),
+)
+def test_pair_square_matches_the_general_product(d, y, k):
+    # (x + y*sqrt(d))/2 needs x = d*y (mod 2); x * copy takes the general path
+    x = 2 * k + d * y % 2
+    pair, copy = binet_module._IntPair(x, y, d), binet_module._IntPair(x, y, d)
+    square, product = pair * pair, pair * copy
+    assert (square.x, square.y, square.d) == (product.x, product.y, product.d)
+
+
 class TestRadicalCancellation:
     def test_radical_component_is_exactly_zero_before_extraction(self):
         for a, b in [(F(2), F(3)), (F(-3, 2), F(1, 2)), (F(-1), F(1))]:

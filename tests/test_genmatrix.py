@@ -21,6 +21,7 @@ from biperiodic import (
     term_fast_counted,
     term_recurrence,
 )
+from biperiodic.genmatrix import _IntMat
 from biperiodic.sequences import terms
 from conftest import brute_mat_pow, classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
 
@@ -237,21 +238,27 @@ class TestTermFast:
                 assert term_fast(p, kind, n) == table(a, b, lo, hi)[n]
 
     def test_deep_terms_agree_with_binet_and_the_walk(self):
-        # operands of thousands of bits, through both kernels and the negative-n rescales
-        indices = (-2000, -1999, 1999, 2000)
-        for a, b in ((F(5, 3), F(-4, 3)), (F(1, 2), F(-3)), (F(-3, 2), F(1, 2))):
+        # operands of thousands of bits, through both kernels and the negative-n
+        # rescales. The kernel powers m = n or n + 1 (the kind's parity), with
+        # m = 2j + e and |j| = 2h + f; these indices reach each sign of j, each
+        # f and e in {0, 1}, and both entries term_fast reads, (1,2) and (2,2)
+        indices = (-2002, -2001, -2000, -1999, 1999, 2000, 2001, 2002)
+        grid = ((F(5, 3), F(-4, 3)), (F(1, 2), F(-3)), (F(-3, 2), F(1, 2)), (F(2), F(1, 4)))
+        for a, b in grid:
             p = SeqParams(a, b)
+            walked = {
+                kind: dict(zip(range(-2003, 2004), terms(p, kind, -2003, 2003))) for kind in (FIB, LUC)
+            }
             for kind, closed_form in ((FIB, binet_fib), (LUC, binet_lucas)):
-                walked = terms(p, kind, -2000, 2001)
                 for n in indices:
-                    expected = walked[n + 2000]
+                    expected = walked[kind][n]
                     assert term_fast(p, kind, n) == expected, (a, b, kind, n)
                     assert closed_form(p, n) == expected, (a, b, kind, n)
-                if kind is FIB:
-                    # the core of G^2000 holds q(1999), q(2000), q(2001)
-                    q = walked[3999:]
-                    core = Mat2(q[2], q[1], (b / a) * q[1], q[0])
-                    assert power_closed_form(p, 2000).core == core, (a, b)
+            for n in indices[4:]:
+                # the core of G^n holds t(n+1), t(n), t(n-1) of the kind at n's parity
+                t = walked[FIB if n % 2 == 0 else LUC]
+                core = Mat2(t[n + 1], t[n], (b / a) * t[n], t[n - 1])
+                assert power_closed_form(p, n).core == core, (a, b, n)
 
     def test_classical_values(self):
         p = SeqParams(1, 1)
@@ -303,3 +310,14 @@ def test_counted_power_reports_products():
     assert count <= 2 * (10).bit_length()
     _, count_neg = matrix_power_counted(p, -10)
     assert count_neg <= 2 * (10).bit_length()
+
+
+@settings(deadline=None)
+@given(entries=st.tuples(*[st.integers(-(2**80), 2**80)] * 4))
+def test_int_matrix_square_paths_match_the_general_product(entries):
+    # x * copy is the same product through the general path
+    x, copy = _IntMat(*entries), _IntMat(*entries)
+    square, product = x * x, x * copy
+    rows = ((product.e11, product.e12), (product.e21, product.e22))
+    assert ((square.e11, square.e12), (square.e21, square.e22)) == rows
+    assert (x.square_row(1), x.square_row(2)) == rows
