@@ -43,7 +43,8 @@ n1*d2 == n2*d1. So a check takes no gcd, and the evaluators keep the
 formulas they would have over ``Fraction``s. A value becomes a
 ``Fraction`` only at the boundary: when a ``Counterexample`` stores it,
 when the public ``evaluate`` returns it, and in the ``Mat2``-valued
-matrix-form core, which reads ``Fraction`` terms from a ``TermTable``.
+matrix-form core. Every coefficient c(n), a or b by the parity of n, comes
+from ``sequences._coefficient``, the one home of that alternation.
 """
 from __future__ import annotations
 
@@ -55,7 +56,11 @@ from typing import Callable, NamedTuple, Optional
 from . import binet as _binet
 from . import genmatrix as _gm
 from .exact import Mat2, _rational
-from .sequences import SeqParams, SequenceKind, TermTable, _Walk, parity
+# TermTable has no caller here. It stays importable as identities.TermTable, a
+# documented name that the benchmark's layer trace patches (TermTable.term).
+from .sequences import SeqParams, SequenceKind, TermTable, _coefficient, _Walk, parity
+
+_FIB, _LUCAS = SequenceKind.FIBONACCI, SequenceKind.LUCAS
 
 
 class ParityMismatchError(ValueError):
@@ -229,9 +234,9 @@ class _Table:
 
     ``fib(n)`` and ``lucas(n)`` are ``_Unreduced`` terms of one integer walk
     per kind, read as a dict lookup that runs no Python frame once the term
-    is walked; ``a``, ``b`` and ``ab_plus_4`` are ``_Unreduced`` too.
-    ``term(kind, n)`` gives ``Fraction`` terms for the ``Mat2``-valued
-    matrix-form core, and ``params`` is the point itself, for the engines.
+    is walked; ``a``, ``b`` and ``ab_plus_4`` are ``_Unreduced`` too, and
+    the evaluators pick each coefficient from ``a`` and ``b`` with
+    ``sequences._coefficient``. ``params`` is the point itself, for the engines.
     """
 
     def __init__(self, p: SeqParams):
@@ -239,38 +244,33 @@ class _Table:
         self.a, self.b, self.ab_plus_4 = (
             _Unreduced(x.numerator, x.denominator) for x in (p.a, p.b, p.ab_plus_4)
         )
-        self.fib = _Walk(p, SequenceKind.FIBONACCI, _Unreduced).__getitem__
-        self.lucas = _Walk(p, SequenceKind.LUCAS, _Unreduced).__getitem__
-        self.term = TermTable(p).term
+        self.fib = _Walk(p, _FIB, _Unreduced).__getitem__
+        self.lucas = _Walk(p, _LUCAS, _Unreduced).__getitem__
 
 
 def _eval_cassini_fib(t: _Table, n: int):
-    e = parity(n)
-    lhs = (
-        t.a ** (1 - e) * t.b**e * t.fib(n - 1) * t.fib(n + 1)
-        - t.a**e * t.b ** (1 - e) * t.fib(n) ** 2
-    )
+    c, c_next = (_coefficient(t.a, t.b, _FIB, k) for k in (n, n + 1))
+    lhs = c * t.fib(n - 1) * t.fib(n + 1) - c_next * t.fib(n) ** 2
     return lhs, t.a * _sign(n)
 
 
 def _eval_cassini_lucas(t: _Table, n: int):
-    ratio = t.b / t.a
-    lhs = (
-        ratio ** parity(n + 1) * t.lucas(n - 1) * t.lucas(n + 1)
-        - ratio ** parity(n) * t.lucas(n) ** 2
-    )
+    c, c_next = (_coefficient(t.a, t.b, _LUCAS, k) for k in (n, n + 1))
+    lhs = (c * t.lucas(n - 1) * t.lucas(n + 1) - c_next * t.lucas(n) ** 2) / t.a
     return lhs, _sign(n + 1) * t.ab_plus_4
 
 
 def _eval_thm4_printed(t: _Table, n: int):
-    # same coefficient on both products: wrong at generic (a, b)
-    c = t.a ** (1 - parity(n)) * t.b ** parity(n)
+    # c(n) on both products, where cassini-fib has c(n + 1) on q(n)^2: wrong at generic (a, b)
+    c = _coefficient(t.a, t.b, _FIB, n)
     lhs = c * (t.fib(n + 1) * t.fib(n - 1) - t.fib(n) ** 2)
     return lhs, t.a * _sign(n)
 
 
 def _gap_thm4_printed(t: _Table, lhs, n: int):
-    return _sign(n) * (t.b - t.a) * t.fib(n) ** 2
+    # minus cassini-fib's lhs, which is rhs: (c(n + 1) - c(n)) * q(n)^2 = (-1)^n * (b - a) * q(n)^2
+    c, c_next = (_coefficient(t.a, t.b, _FIB, k) for k in (n, n + 1))
+    return (c_next - c) * t.fib(n) ** 2
 
 
 def _eval_det_power(t: _Table, n: int):
@@ -279,8 +279,8 @@ def _eval_det_power(t: _Table, n: int):
 
 def _eval_matrix_form(t: _Table, n: int):
     # the core comes from the walk, so binary exponentiation is checked against it
-    p, kind = t.params, _gm._exposed_kind(n)
-    below, mid, above = (t.term(kind, k) for k in (n - 1, n, n + 1))
+    p, read = t.params, t.fib if _gm._exposed_kind(n) is _FIB else t.lucas
+    below, mid, above = (_fraction(read(k)) for k in (n - 1, n, n + 1))
     core = Mat2(above, mid, (p.b / p.a) * mid, below)
     return _gm.ClosedForm(p, n, core).materialize(), _gm.matrix_power(p, n)
 

@@ -43,7 +43,12 @@ steps backward. ``TermTable`` and ``terms`` build each ``Fraction`` term
 from one pair, one normalization per term; ``TermTable`` keeps each term of
 one parameter pair once and reads it in O(1), and ``terms`` walks once to
 the far end of an index range and keeps only the terms inside it. The
-identity catalog reads the pairs themselves (see ``identities``).
+identity catalog reads the pairs themselves (see ``identities``), so
+``TermTable`` has no caller left in the package; it stays as exported API.
+
+``_coefficient`` and ``_seeds`` take the values a and b, not a
+``SeqParams``, and hand them back untouched: the oracle passes Fractions,
+``_forward`` the integers D*a and D*b, and the catalog its unreduced values.
 """
 from __future__ import annotations
 
@@ -91,22 +96,27 @@ def parity(n: int) -> int:
     return n - 2 * (n // 2)
 
 
-def _coefficient(p: SeqParams, kind: SequenceKind, n: int) -> Rational:
-    # fibonacci uses a at even indices; lucas uses b there.
+def _coefficient(a, b, kind: SequenceKind, n: int):
+    """c(n), the coefficient of t(n-1) in t(n): the value a or b, of any type, as given.
+
+    The one home of the alternation: fibonacci uses a at even indices, lucas
+    uses b there.
+    """
     if kind is SequenceKind.FIBONACCI:
-        return p.a if parity(n) == 0 else p.b
-    return p.b if parity(n) == 0 else p.a
+        return a if parity(n) == 0 else b
+    return b if parity(n) == 0 else a
 
 
-def _seeds(p: SeqParams, kind: SequenceKind) -> tuple[Rational, Rational]:
+def _seeds(a, kind: SequenceKind) -> tuple:
+    """(t(0), t(1)): Fractions 0 and 1 for fibonacci; 2 and the value a, as given, for lucas."""
     if kind is SequenceKind.FIBONACCI:
         return Fraction(0), Fraction(1)
-    return Fraction(2), p.a
+    return Fraction(2), a
 
 
 def term_recurrence(p: SeqParams, kind: SequenceKind, n: int) -> Rational:
     """The n-th sequence term by direct recurrence. Theta(|n|); the oracle."""
-    t0, t1 = _seeds(p, kind)
+    t0, t1 = _seeds(p.a, kind)
     if n == 0:
         return t0
     if n == 1:
@@ -114,12 +124,12 @@ def term_recurrence(p: SeqParams, kind: SequenceKind, n: int) -> Rational:
     if n > 1:
         prev, cur = t0, t1
         for i in range(2, n + 1):
-            prev, cur = cur, _coefficient(p, kind, i) * cur + prev
+            prev, cur = cur, _coefficient(p.a, p.b, kind, i) * cur + prev
         return cur
     # backward: t(i-2) = t(i) - c(i)*t(i-1)
     above, cur = t1, t0
     for i in range(0, n, -1):
-        above, cur = cur, above - _coefficient(p, kind, i + 1) * cur
+        above, cur = cur, above - _coefficient(p.a, p.b, kind, i + 1) * cur
     return cur
 
 
@@ -130,8 +140,9 @@ def _forward(p: SeqParams, kind: SequenceKind):
     module docstring for D and the scaled recurrence.
     """
     d = lcm(p.a.denominator, p.b.denominator)
-    scaled = [(d * _coefficient(p, kind, k)).numerator for k in (0, 1)]  # D*c(k) by parity
-    t0, t1 = _seeds(p, kind)
+    da, db = (x.numerator * (d // x.denominator) for x in (p.a, p.b))
+    scaled = [_coefficient(da, db, kind, k) for k in (0, 1)]  # D*c(k) by parity
+    t0, t1 = _seeds(p.a, kind)
     prev, cur, d2, power = t0.numerator, (d * t1).numerator, d * d, d
     yield prev, 1
     for i in count(2):

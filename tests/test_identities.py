@@ -241,6 +241,22 @@ class TestVerifyGrid:
         report = verify_grid(IdentityId.MATRIX_FORM, [2, F(-3, 2)], [3, -2], n_range=(1, 12))
         assert report.passed == report.checked == 48
 
+    def test_each_point_walks_each_kind_once(self, monkeypatch):
+        # matrix-form reads its core from the walks the recurrence checks use
+        from biperiodic import sequences
+
+        forward, walks = sequences._forward, []
+
+        def counted(p, kind):
+            walks.append((ident, p, kind))
+            return forward(p, kind)
+
+        monkeypatch.setattr(sequences, "_forward", counted)
+        for ident in (IdentityId.MATRIX_FORM, IdentityId.CASSINI_LUCAS):
+            report = verify_grid(ident, [2, F(-3, 2)], [3, -2], n_range=(1, 12))
+            assert report.passed == report.checked == 48
+        assert len(walks) == len(set(walks)) == 16  # 2 identities x 4 points x 2 kinds
+
     def test_det_power_at_singular_point(self):
         report = verify_grid(IdentityId.DET_POWER, [1], [-4], n_range=(1, 5))
         assert (report.checked, report.passed) == (5, 5)
@@ -391,7 +407,6 @@ class _OracleTable:
         self.params = SeqParams(a, b)
         self.a, self.b, self.ab_plus_4 = F(a), F(b), F(a) * F(b) + 4
         self.fib, self.lucas = fib.__getitem__, luc.__getitem__
-        self.term = lambda kind, n: (fib if kind is SequenceKind.FIBONACCI else luc)[n]
 
 
 def _naive_report(ident, a_values, b_values, n_range, m_range):

@@ -14,7 +14,8 @@ from biperiodic import (
     preset,
     term_recurrence,
 )
-from biperiodic.sequences import _finished_term, _term_shape, terms
+from biperiodic.identities import _Unreduced
+from biperiodic.sequences import _coefficient, _finished_term, _seeds, _term_shape, terms
 from conftest import classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
 
 FIB = SequenceKind.FIBONACCI
@@ -77,6 +78,31 @@ def test_seeds():
         assert term_recurrence(p, FIB, 1) == 1
         assert term_recurrence(p, LUC, 0) == 2
         assert term_recurrence(p, LUC, 1) == a
+
+
+#: (a, b, the same point as SeqParams): int, Fraction and unreduced values
+VALUE_TYPES = [
+    (2, -3, SeqParams(2, -3)),
+    (F(5, 3), F(-7, 2), SeqParams(F(5, 3), F(-7, 2))),
+    (_Unreduced(10, 6), _Unreduced(7, -2), SeqParams(F(5, 3), F(-7, 2))),
+]
+
+
+@pytest.mark.parametrize("a, b, p", VALUE_TYPES)
+def test_coefficient_and_seeds_hand_back_the_values_they_are_given(a, b, p):
+    for n in (0, 4, -4):
+        assert _coefficient(a, b, FIB, n) is a and _coefficient(a, b, LUC, n) is b
+    for n in (1, 7, -7):
+        assert _coefficient(a, b, FIB, n) is b and _coefficient(a, b, LUC, n) is a
+    assert _seeds(a, FIB) == (0, 1)
+    t0, t1 = _seeds(a, LUC)
+    assert t0 == 2 and t1 is a
+    # two steps of the recurrence in the value's own type match the oracle
+    for kind in (FIB, LUC):
+        t0, t1 = _seeds(a, kind)
+        t2 = _coefficient(a, b, kind, 2) * t1 + t0
+        t3 = _coefficient(a, b, kind, 3) * t2 + t1
+        assert (t2, t3) == (term_recurrence(p, kind, 2), term_recurrence(p, kind, 3)), kind
 
 
 def test_symbolic_prefix_at_generic_rationals():
