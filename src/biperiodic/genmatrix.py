@@ -48,24 +48,28 @@ have entries polynomial in ab, so both sides are polynomials in a, 1/a
 and b that agree off the curve ab = -4, hence on it too. The kernel never
 forms the factor (r+4s)^j, and the prefactor puts it back where G^m needs it.
 
-Squaring. A 2x2 square takes 5 big products, not 8:
+Cayley-Hamilton ladder. M and adj(M) = t*I - M share the trace t = r+2s
+and the determinant q = s^2, so each B in {M, adj(M)} satisfies
 
-    [[a, b], [c, d]]^2 = [[a^2 + bc, b(a+d)], [c(a+d), d^2 + bc]]
+    B^2 = t*B - q*I
 
-Proof: multiply out. The off-diagonal entries are ab + bd and ca + dc,
-and bc is the cross term of both diagonal entries. ``_IntMat`` takes this
-path when both factors are one object, which is the ``result * result``
-step of ``exact._power``. The last square is the largest product of the
-power, so ``_kernel`` leaves it to its callers: it splits |j| = 2h + f
-with f in {0, 1} and returns Q = B^h and the small tail T = B^f * K^e, and
+Proof: a 2x2 matrix B satisfies B^2 - trace(B)*B + det(B)*I = 0 (multiply
+out), trace(tI - M) = 2t - t = t, and a 2x2 adjugate keeps the
+determinant. So every integer polynomial in B is u*B - w*I for two
+integers (u, w), and
 
-    P = B^|j| * K^e = (B^h)^2 * B^f * K^e = Q^2 * T
+    (u1*B - w1*I)(u2*B - w2*I) = (t*u1*u2 - u1*w2 - w1*u2)*B - (q*u1*u2 - w1*w2)*I
+    (u*B - w*I)^2              = (t*u^2 - 2*u*w)*B - (q*u^2 - w^2)*I
 
-by associativity. ``matrix_power`` and ``power_closed_form`` form Q*Q*T.
-``term_fast`` reads one entry P_i2 (i = 1 or 2), and P_i2 = (Q^2)_i1 * T12
-+ (Q^2)_i2 * T22 needs only row i of Q^2: a^2 + bc and b(a+d), or c(a+d)
-and d^2 + bc, 3 big products. T's entries have the size of r and s, so
-that last row-times-column costs two small products.
+by B^2 = t*B - q*I. B is (1, 0), I is (0, -1), and B^h = U_h*B - q*U_(h-1)*I
+for the Lucas sequence U of (t, q). Neither formula reads B itself, only t
+and q, so one ``_Ladder`` powers M for j >= 0 and adj(M) for j < 0. A
+square takes 3 big products, u^2, u*w and w^2; t and q have the size of r
+and s. K lies on the ladder too: K = M + s*I = (r+3s)*I - adj(M) entry by
+entry, which is (1, -s) for B = M and (-1, -(r+3s)) for B = adj(M). So
+P = B^|j| * K^e is u*B - w*I after at most one more ladder product, and
+its entries u*B11 - w, u*B12, u*B21, u*B22 - w are each a big-by-small
+product.
 
 Lowest terms. ``term_fast`` reads t(n) = a^eps * entry/s^(|j|+e) from one
 entry of P and hands it to ``sequences._finished_term``. Every term is
@@ -95,76 +99,63 @@ def generating_matrix(p: SeqParams) -> Mat2:
     return Mat2(a * a + 2 * a / b, a * a / b, a, 2 * a / b)
 
 
-class _IntMat:
-    """Row-major 2x2 integer matrix: M, adj(M), K and their products.
+class _Ladder:
+    """u*B - w*I for an integer 2x2 matrix B with B^2 = t*B - q*I.
 
-    ``x * x`` takes the square path: 5 big products instead of 8 (module
-    docstring, squaring).
+    ``x * x`` takes the square path: 3 big products (module docstring,
+    Cayley-Hamilton ladder).
     """
 
-    __slots__ = ("e11", "e12", "e21", "e22")
+    __slots__ = ("u", "w", "t", "q")
 
-    def __init__(self, e11: int, e12: int, e21: int, e22: int):
-        self.e11, self.e12, self.e21, self.e22 = e11, e12, e21, e22
+    def __init__(self, u: int, w: int, t: int, q: int):
+        self.u, self.w, self.t, self.q = u, w, t, q
 
-    def __mul__(self, other: "_IntMat") -> "_IntMat":
+    def __mul__(self, other: "_Ladder") -> "_Ladder":
+        u, w, t, q = self.u, self.w, self.t, self.q
         if other is self:
-            a, b, c, d = self.e11, self.e12, self.e21, self.e22
-            bc, t = b * c, a + d
-            return _IntMat(a * a + bc, b * t, c * t, d * d + bc)
-        return _IntMat(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
-        )
-
-    def square_row(self, i: int) -> tuple[int, int]:
-        """Row i (1 or 2) of self * self, from 3 big products."""
-        a, b, c, d = self.e11, self.e12, self.e21, self.e22
-        if i == 1:
-            return a * a + b * c, b * (a + d)
-        return c * (a + d), d * d + b * c
+            uu = u * u
+            return _Ladder(t * uu - 2 * u * w, q * uu - w * w, t, q)
+        uu = u * other.u
+        return _Ladder(t * uu - u * other.w - w * other.u, q * uu - w * other.w, t, q)
 
 
-def _kernel(p: SeqParams, m: int) -> tuple[_IntMat, _IntMat, int, int]:
-    """(Q, T, |j|+e, product count) with Q*Q*T = P = B^|j| * K^e for m = 2j + e.
+def _kernel(p: SeqParams, m: int) -> tuple[tuple[int, int, int, int], int, int]:
+    """(P, |j|+e, product count) with P = B^|j| * K^e row-major, for m = 2j + e.
 
-    With |j| = 2h + f, f in {0, 1}: Q = B^h and the small tail T = B^f * K^e.
-    The caller finishes the last, largest square itself, so that
-    ``term_fast`` can form only the row it reads. The count covers the
-    products that form P from Q and T. The core of G^m is S*P*S^-1 /
-    s^(|j|+e); see the module docstring.
+    The count covers the products of powers of B and, when j != 0, the
+    product by K. The core of G^m is S*P*S^-1 / s^(|j|+e); see the module
+    docstring.
     """
     r, s = p.ab.numerator, p.ab.denominator
     j, e = divmod(m, 2)
     if j >= 0:
-        base = _IntMat(r + s, s, r, s)
+        base, k = (r + s, s, r, s), (1, -s)
     elif r + 4 * s == 0:
         raise SingularMatrixError(
             "generating matrix is singular (ab + 4 = 0); negative powers do not exist"
         )
     else:
-        base = _IntMat(s, -s, -r, r + s)
-    h, f = divmod(abs(j), 2)
-    one = _IntMat(1, 0, 0, 1)
-    half, count = _power(base, h, one)
-    tail = base if f else one
+        base, k = (s, -s, -r, r + s), (-1, -r - 3 * s)
+    t, q = r + 2 * s, s * s
+    x, count = _power(_Ladder(1, 0, t, q), abs(j), _Ladder(0, -1, t, q))
     if e:
-        tail = tail * _IntMat(r + 2 * s, s, r, 2 * s)
-    # Q*Q, Q^2*T and B*K: 1 + f + e products when h > 0, only B*K when Q = I
-    count += 1 + f + e if h else f & e
-    return half, tail, abs(j) + e, count
+        x = x * _Ladder(*k, t, q)
+        count += j != 0  # at j = 0 the power is I, and P = K takes no product
+    u, w = x.u, x.w
+    b11, b12, b21, b22 = base
+    return (u * b11 - w, u * b12, u * b21, u * b22 - w), abs(j) + e, count
 
 
-def _conjugated(p: SeqParams, k: _IntMat, num: int, den: int) -> Mat2:
+def _conjugated(p: SeqParams, k: tuple[int, int, int, int], num: int, den: int) -> Mat2:
     """num/den * S*k*S^-1 = num/den * [[K11, a*K12], [K21/a, K22]], one normalization per entry."""
+    k11, k12, k21, k22 = k
     a_num, a_den = p.a.numerator, p.a.denominator
     return Mat2(
-        Fraction(k.e11 * num, den),
-        Fraction(k.e12 * num * a_num, den * a_den),
-        Fraction(k.e21 * num * a_den, den * a_num),
-        Fraction(k.e22 * num, den),
+        Fraction(k11 * num, den),
+        Fraction(k12 * num * a_num, den * a_den),
+        Fraction(k21 * num * a_den, den * a_num),
+        Fraction(k22 * num, den),
     )
 
 
@@ -174,10 +165,10 @@ def matrix_power_counted(p: SeqParams, n: int) -> tuple[Mat2, int]:
     G^n is the prefactor times the core S*P*S^-1 / s^(|j|+e) of the kernel.
     Negative powers require ab + 4 != 0.
     """
-    half, tail, exponent, count = _kernel(p, n)
+    power, exponent, count = _kernel(p, n)
     scale = _prefactor(p, n)
     den = scale.denominator * p.ab.denominator**exponent
-    return _conjugated(p, half * half * tail, scale.numerator, den), count
+    return _conjugated(p, power, scale.numerator, den), count
 
 
 def matrix_power(p: SeqParams, n: int) -> Mat2:
@@ -245,8 +236,8 @@ def power_closed_form(p: SeqParams, n: int) -> ClosedForm:
     """
     if n < 1:
         raise ValueError("power_closed_form requires n >= 1")
-    half, tail, exponent, _ = _kernel(p, n)
-    return ClosedForm(p, n, _conjugated(p, half * half * tail, 1, p.ab.denominator**exponent))
+    power, exponent, _ = _kernel(p, n)
+    return ClosedForm(p, n, _conjugated(p, power, 1, p.ab.denominator**exponent))
 
 
 def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rational, int]:
@@ -256,9 +247,8 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
     so when the requested kind sits at the wrong parity the adjacent power
     m = n+1 is used and the term is read from the trailing diagonal entry:
     t(n) = P22 / s^(|j|+e). Otherwise t(n) = a*P12 / s^(|j|+e). No Mat2 is
-    built, and P is formed only at that entry (module docstring, squaring);
-    ``sequences._finished_term`` finishes the term from the entry (module
-    docstring, lowest terms).
+    built; ``sequences._finished_term`` finishes the term from the entry
+    (module docstring, lowest terms).
     """
     if p.ab_plus_4 == 0:
         raise SingularMatrixError(
@@ -266,10 +256,8 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
             "use the recurrence for this parameter point"
         )
     m = n if kind is _exposed_kind(n) else n + 1
-    half, tail, exponent, count = _kernel(p, m)
-    # one row of Q^2 times column 2 of T: entry (1,2) or (2,2) of P
-    x, y = half.square_row(1 if m == n else 2)
-    entry = x * tail.e12 + y * tail.e22
+    power, exponent, count = _kernel(p, m)
+    entry = power[1] if m == n else power[3]
     return _finished_term(p, kind, n, entry, exponent, 1), count
 
 

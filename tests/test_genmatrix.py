@@ -21,7 +21,8 @@ from biperiodic import (
     term_fast_counted,
     term_recurrence,
 )
-from biperiodic.genmatrix import _IntMat
+from biperiodic.exact import _power
+from biperiodic.genmatrix import _Ladder
 from biperiodic.sequences import terms
 from conftest import brute_mat_pow, classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
 
@@ -240,8 +241,8 @@ class TestTermFast:
     def test_deep_terms_agree_with_binet_and_the_walk(self):
         # operands of thousands of bits, through both kernels and the negative-n
         # rescales. The kernel powers m = n or n + 1 (the kind's parity), with
-        # m = 2j + e and |j| = 2h + f; these indices reach each sign of j, each
-        # f and e in {0, 1}, and both entries term_fast reads, (1,2) and (2,2)
+        # m = 2j + e; these indices reach each sign of j, each parity of |j|
+        # and of e, and both entries term_fast reads, (1,2) and (2,2)
         indices = (-2002, -2001, -2000, -1999, 1999, 2000, 2001, 2002)
         grid = ((F(5, 3), F(-4, 3)), (F(1, 2), F(-3)), (F(-3, 2), F(1, 2)), (F(2), F(1, 4)))
         for a, b in grid:
@@ -259,6 +260,8 @@ class TestTermFast:
                 t = walked[FIB if n % 2 == 0 else LUC]
                 core = Mat2(t[n + 1], t[n], (b / a) * t[n], t[n - 1])
                 assert power_closed_form(p, n).core == core, (a, b, n)
+                # entries (1,1) and (2,1) of a deep negative power, which term_fast never reads
+                assert matrix_power(p, n) * matrix_power(p, -n) == Mat2.identity(), (a, b, n)
 
     def test_classical_values(self):
         p = SeqParams(1, 1)
@@ -313,11 +316,32 @@ def test_counted_power_reports_products():
 
 
 @settings(deadline=None)
-@given(entries=st.tuples(*[st.integers(-(2**80), 2**80)] * 4))
-def test_int_matrix_square_paths_match_the_general_product(entries):
+@given(
+    u=st.integers(-(2**80), 2**80),
+    w=st.integers(-(2**80), 2**80),
+    t=st.integers(-50, 50),
+    q=st.integers(0, 2500),
+)
+def test_ladder_square_path_matches_the_general_product(u, w, t, q):
     # x * copy is the same product through the general path
-    x, copy = _IntMat(*entries), _IntMat(*entries)
+    x, copy = _Ladder(u, w, t, q), _Ladder(u, w, t, q)
     square, product = x * x, x * copy
-    rows = ((product.e11, product.e12), (product.e21, product.e22))
-    assert ((square.e11, square.e12), (square.e21, square.e22)) == rows
-    assert (x.square_row(1), x.square_row(2)) == rows
+    assert (square.u, square.w) == (product.u, product.w)
+
+
+@settings(deadline=None)
+@given(r=st.integers(-60, 60).filter(bool), s=st.integers(1, 60), h=st.integers(0, 40))
+def test_ladder_powers_match_repeated_multiplication(r, s, h):
+    # B^h = u*B - w*I for B = M and B = adj(M), which share trace and determinant
+    t, q = r + 2 * s, s * s
+    for b11, b12, b21, b22 in ((r + s, s, r, s), (s, -s, -r, r + s)):
+        e11, e12, e21, e22 = 1, 0, 0, 1
+        for _ in range(h):
+            e11, e12, e21, e22 = (
+                e11 * b11 + e12 * b21,
+                e11 * b12 + e12 * b22,
+                e21 * b11 + e22 * b21,
+                e21 * b12 + e22 * b22,
+            )
+        x, _ = _power(_Ladder(1, 0, t, q), h, _Ladder(0, -1, t, q))
+        assert (x.u * b11 - x.w, x.u * b12, x.u * b21, x.u * b22 - x.w) == (e11, e12, e21, e22)
