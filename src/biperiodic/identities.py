@@ -35,11 +35,18 @@ Catalog notes:
 
 How a check runs: an evaluator reads its terms and the constants a, b and
 ab + 4 from one ``_Table`` per parameter point. The terms come from the
-integer walk of ``sequences`` (T(k) = D^k * t(k), D = lcm(den a, den b))
-as ``_Unreduced`` values n/d, which no operation ever reduces: a product
-multiplies numerators and denominators, a sum cross-multiplies (or adds
-numerators over a shared denominator), and n1/d1 == n2/d2 is
-n1*d2 == n2*d1. So a check takes no gcd, and the evaluators keep the
+integer walk of ``sequences`` (T(k) = D^k * t(k), D = lcm(den a, den b)).
+Where a and b are both integers, D = 1: the terms and ab + 4 are plain
+ints, so the checks that read only those (``thm6-*``, ``add-*``,
+``sub-*``) run on int arithmetic alone. Elsewhere they are ``_Unreduced``
+values n/d, which no operation ever reduces: a product multiplies
+numerators and denominators, a sum cross-multiplies (or adds numerators
+over a shared denominator), and n1/d1 == n2/d2 is n1*d2 == n2*d1. Each
+value there carries its own denominator, because the identities are not
+homogeneous in index weight: add-qq sets q(m+n), over D^(m+n), against
+products over D^(m+n+1) and D^(m+n-1). The constants a and b stay
+``_Unreduced`` at every point, so ``cassini-lucas``'s division by a is
+exact. Either way a check takes no gcd, and the evaluators keep the
 formulas they would have over ``Fraction``s. A value becomes a
 ``Fraction`` only at the boundary: when a ``Counterexample`` stores it,
 when the public ``evaluate`` returns it, and in the ``Mat2``-valued
@@ -225,27 +232,40 @@ class _Unreduced:
 
 
 def _fraction(value):
-    """An ``_Unreduced`` value as a Fraction; any other value (Fraction, Mat2) unchanged."""
-    return value.fraction() if type(value) is _Unreduced else value
+    """An ``_Unreduced`` value or an int as a Fraction; any other value (Fraction, Mat2) unchanged."""
+    if type(value) is _Unreduced:
+        return value.fraction()
+    return Fraction(value) if type(value) is int else value
+
+
+def _integral_term(n: int, d: int) -> int:
+    """T(k) itself: the walk's value builder where a and b are integers, so D^k = d = 1."""
+    return n
 
 
 class _Table:
     """One parameter point as the evaluators read it: gcd-free terms and constants.
 
-    ``fib(n)`` and ``lucas(n)`` are ``_Unreduced`` terms of one integer walk
-    per kind, read as a dict lookup that runs no Python frame once the term
-    is walked; ``a``, ``b`` and ``ab_plus_4`` are ``_Unreduced`` too, and
-    the evaluators pick each coefficient from ``a`` and ``b`` with
+    ``fib(n)`` and ``lucas(n)`` are the terms of one integer walk per kind,
+    read as a dict lookup that runs no Python frame once the term is walked.
+    Where a and b are both integers, D = 1, so the terms and ``ab_plus_4``
+    are plain ints and an operation on them runs no Python frame either;
+    elsewhere they are ``_Unreduced``. ``a`` and ``b`` are ``_Unreduced`` at
+    every point, so ``cassini-lucas``'s division by a stays exact, and the
+    evaluators pick each coefficient from them with
     ``sequences._coefficient``. ``params`` is the point itself, for the engines.
     """
 
     def __init__(self, p: SeqParams):
         self.params = p
-        self.a, self.b, self.ab_plus_4 = (
-            _Unreduced(x.numerator, x.denominator) for x in (p.a, p.b, p.ab_plus_4)
-        )
-        self.fib = _Walk(p, _FIB, _Unreduced).__getitem__
-        self.lucas = _Walk(p, _LUCAS, _Unreduced).__getitem__
+        self.a, self.b = (_Unreduced(x.numerator, x.denominator) for x in (p.a, p.b))
+        ab4 = p.ab_plus_4
+        if p.a.denominator == p.b.denominator == 1:
+            self.ab_plus_4, value = ab4.numerator, _integral_term
+        else:
+            self.ab_plus_4, value = _Unreduced(ab4.numerator, ab4.denominator), _Unreduced
+        self.fib = _Walk(p, _FIB, value).__getitem__
+        self.lucas = _Walk(p, _LUCAS, value).__getitem__
 
 
 def _eval_cassini_fib(t: _Table, n: int):

@@ -59,6 +59,12 @@ EXTRA_GOLDEN = [
     (("verify", "--identity", "all", "--a-set", "5/3,-2/5", "--b-set", "-4/3,7/2",
       "--n-range", "-8..8"),
      0, "902fccf5f64288575692264ae4040c441d4be50293f35d141871925bf8d6d186"),
+    # the whole catalog where a and b are integers, so the terms are plain
+    # ints: ab = -4 at (2, -2), negative indices, and counterexamples of both
+    # erratum entries
+    (("verify", "--identity", "all", "--a-set", "2,-1,3", "--b-set", "-2,1,-3",
+      "--n-range", "-8..8"),
+     0, "9ad72437fa1ea4e70c939908154ca15d221f230f1816e6b4eb579bd88c07b341"),
 ]
 
 GOLDEN = [

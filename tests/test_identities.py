@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biperiodic import (
@@ -52,7 +52,9 @@ class TestTermTable:
 class TestCassini:
     def test_fib_at_2_3_n2(self):
         # a*q1*q3 - b*q2^2 = 2*1*7 - 3*4 = 2 = a*(-1)^2
-        assert cassini_fib(SeqParams(2, 3), 2) == (F(2), F(2))
+        sides = cassini_fib(SeqParams(2, 3), 2)
+        assert sides == (F(2), F(2))
+        assert all(type(x) is F for x in sides)
 
     def test_fib_at_n1_is_minus_a(self):
         for a, b in GENERIC_PAIRS:
@@ -64,8 +66,11 @@ class TestCassini:
         assert cassini_fib(SeqParams(1, 1), 6) == (F(1), F(1))
 
     def test_lucas_at_2_3_n1(self):
-        # l0*l2 - (3/2)*l1^2 = 16 - 6 = 10 = ab + 4
-        assert cassini_lucas(SeqParams(2, 3), 1) == (F(10), F(10))
+        # l0*l2 - (3/2)*l1^2 = 16 - 6 = 10 = ab + 4; the rhs is the plain int
+        # ab + 4 inside the check, and a Fraction again at the boundary
+        sides = cassini_lucas(SeqParams(2, 3), 1)
+        assert sides == (F(10), F(10))
+        assert all(type(x) is F for x in sides)
 
     def test_lucas_symbolic_n2(self):
         for a, b in GENERIC_PAIRS:
@@ -450,6 +455,12 @@ def _naive_report(ident, a_values, b_values, n_range, m_range):
     n_range=SMALL_WINDOW,
     m_range=SMALL_WINDOW,
 )
+# integral points check on plain ints: a grid of only those, with ab = -4 at
+# (2, -2), and a grid mixing them with non-integral points, one on ab = -4
+@example(ab=(F(2), F(-2)), more_a=[F(-1)], more_b=[F(3)],
+         n_range=(-WINDOW_REACH, WINDOW_REACH), m_range=(-WINDOW_REACH, WINDOW_REACH))
+@example(ab=(F(-1), F(4)), more_a=[F(1, 2)], more_b=[F(-8)],
+         n_range=(-WINDOW_REACH, WINDOW_REACH), m_range=(-WINDOW_REACH, WINDOW_REACH))
 def test_verify_grid_matches_naive_reevaluation(ab, more_a, more_b, n_range, m_range):
     # every evaluator, re-run over oracle tables of Fractions: the counts and
     # the counterexamples' Fractions must be those of the gcd-free run
@@ -495,3 +506,35 @@ def test_cassini_checks_build_fractions_per_point_not_per_check(monkeypatch):
     assert F.__new__ is new
     per_point = [count / 36 for count in counts.values()]
     assert per_point[0] == per_point[1] <= 32, counts
+
+
+#: the 13 recurrence-based entries that read only terms and ab + 4, never a or b
+TERM_ONLY = [ident for ident in IdentityId if ident.value.startswith(("thm6-", "add-", "sub-"))]
+
+
+def test_term_only_checks_build_no_unreduced_at_integral_points(monkeypatch):
+    # where a and b are integers, the terms and ab + 4 are plain ints: the
+    # point builds a and b as _Unreduced and nothing more, however many checks
+    # run; at a non-integral point every operation still builds one
+    init = _Unreduced.__init__
+    built = 0
+
+    def counting_init(self, n, d):
+        nonlocal built
+        built += 1
+        init(self, n, d)
+
+    monkeypatch.setattr(_Unreduced, "__init__", counting_init)
+    counts = {}
+    for a, b in ((F(2), F(-3)), (F(1, 2), F(3))):
+        built = checked = 0
+        for ident in TERM_ONLY:
+            n_range, m_range = DEFAULT_RANGES[ident]
+            report = verify_grid(ident, [a], [b], n_range=n_range, m_range=m_range)
+            assert report_matches_expectation(report), ident
+            checked += report.checked
+        counts[a, b] = built, checked
+    assert len(TERM_ONLY) == 13
+    integral, fractional = counts[F(2), F(-3)], counts[F(1, 2), F(3)]
+    assert integral[0] <= 2 * len(TERM_ONLY) < integral[1], counts
+    assert fractional[0] > 2 * fractional[1], counts
