@@ -24,11 +24,14 @@ Catalog notes:
   so lhs - rhs = 2 * lhs and it fails wherever lhs != 0, and
   ``-corrected`` holds everywhere.
 * ``add-*`` / ``sub-*`` are the index addition/subtraction rules behind
-  the doubled-index family. Each is asserted only on its parity domain;
-  outside it the evaluator raises ParityMismatchError rather than
-  reporting a false counterexample. ``sub-ql`` holds for even m and odd n
-  only: swapping the parities flips the sign of the right-hand side,
-  which is exactly the defect ``thm6-vi-printed`` inherits.
+  the doubled-index family. Each is asserted only on its parity domain,
+  a set of (parity(m), parity(n)) classes; outside it ``evaluate`` raises
+  ParityMismatchError and the verify grid leaves the tuple out, rather
+  than report a false counterexample. ``sub-ql`` holds for even m and odd
+  n only: swapping the parities flips the sign of the right-hand side,
+  which is exactly the defect ``thm6-vi-printed`` inherits. ``add-qq``
+  and ``add-ll`` also hold on the other same-parity class, (odd, odd) and
+  (even, even) respectively, which their domains do not include.
 * ``det-power``, ``matrix-form``, ``inverse-power``, ``binet-fib`` and
   ``binet-lucas`` cross-check the matrix and closed-form engines against
   the recurrence oracle and against each other.
@@ -57,7 +60,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
+from itertools import product
 from typing import Callable, NamedTuple, Optional
 
 from . import binet as _binet
@@ -390,23 +395,22 @@ def _eval_sub_ql(t: _Table, m: int, n: int):
 
 
 class _ParityDomain(NamedTuple):
-    """The (m, n) parities on which a two-index rule is asserted.
+    """The (m, n) parity classes on which a two-index rule is asserted.
 
-    ``n_parity[parity(m)]`` is the one parity n takes for such an m, or None
-    when no n does.
+    ``classes`` holds the allowed (parity(m), parity(n)) pairs.
     """
 
-    n_parity: tuple[Optional[int], Optional[int]]
+    classes: frozenset[tuple[int, int]]
     desc: str
 
     def ok(self, m: int, n: int) -> bool:
-        return self.n_parity[parity(m)] == parity(n)
+        return (m & 1, n & 1) in self.classes
 
 
-_BOTH_EVEN = _ParityDomain((0, None), "m and n even")
-_BOTH_ODD = _ParityDomain((None, 1), "m and n odd")
-_OPPOSITE = _ParityDomain((1, 0), "m and n of opposite parity")
-_EVEN_M_ODD_N = _ParityDomain((1, None), "m even and n odd")
+_BOTH_EVEN = _ParityDomain(frozenset({(0, 0)}), "m and n even")
+_BOTH_ODD = _ParityDomain(frozenset({(1, 1)}), "m and n odd")
+_OPPOSITE = _ParityDomain(frozenset({(0, 1), (1, 0)}), "m and n of opposite parity")
+_EVEN_M_ODD_N = _ParityDomain(frozenset({(0, 1)}), "m even and n odd")
 
 
 def _needs_invertible(p: SeqParams) -> Optional[str]:
@@ -434,9 +438,30 @@ class _IdentityDef:
     #: documented exact lhs - rhs as gap(table, lhs, *indices); None: lhs == rhs
     gap: Optional[Callable] = None
 
-    @property
+    # cached: the verify grid's per-tuple domain check reads it
+    @cached_property
     def arity(self) -> int:
         return 1 if self.m_range is None else 2
+
+    def refusal(self, indices: tuple[int, ...]) -> Optional[tuple]:
+        """Why ``indices`` fall outside this entry's index domain, or None inside it.
+
+        The one check of arity, ``min_index`` and the parity classes:
+        ``evaluate`` raises what it returns, and the verify grid keeps the
+        tuples it admits. A reason is (error type, message template,
+        *arguments), the template's first field being the identity's name.
+        Only ``evaluate`` formats it: the grid refuses most tuples of a
+        parity-conditional entry.
+        """
+        if len(indices) != self.arity:
+            return ValueError, "{} takes {} index argument(s), got {}", self.arity, len(indices)
+        if self.min_index is not None and indices[0] < self.min_index:
+            return ValueError, "{} requires n >= {}", self.min_index
+        domain = self.parity_domain
+        if domain is not None and (indices[0] & 1, indices[1] & 1) not in domain.classes:
+            return (ParityMismatchError, "{} is asserted only for {}; got m={}, n={}",
+                    domain.desc, indices[0], indices[1])
+        return None
 
 
 _DOUBLED = (0, 25)
@@ -493,15 +518,10 @@ def evaluate(ident: IdentityId, p: SeqParams, *indices: int):
     Both sides come back as Fractions (a Mat2 for the matrix identities).
     """
     idef = _CATALOG[ident]
-    if len(indices) != idef.arity:
-        raise ValueError(f"{ident.value} takes {idef.arity} index argument(s), got {len(indices)}")
-    if idef.min_index is not None and indices[0] < idef.min_index:
-        raise ValueError(f"{ident.value} requires n >= {idef.min_index}")
-    domain = idef.parity_domain
-    if domain is not None and not domain.ok(*indices):
-        raise ParityMismatchError(
-            f"{ident.value} is asserted only for {domain.desc}; got m={indices[0]}, n={indices[1]}"
-        )
+    refusal = idef.refusal(indices)
+    if refusal is not None:
+        error, message, *args = refusal
+        raise error(message.format(ident.value, *args))
     lhs, rhs = idef.evaluate(_Table(p), *indices)
     return _fraction(lhs), _fraction(rhs)
 
@@ -575,26 +595,11 @@ def report_matches_expectation(report: IdentityReport) -> bool:
     return report.unexpected == 0
 
 
-def _index_tuples(idef: _IdentityDef, n_range, m_range):
-    """The grid's index tuples inside the identity's domain, m-major, n ascending."""
-    n_lo, n_hi = n_range
-    if idef.arity == 1:
-        if idef.min_index is not None:
-            n_lo = max(n_lo, idef.min_index)
-        for n in range(n_lo, n_hi + 1):
-            yield (n,)
-        return
-    domain = idef.parity_domain
-    for m in range(m_range[0], m_range[1] + 1):
-        if domain is None:
-            n_start, step = n_lo, 1
-        else:
-            n_par = domain.n_parity[parity(m)]
-            if n_par is None:
-                continue
-            n_start, step = n_lo + parity(n_par - n_lo), 2
-        for n in range(n_start, n_hi + 1, step):
-            yield (m, n)
+def _index_tuples(idef: _IdentityDef, n_range, m_range) -> list[tuple[int, ...]]:
+    """The grid's index tuples that ``idef.refusal`` admits, m-major, n ascending."""
+    spans = (n_range,) if idef.arity == 1 else (m_range, n_range)
+    grid = product(*(range(lo, hi + 1) for lo, hi in spans))
+    return [indices for indices in grid if idef.refusal(indices) is None]
 
 
 def verify_grid(
@@ -606,6 +611,12 @@ def verify_grid(
     m_range: Optional[tuple[int, int]] = None,
 ) -> IdentityReport:
     """Exhaustively evaluate one identity over a parameter/index grid.
+
+    Only the index tuples inside the identity's domain are checked, so an
+    ``n_range`` reaching below its ``min_index`` (1 for det-power and
+    matrix-form) is clipped there, while the report's ``n_range`` echoes
+    the range given. A one-index identity ignores ``m_range`` and reports
+    it as None.
 
     Parameter points where the identity is undefined (singular matrix,
     repeated root) are recorded as exclusions, never counted or thrown.
@@ -631,7 +642,7 @@ def verify_grid(
         m_range = None
 
     evaluator, gap = idef.evaluate, idef.gap
-    grid = list(_index_tuples(idef, n_range, m_range))
+    grid = _index_tuples(idef, n_range, m_range)
     checked = passed = unexpected = 0
     counterexamples: list[Counterexample] = []
     excluded: list[ExcludedPoint] = []

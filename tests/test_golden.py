@@ -65,6 +65,12 @@ EXTRA_GOLDEN = [
     (("verify", "--identity", "all", "--a-set", "2,-1,3", "--b-set", "-2,1,-3",
       "--n-range", "-8..8"),
      0, "9ad72437fa1ea4e70c939908154ca15d221f230f1816e6b4eb579bd88c07b341"),
+    # the whole catalog on windows that start at odd indices, with an m range
+    # unlike the n range, and an n range reaching below det-power's and
+    # matrix-form's minimum index 1
+    (("verify", "--identity", "all", "--a-set", "5/3,-2", "--b-set", "-7/2,2",
+      "--n-range", "-5..5", "--m-range", "-3..4"),
+     0, "347f45ce3854118de0f1a8170bd025075fea6944b271503a214e375ef3afd1fb"),
 ]
 
 GOLDEN = [

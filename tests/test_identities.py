@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -215,6 +216,23 @@ class TestIndexDomains:
     def test_arity_enforced(self):
         with pytest.raises(ValueError):
             evaluate(IdentityId.CASSINI_FIB, SeqParams(2, 3), 1, 2)
+
+    @pytest.mark.parametrize("ident", list(IdentityId), ids=lambda ident: ident.value)
+    def test_evaluate_refuses_exactly_what_the_grid_leaves_out(self, ident):
+        # -5..5 reaches below every min_index and holds all four parity classes
+        idef = _CATALOG[ident]
+        window = (-5, 5)
+        grid = set(_index_tuples(idef, window, window if idef.arity == 2 else None))
+        p = SeqParams(2, 3)
+        for indices in product(range(window[0], window[1] + 1), repeat=idef.arity):
+            try:
+                evaluate(ident, p, *indices)
+            except ValueError as err:
+                assert indices not in grid, (indices, err)
+                assert str(err).startswith(ident.value), err
+                assert isinstance(err, ParityMismatchError) is (idef.parity_domain is not None)
+            else:
+                assert indices in grid, indices
 
 
 class TestVerifyGrid:
@@ -538,3 +556,28 @@ def test_term_only_checks_build_no_unreduced_at_integral_points(monkeypatch):
     integral, fractional = counts[F(2), F(-3)], counts[F(1, 2), F(3)]
     assert integral[0] <= 2 * len(TERM_ONLY) < integral[1], counts
     assert fractional[0] > 2 * fractional[1], counts
+
+
+#: rule -> the parity classes outside its domain on which it still holds at
+#: every point checked; widening those domains would change pinned counts
+HOLDS_OFF_DOMAIN = {IdentityId.ADD_QQ: {(1, 1)}, IdentityId.ADD_LL: {(0, 0)}}
+
+
+@pytest.mark.parametrize(
+    "ident",
+    [ident for ident in IdentityId if _CATALOG[ident].parity_domain is not None],
+    ids=lambda ident: ident.value,
+)
+def test_parity_rules_fail_on_the_classes_outside_their_domain(ident):
+    # the raw evaluator over oracle tables at generic points, m and n in -9..9
+    idef = _CATALOG[ident]
+    tables = [_OracleTable(a, b, 20) for a, b in ((F(2), F(3)), (F(-3, 2), F(1, 2)),
+                                                   (F(7, 5), F(-2, 9)))]
+    window = range(-9, 10)
+    for cls in product((0, 1), repeat=2):
+        if cls in idef.parity_domain.classes:
+            continue
+        sides = [idef.evaluate(table, m, n) for table in tables
+                 for m, n in product(window, repeat=2) if (m & 1, n & 1) == cls]
+        held = all(lhs == rhs for lhs, rhs in sides)
+        assert held is (cls in HOLDS_OFF_DOMAIN.get(ident, ())), cls
