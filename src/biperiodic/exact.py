@@ -81,8 +81,10 @@ def _rational(x) -> Fraction:
 def _lowest_terms(a: Fraction, eps: int, num: int, den: int) -> Fraction:
     """a**eps * num/den in lowest terms, for eps in {0, 1}, den > 0 and gcd(num, den) = 1.
 
-    Its one caller is ``sequences._finished_term``, which finishes the terms
-    of both O(log n) engines in this shape, den a power of s. With a = p/q
+    Every term of the package's fast paths is finished here, den a power
+    of s where ab = r/s: ``sequences._finished_term`` for both O(log n)
+    engines, and ``sequences.terms`` and ``TermTable`` for the recurrence
+    walk; each hands over a num prime to den. With a = p/q
     in lowest terms, gcd(p*num, q*den) = gcd(num, q) * gcd(p, den): a prime
     dividing p divides neither q nor, if it divides den, num, so its share
     of the gcd is its share of gcd(p, den); a prime of q likewise; any other

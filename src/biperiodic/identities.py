@@ -38,23 +38,24 @@ Catalog notes:
 
 How a check runs: an evaluator reads its terms and the constants a, b and
 ab + 4 from one ``_Table`` per parameter point. The terms come from the
-integer walk of ``sequences`` (T(k) = D^k * t(k), D = lcm(den a, den b)).
-Where a and b are both integers, D = 1: the terms and ab + 4 are plain
-ints, so the checks that read only those (``thm6-*``, ``add-*``,
-``sub-*``) run on int arithmetic alone. Elsewhere they are ``_Unreduced``
-values n/d, which no operation ever reduces: a product multiplies
-numerators and denominators, a sum cross-multiplies (or adds numerators
-over a shared denominator), and n1/d1 == n2/d2 is n1*d2 == n2*d1. Each
-value there carries its own denominator, because the identities are not
-homogeneous in index weight: add-qq sets q(m+n), over D^(m+n), against
-products over D^(m+n+1) and D^(m+n-1). The constants a and b stay
-``_Unreduced`` at every point, so ``cassini-lucas``'s division by a is
-exact. Either way a check takes no gcd, and the evaluators keep the
-formulas they would have over ``Fraction``s. A value becomes a
-``Fraction`` only at the boundary: when a ``Counterexample`` stores it,
-when the public ``evaluate`` returns it, and in the ``Mat2``-valued
-matrix-form core. Every coefficient c(n), a or b by the parity of n, comes
-from ``sequences._coefficient``, the one home of that alternation.
+integer walk of ``sequences``, which hands over each term t(n) as
+a^eps * N/s^k with ab = r/s in lowest terms and gcd(N, s) = 1. Where
+s = den a = 1, that is a plain int: the terms and ab + 4 are ints, so the
+checks that read only those (``thm6-*``, ``add-*``, ``sub-*``) run on int
+arithmetic alone. Elsewhere they are ``_Unreduced`` values n/d, which no
+operation ever reduces: a product multiplies numerators and denominators,
+a sum cross-multiplies (or adds numerators over a shared denominator), and
+n1/d1 == n2/d2 is n1*d2 == n2*d1. Each value there carries its own
+denominator, because the identities are not homogeneous in index weight:
+at even m and n, add-qq sets q(m+n), over s^((m+n-2)/2), against
+q(m)*q(n-1), over s^((m+n-4)/2). The constants a and b stay ``_Unreduced``
+at every point, so ``cassini-lucas``'s division by a is exact. Either way
+a check takes no gcd, and the evaluators keep the formulas they would have
+over ``Fraction``s. A value becomes a ``Fraction`` only at the boundary:
+when a ``Counterexample`` stores it, when the public ``evaluate`` returns
+it, and in the ``Mat2``-valued matrix-form core. Every coefficient c(n),
+a or b by the parity of n, comes from ``sequences._coefficient``, the one
+home of that alternation.
 """
 from __future__ import annotations
 
@@ -243,32 +244,36 @@ def _fraction(value):
     return Fraction(value) if type(value) is int else value
 
 
-def _integral_term(n: int, d: int) -> int:
-    """T(k) itself: the walk's value builder where a and b are integers, so D^k = d = 1."""
-    return n
-
-
 class _Table:
     """One parameter point as the evaluators read it: gcd-free terms and constants.
 
     ``fib(n)`` and ``lucas(n)`` are the terms of one integer walk per kind,
     read as a dict lookup that runs no Python frame once the term is walked.
-    Where a and b are both integers, D = 1, so the terms and ``ab_plus_4``
-    are plain ints and an operation on them runs no Python frame either;
-    elsewhere they are ``_Unreduced``. ``a`` and ``b`` are ``_Unreduced`` at
-    every point, so ``cassini-lucas``'s division by a stays exact, and the
-    evaluators pick each coefficient from them with
-    ``sequences._coefficient``. ``params`` is the point itself, for the engines.
+    The walk hands over t(n) = a^eps * N/s^k. Where s = den a = 1 that is
+    the int a^eps * N, so the terms and ``ab_plus_4`` are plain ints and an
+    operation on them runs no Python frame either; elsewhere each term is
+    ``_Unreduced(num(a)^eps * N, den(a)^eps * s^k)``. ``a`` and ``b`` are
+    ``_Unreduced`` at every point, so ``cassini-lucas``'s division by a
+    stays exact, and the evaluators pick each coefficient from them with
+    ``sequences._coefficient``. ``params`` is the point itself, for the
+    engines.
     """
 
     def __init__(self, p: SeqParams):
         self.params = p
         self.a, self.b = (_Unreduced(x.numerator, x.denominator) for x in (p.a, p.b))
         ab4 = p.ab_plus_4
-        if p.a.denominator == p.b.denominator == 1:
-            self.ab_plus_4, value = ab4.numerator, _integral_term
+        nums, dens = (1, p.a.numerator), (1, p.a.denominator)  # a^eps, eps = 0 or 1
+        if p.ab.denominator == p.a.denominator == 1:
+            self.ab_plus_4 = ab4.numerator
+
+            def value(eps, n, power):
+                return nums[eps] * n
         else:
-            self.ab_plus_4, value = _Unreduced(ab4.numerator, ab4.denominator), _Unreduced
+            self.ab_plus_4 = _Unreduced(ab4.numerator, ab4.denominator)
+
+            def value(eps, n, power):
+                return _Unreduced(nums[eps] * n, dens[eps] * power)
         self.fib = _Walk(p, _FIB, value).__getitem__
         self.lucas = _Walk(p, _LUCAS, value).__getitem__
 

@@ -28,35 +28,48 @@ deliberately a plain Theta(|n|) loop, steps backward for negative n and
 must never be optimized; every fast path elsewhere is tested against it
 for exact equality.
 
-The fast path walks integers, forward only. With D = lcm(den a, den b),
-D*a and D*b are integers, and the scaled terms T(k) = D^k * t(k) obey
+The fast path walks integers, forward only, in the shape of
+``_term_shape``. With ab = r/s in lowest terms (Edson & Yayenie,
+*Integers* 9, 2009; Bilgici, *Appl. Math. Comput.* 245, 2014),
 
-    T(k) = (D*c(k)) * T(k-1) + D^2 * T(k-2),
-    fibonacci T(0) = 0, T(1) = D;   lucas T(0) = 2, T(1) = D*a.
+    fibonacci: q(0) = 0, q(2j+1) = G_j/s^j,   q(2j+2) = a*F_j/s^j,
+    lucas:     l(2j) = V_j/s^j,               l(2j+1) = a*H_j/s^j,
 
-Proof: multiply t(k) = c(k)*t(k-1) + t(k-2) by D^k and write
-D^k = D * D^(k-1) = D^2 * D^(k-2). The seeds are integers and so are both
-coefficients, so every T(k) is an integer by induction. ``_forward`` is
-this one walk; it yields the unreduced pair (T(k), D^k) and takes no gcd.
-``_reflect`` reads every negative index from it, so the fast path never
-steps backward. ``TermTable`` and ``terms`` build each ``Fraction`` term
-from one pair, one normalization per term; ``TermTable`` keeps each term of
-one parameter pair once and reads it in O(1), and ``terms`` walks once to
-the far end of an index range and keeps only the terms inside it. The
-identity catalog reads the pairs themselves (see ``identities``), so
+where each pair (X, Y) = (G, F) or (V, H) steps by the same rule
+
+    X_(j+1) = r*Y_j + s*X_j,   Y_(j+1) = X_(j+1) + s*Y_j,
+
+from G_0 = F_0 = 1 and V_0 = 2, H_0 = 1. Proof, by induction on j: the
+seeds give q(1) = 1, q(2) = a, l(0) = 2 and l(1) = a, and since b*a = r/s,
+q(2j+3) = b*q(2j+2) + q(2j+1) = (r*F_j + s*G_j)/s^(j+1) and
+q(2j+4) = a*q(2j+3) + q(2j+2) = a*(G_(j+1) + s*F_j)/s^(j+1); likewise
+l(2j+2) = b*l(2j+1) + l(2j) = (r*H_j + s*V_j)/s^(j+1) and
+l(2j+3) = a*l(2j+2) + l(2j+1) = a*(V_(j+1) + s*H_j)/s^(j+1). Modulo s,
+X_(j+1) and Y_(j+1) are both r*Y_j, and Y_0 = 1, so Y_j and X_(j+1) are
+r^j and r^(j+1) modulo s and prime to it (X_0 sits over s^0 = 1): each
+term comes out as a^eps * N/s^k with gcd(N, s) = 1, the (eps, k) of
+``_term_shape``. ``_forward`` is this one walk; it yields (eps, N, s^k)
+per index, carries s^k along and takes no gcd. ``_reflect`` reads every
+negative index from it, so the fast path never steps backward.
+``TermTable`` and ``terms`` finish each term they keep with
+``exact._lowest_terms``, which takes gcds against a's numerator and
+denominator only; ``TermTable`` keeps each term of one parameter pair once
+and reads it in O(1), and ``terms`` walks once to the far end of an index
+range and keeps only the terms inside it. The identity catalog
+builds its own values from the same triples (see ``identities``), so
 ``TermTable`` has no caller left in the package; it stays as exported API.
 
 ``_coefficient`` and ``_seeds`` take the values a and b, not a
-``SeqParams``, and hand them back untouched: the oracle passes Fractions,
-``_forward`` the integers D*a and D*b, and the catalog its unreduced values.
+``SeqParams``, and hand them back untouched: the oracle passes Fractions
+and the catalog its unreduced values.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
-from math import lcm
+from functools import partial
+from itertools import islice
 
 from .exact import Rational, _lowest_terms, _rational
 
@@ -134,21 +147,25 @@ def term_recurrence(p: SeqParams, kind: SequenceKind, n: int) -> Rational:
 
 
 def _forward(p: SeqParams, kind: SequenceKind):
-    """(T(k), D^k) for k = 0, 1, 2, ... without end, so that t(k) = T(k)/D^k.
+    """(eps, N, s^k) for n = 0, 1, 2, ... without end, so that t(n) = a^eps * N/s^k.
 
-    Integers only, no gcd; each pair is stepped only when asked for. See the
-    module docstring for D and the scaled recurrence.
+    Integers only, no gcd; (eps, k) is ``_term_shape(kind, n)`` and N is
+    prime to s. Each term is stepped only when asked for. See the module
+    docstring for the walk and its proof.
     """
-    d = lcm(p.a.denominator, p.b.denominator)
-    da, db = (x.numerator * (d // x.denominator) for x in (p.a, p.b))
-    scaled = [_coefficient(da, db, kind, k) for k in (0, 1)]  # D*c(k) by parity
-    t0, t1 = _seeds(p.a, kind)
-    prev, cur, d2, power = t0.numerator, (d * t1).numerator, d * d, d
-    yield prev, 1
-    for i in count(2):
-        yield cur, power
-        prev, cur = cur, scaled[i & 1] * cur + d2 * prev
-        power *= d
+    r, s = p.ab.numerator, p.ab.denominator
+    if kind is SequenceKind.FIBONACCI:
+        yield 1, 0, 1  # q(0) = a*0/1
+        x, y = 1, 1  # G_0, F_0
+    else:
+        x, y = 2, 1  # V_0, H_0
+    power = 1  # s^j
+    while True:
+        yield 0, x, power
+        yield 1, y, power
+        x = r * y + s * x
+        y = x + s * y
+        power *= s
 
 
 def _reflect(kind: SequenceKind, k: int, t: Rational) -> Rational:
@@ -160,19 +177,9 @@ def _reflect(kind: SequenceKind, k: int, t: Rational) -> Rational:
 def _term_shape(kind: SequenceKind, n: int) -> tuple[int, int]:
     """(eps, k) with t(n) = a^eps * N/s^k for an integer N prime to s, where ab = r/s in lowest terms.
 
-    Lemma: for j >= 0, with x = ab,
-
-        q(2j+1) = g(x),  q(2j+2) = a*f(x),  l(2j+1) = a*h(x),  l(2j+2) = v(x)
-
-    for monic integer polynomials g, f, h, v of degree j, j, j, j+1. By
-    induction from q(1) = 1, q(2) = a, l(1) = a, l(2) = x + 2: where the
-    coefficient is b it multiplies a term that carries a, so
-    q(2j+3) = x*f(x) + g(x) and l(2j+2) = x*h(x) + l(2j); where it is a
-    it adds a term that carries a, so q(2j+4) = a*(q(2j+3) + f(x)) and
-    l(2j+3) = a*(l(2j+2) + h(x)). A
-    monic F of degree k gives F(r/s) = N/s^k with N = r^k (mod s), so
-    gcd(N, s) = gcd(r^k, s) = 1. The sign reflection t(-n) = +-t(n) keeps
-    the shape, which covers n < 0; q(0) = 0 = 0/1 and l(0) = 2 = 2/1.
+    The walk in the module docstring proves this shape for n >= 0, with
+    q(0) = 0 = a*0/1 and l(0) = 2 = 2/1. The sign reflection
+    t(-n) = +-t(n) keeps it, which covers n < 0.
     """
     if kind is SequenceKind.FIBONACCI:
         return 1 - parity(n), max(abs(n) - 1, 0) // 2
@@ -183,8 +190,8 @@ def _finished_term(p: SeqParams, kind: SequenceKind, n: int, num: int, x: int, c
     """t(n) = a^eps * num/(c * s^x) in lowest terms, where ab = r/s in lowest terms.
 
     Both O(log n) engines hand each term over in this form. With (eps, k)
-    from ``_term_shape``, the lemma there makes c * s^(x-k) divide num
-    exactly; a remainder means an engine broke that lemma and raises
+    from ``_term_shape``, that shape makes c * s^(x-k) divide num
+    exactly; a remainder means an engine broke that shape and raises
     AssertionError (raised, not asserted, so ``python -O`` keeps the check).
     ``exact._lowest_terms`` then finishes the term with gcds against a's
     numerator and denominator only.
@@ -207,10 +214,10 @@ def terms(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:
     if lo > hi:
         raise ValueError(f"empty index range {lo}..{hi}")
     below, above = [], []  # t(min(hi, -1)) down to t(lo); t(max(lo, 0)) up to t(hi)
-    for k, (num, den) in enumerate(islice(_forward(p, kind), max(-lo, hi) + 1)):
+    for k, (eps, num, den) in enumerate(islice(_forward(p, kind), max(-lo, hi) + 1)):
         inside, mirrored = lo <= k <= hi, k and lo <= -k <= hi
         if inside or mirrored:
-            t = Fraction(num, den)
+            t = _lowest_terms(p.a, eps, num, den)
             if inside:
                 above.append(t)
             if mirrored:
@@ -219,12 +226,13 @@ def terms(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:
 
 
 class _Walk(dict):
-    """n -> value(T(|n|), D^|n|) for one sequence, signed by ``_reflect`` when n < 0.
+    """n -> value(eps, N, s^k) of t(|n|) for one sequence, signed by ``_reflect`` when n < 0.
 
     A missing index extends the one ``_forward`` walk to |n| and stores both
     signs of every index it passes, so a stored index is a plain dict read:
     ``walk.__getitem__`` runs no Python frame. ``value`` builds each stored
-    value from its unreduced pair, once per index walked.
+    value from the walk's triple t(|n|) = a^eps * N/s^k, once per index
+    walked.
     """
 
     def __init__(self, p: SeqParams, kind: SequenceKind, value):
@@ -246,14 +254,15 @@ class _Walk(dict):
 class TermTable:
     """Both sequences for one parameter pair as ``Fraction``s, each term computed once.
 
-    A lookup reads one ``_Walk`` per kind, which normalizes each term once
-    and keeps both signs of its index. Later lookups are O(1) and any
-    access order yields the same values.
+    A lookup reads one ``_Walk`` per kind, which finishes each term once
+    with ``exact._lowest_terms`` and keeps both signs of its index. Later
+    lookups are O(1) and any access order yields the same values.
     """
 
     def __init__(self, params: SeqParams):
         self.params = params
-        self._terms = {kind: _Walk(params, kind, Fraction) for kind in SequenceKind}
+        finish = partial(_lowest_terms, params.a)
+        self._terms = {kind: _Walk(params, kind, finish) for kind in SequenceKind}
 
     def term(self, kind: SequenceKind, n: int) -> Rational:
         return self._terms[kind][n]

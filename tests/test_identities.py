@@ -531,9 +531,10 @@ TERM_ONLY = [ident for ident in IdentityId if ident.value.startswith(("thm6-", "
 
 
 def test_term_only_checks_build_no_unreduced_at_integral_points(monkeypatch):
-    # where a and b are integers, the terms and ab + 4 are plain ints: the
-    # point builds a and b as _Unreduced and nothing more, however many checks
-    # run; at a non-integral point every operation still builds one
+    # where s = den a = 1 (ab = r/s), the terms a^eps * N/s^k and ab + 4 are
+    # plain ints, b fractional or not: the point builds a and b as _Unreduced
+    # and nothing more, however many checks run; at any other point, s = 1
+    # with a fractional a included, every operation still builds one
     init = _Unreduced.__init__
     built = 0
 
@@ -544,7 +545,9 @@ def test_term_only_checks_build_no_unreduced_at_integral_points(monkeypatch):
 
     monkeypatch.setattr(_Unreduced, "__init__", counting_init)
     counts = {}
-    for a, b in ((F(2), F(-3)), (F(1, 2), F(3))):
+    integral = ((F(2), F(-3)), (F(2), F(-3, 2)))
+    fractional = ((F(1, 2), F(3)), (F(1, 2), F(2)))
+    for a, b in integral + fractional:
         built = checked = 0
         for ident in TERM_ONLY:
             n_range, m_range = DEFAULT_RANGES[ident]
@@ -553,9 +556,12 @@ def test_term_only_checks_build_no_unreduced_at_integral_points(monkeypatch):
             checked += report.checked
         counts[a, b] = built, checked
     assert len(TERM_ONLY) == 13
-    integral, fractional = counts[F(2), F(-3)], counts[F(1, 2), F(3)]
-    assert integral[0] <= 2 * len(TERM_ONLY) < integral[1], counts
-    assert fractional[0] > 2 * fractional[1], counts
+    for point in integral:
+        built, checked = counts[point]
+        assert built <= 2 * len(TERM_ONLY) < checked, (point, counts)
+    for point in fractional:
+        built, checked = counts[point]
+        assert built > 2 * checked, (point, counts)
 
 
 #: rule -> the parity classes outside its domain on which it still holds at

@@ -1,7 +1,9 @@
 from fractions import Fraction as F
+from itertools import islice
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biperiodic import (
@@ -15,7 +17,7 @@ from biperiodic import (
     term_recurrence,
 )
 from biperiodic.identities import _Unreduced
-from biperiodic.sequences import _coefficient, _finished_term, _seeds, _term_shape, terms
+from biperiodic.sequences import _coefficient, _finished_term, _forward, _seeds, _term_shape, terms
 from conftest import classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
 
 FIB = SequenceKind.FIBONACCI
@@ -204,6 +206,68 @@ def test_term_table_reads_in_any_order_match_oracle_tables(ab, reads):
     expected = {kind: oracle(a, b, kind, -40, 40) for kind in (FIB, LUC)}
     for kind, n in reads:
         assert table.term(kind, n) == expected[kind][n], (kind, n)
+
+
+@settings(deadline=None)
+@given(ab=pairs, lo=st.integers(-30, -1), hi=st.integers(0, 30))
+@example(ab=(F(1), F(-4)), lo=-30, hi=30)  # ab = -4, s = 1
+@example(ab=(F(2, 3), F(-6)), lo=-30, hi=30)  # ab + 4 = 0 with a fractional a
+@example(ab=(F(1, 2), F(-8)), lo=-30, hi=30)
+def test_walk_matches_term_recurrence_across_zero(ab, lo, hi):
+    p = SeqParams(*ab)
+    table = TermTable(p)
+    for kind in (FIB, LUC):
+        expected = [term_recurrence(p, kind, n) for n in range(lo, hi + 1)]
+        assert terms(p, kind, lo, hi) == expected, kind
+        assert [table.term(kind, n) for n in range(lo, hi + 1)] == expected, kind
+
+
+#: (a, b) with ab = r/s: s = 1 with a fractional a, s > 1, and a sharing a prime with s
+WALK_POINTS = [
+    (F(2), F(1, 4)),  # ab = 1/2: a = 2 shares the prime 2 with s = 2
+    (F(5, 3), F(-4, 3)),  # ab = -20/9
+    (F(2, 3), F(3, 2)),  # ab = 1, s = 1
+    (F(1, 2), F(-8)),  # ab + 4 = 0
+    (F(-3), F(7, 5)),  # ab = -21/5
+]
+
+
+def assert_canonical(x):
+    assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1, x
+
+
+class TestWalkCanonicalForm:
+    @settings(deadline=None)
+    @given(ab=st.sampled_from(WALK_POINTS), lo=st.integers(-60, 0), width=st.integers(0, 60))
+    def test_walked_terms_are_in_lowest_terms(self, ab, lo, width):
+        p = SeqParams(*ab)
+        table = TermTable(p)
+        for kind in (FIB, LUC):
+            for x in terms(p, kind, lo, lo + width):
+                assert_canonical(x)
+            for n in range(lo, lo + width + 1):
+                assert_canonical(table.term(kind, n))
+
+    def test_deep_walked_terms_are_in_lowest_terms(self):
+        for ab in WALK_POINTS:
+            p = SeqParams(*ab)
+            for kind in (FIB, LUC):
+                for lo, hi in ((-2001, -1998), (1998, 2001)):
+                    for x in terms(p, kind, lo, hi):
+                        assert_canonical(x)
+
+
+@pytest.mark.parametrize("a, b", WALK_POINTS)
+@pytest.mark.parametrize("kind", [FIB, LUC])
+def test_walk_hands_over_each_term_in_its_term_shape(kind, a, b):
+    p = SeqParams(a, b)
+    s = p.ab.denominator
+    expected = oracle(a, b, kind, 0, 200)
+    for n, (eps, num, power) in enumerate(islice(_forward(p, kind), 201)):
+        shape_eps, k = _term_shape(kind, n)
+        assert (eps, power) == (shape_eps, s**k), n
+        assert gcd(num, power) == 1, n
+        assert a**eps * F(num, power) == expected[n], n
 
 
 def test_classical_degeneration():
