@@ -84,7 +84,9 @@ def _lowest_terms(a: Fraction, eps: int, num: int, den: int) -> Fraction:
     Every term of the package's fast paths is finished here, den a power
     of s where ab = r/s: ``sequences._finished_term`` for both O(log n)
     engines, and ``sequences.terms`` and ``TermTable`` for the recurrence
-    walk; each hands over a num prime to den. With a = p/q
+    walk; each hands over a num prime to den. The matrix core's (2,1) entry
+    (b/a)*t(m) = b*N/s^k is finished here too, with b in the place of a,
+    which the lemma below allows for any nonzero rational. With a = p/q
     in lowest terms, gcd(p*num, q*den) = gcd(num, q) * gcd(p, den): a prime
     dividing p divides neither q nor, if it divides den, num, so its share
     of the gcd is its share of gcd(p, den); a prime of q likewise; any other

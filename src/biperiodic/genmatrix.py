@@ -68,30 +68,34 @@ square takes 3 big products, u^2, u*w and w^2; t and q have the size of r
 and s. K lies on the ladder too: K = M + s*I = (r+3s)*I - adj(M) entry by
 entry, which is (1, -s) for B = M and (-1, -(r+3s)) for B = adj(M). So
 P = B^|j| * K^e is u*B - w*I after at most one more ladder product, and
-its entries u*B11 - w, u*B12, u*B21, u*B22 - w are each a big-by-small
-product.
+the entries u*B11 - w, u*B12, u*B22 - w that the core reads are each a
+big-by-small product. P21 = u*B21 is never formed: B21 = (r/s)*B12 for
+both B, so P21/a = b*P12 and the (2,1) entry is (b/a)*t(m).
 
-Lowest terms. ``term_fast`` reads t(n) = a^eps * entry/s^(|j|+e) from one
-entry of P and hands it to ``sequences._finished_term``. Every term is
-a^eps * N/s^k with gcd(N, s) = 1, so the entry carries at most two spare
-factors of s (|j|+e-k is 0, 1 or 2); that function divides them out,
-checked, and reduces against a's numerator and denominator only: no gcd
+Lowest terms. Every term is a^eps * N/s^k with gcd(N, s) = 1, so an
+entry of P carries at most two spare factors of s (|j|+e-k is 0, 1 or 2).
+``term_fast`` reads t(n) = a^eps * entry/s^(|j|+e) from one entry of P,
+and the core of G^m reads t(m+1), t(m) and t(m-1) from P11, a*P12 and P22;
+each entry goes to ``sequences._finished_term``, which divides the spare
+factors out, checked, and reduces against a's numerator and denominator
+only. The (2,1) entry b*N/s^k shares the checked N of t(m) = a*N/s^k and
+is reduced against b's numerator and denominator the same way. No gcd
 ever runs on kernel-sized operands.
 
 Degenerate point ab + 4 = 0: det(G) = (a^2/b^2)(ab+4) = 0, so G has no
 inverse and G^n = 0 for n >= 2 (trace and determinant both vanish). The
 prefactor then carries no information and term extraction is impossible;
 ``term_fast`` refuses such parameters, while ``power_closed_form`` still
-reads its core from the kernel (n >= 1, so j >= 0).
+reads its core from the kernel (n >= 1, so j >= 0) through the same
+checked finisher: its entries are still the terms there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal
 
-from .exact import Mat2, Rational, SingularMatrixError, _power
-from .sequences import SeqParams, SequenceKind, _finished_term, parity
+from .exact import Mat2, Rational, SingularMatrixError, _lowest_terms, _power
+from .sequences import SeqParams, SequenceKind, _checked_triple, _finished_term, parity
 
 
 def generating_matrix(p: SeqParams) -> Mat2:
@@ -120,55 +124,62 @@ class _Ladder:
         return _Ladder(t * uu - u * other.w - w * other.u, q * uu - w * other.w, t, q)
 
 
-def _kernel(p: SeqParams, m: int) -> tuple[tuple[int, int, int, int], int, int]:
-    """(P, |j|+e, product count) with P = B^|j| * K^e row-major, for m = 2j + e.
+def _kernel(p: SeqParams, m: int) -> tuple[tuple[int, int, int], int, int]:
+    """((P11, P12, P22), |j|+e, product count) with P = B^|j| * K^e, for m = 2j + e.
 
     The count covers the products of powers of B and, when j != 0, the
-    product by K. The core of G^m is S*P*S^-1 / s^(|j|+e); see the module
-    docstring.
+    product by K. The core of G^m is S*P*S^-1 / s^(|j|+e); P21 is not
+    formed, as the core reads its (2,1) entry from P12 (module docstring).
     """
     r, s = p.ab.numerator, p.ab.denominator
     j, e = divmod(m, 2)
     if j >= 0:
-        base, k = (r + s, s, r, s), (1, -s)
+        base, k = (r + s, s, s), (1, -s)
     elif r + 4 * s == 0:
         raise SingularMatrixError(
             "generating matrix is singular (ab + 4 = 0); negative powers do not exist"
         )
     else:
-        base, k = (s, -s, -r, r + s), (-1, -r - 3 * s)
+        base, k = (s, -s, r + s), (-1, -r - 3 * s)
     t, q = r + 2 * s, s * s
     x, count = _power(_Ladder(1, 0, t, q), abs(j), _Ladder(0, -1, t, q))
     if e:
         x = x * _Ladder(*k, t, q)
         count += j != 0  # at j = 0 the power is I, and P = K takes no product
     u, w = x.u, x.w
-    b11, b12, b21, b22 = base
-    return (u * b11 - w, u * b12, u * b21, u * b22 - w), abs(j) + e, count
+    b11, b12, b22 = base
+    return (u * b11 - w, u * b12, u * b22 - w), abs(j) + e, count
 
 
-def _conjugated(p: SeqParams, k: tuple[int, int, int, int], num: int, den: int) -> Mat2:
-    """num/den * S*k*S^-1 = num/den * [[K11, a*K12], [K21/a, K22]], one normalization per entry."""
-    k11, k12, k21, k22 = k
-    a_num, a_den = p.a.numerator, p.a.denominator
-    return Mat2(
-        Fraction(k11 * num, den),
-        Fraction(k12 * num * a_num, den * a_den),
-        Fraction(k21 * num * a_den, den * a_num),
-        Fraction(k22 * num, den),
-    )
+def _core(p: SeqParams, m: int) -> tuple[tuple[Rational, ...], int]:
+    """The core (t(m+1), t(m), (b/a)*t(m), t(m-1)) of G^m row-major, and the product count.
+
+    One kernel power; every entry is finished from it through
+    ``sequences._finished_term``'s checked division (module docstring,
+    lowest terms).
+    """
+    (p11, p12, p22), x, count = _kernel(p, m)
+    kind = _exposed_kind(m)
+    _, num, den = _checked_triple(p, kind, m, p12, x, 1)  # t(m) = a*num/den
+    return (
+        _finished_term(p, kind, m + 1, p11, x, 1),
+        _lowest_terms(p.a, 1, num, den),
+        _lowest_terms(p.b, 1, num, den),
+        _finished_term(p, kind, m - 1, p22, x, 1),
+    ), count
 
 
 def matrix_power_counted(p: SeqParams, n: int) -> tuple[Mat2, int]:
     """G^n for any integer n, with the number of 2x2 products performed.
 
-    G^n is the prefactor times the core S*P*S^-1 / s^(|j|+e) of the kernel.
+    G^n is the prefactor times the core of one kernel power, whose entries
+    come through the checked finisher of ``term_fast`` with no gcd on
+    kernel-sized operands; only the prefactor's multiply normalizes.
     Negative powers require ab + 4 != 0.
     """
-    power, exponent, count = _kernel(p, n)
+    core, count = _core(p, n)
     scale = _prefactor(p, n)
-    den = scale.denominator * p.ab.denominator**exponent
-    return _conjugated(p, power, scale.numerator, den), count
+    return Mat2(*(scale * t for t in core)), count
 
 
 def matrix_power(p: SeqParams, n: int) -> Mat2:
@@ -231,13 +242,13 @@ class ClosedForm:
 def power_closed_form(p: SeqParams, n: int) -> ClosedForm:
     """The factored form of G^n (n >= 1).
 
-    The core is S*P*S^-1 / s^(|j|+e) from one kernel power, one
-    normalization per entry, at every parameter point, ab + 4 = 0 included.
+    The core comes from one kernel power through the checked finisher of
+    ``term_fast``, with no gcd on kernel-sized operands, at every parameter
+    point, ab + 4 = 0 included.
     """
     if n < 1:
         raise ValueError("power_closed_form requires n >= 1")
-    power, exponent, _ = _kernel(p, n)
-    return ClosedForm(p, n, _conjugated(p, power, 1, p.ab.denominator**exponent))
+    return ClosedForm(p, n, Mat2(*_core(p, n)[0]))
 
 
 def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rational, int]:
@@ -257,7 +268,7 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
         )
     m = n if kind is _exposed_kind(n) else n + 1
     power, exponent, count = _kernel(p, m)
-    entry = power[1] if m == n else power[3]
+    entry = power[1] if m == n else power[2]
     return _finished_term(p, kind, n, entry, exponent, 1), count
 
 

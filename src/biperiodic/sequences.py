@@ -186,15 +186,17 @@ def _term_shape(kind: SequenceKind, n: int) -> tuple[int, int]:
     return parity(n), abs(n) // 2
 
 
-def _finished_term(p: SeqParams, kind: SequenceKind, n: int, num: int, x: int, c: int) -> Rational:
-    """t(n) = a^eps * num/(c * s^x) in lowest terms, where ab = r/s in lowest terms.
+def _checked_triple(
+    p: SeqParams, kind: SequenceKind, n: int, num: int, x: int, c: int
+) -> tuple[int, int, int]:
+    """(eps, N, s^k) with t(n) = a^eps * N/s^k = a^eps * num/(c * s^x).
 
-    Both O(log n) engines hand each term over in this form. With (eps, k)
-    from ``_term_shape``, that shape makes c * s^(x-k) divide num
-    exactly; a remainder means an engine broke that shape and raises
-    AssertionError (raised, not asserted, so ``python -O`` keeps the check).
-    ``exact._lowest_terms`` then finishes the term with gcds against a's
-    numerator and denominator only.
+    Here ab = r/s in lowest terms. Both O(log n) engines hand each term
+    over as num/(c * s^x). With (eps, k) from ``_term_shape``, that shape
+    makes c * s^(x-k) divide num exactly; a remainder means an engine broke
+    that shape and raises AssertionError (raised, not asserted, so
+    ``python -O`` keeps the check). The result is the triple ``_forward``
+    yields, N prime to s.
     """
     eps, k = _term_shape(kind, n)
     s = p.ab.denominator
@@ -202,7 +204,17 @@ def _finished_term(p: SeqParams, kind: SequenceKind, n: int, num: int, x: int, c
     quotient, remainder = divmod(num, divisor)
     if remainder:
         raise AssertionError(f"{kind.value}({n}): engine numerator is not a multiple of {divisor}")
-    return _lowest_terms(p.a, eps, quotient, s**k)
+    return eps, quotient, s**k
+
+
+def _finished_term(p: SeqParams, kind: SequenceKind, n: int, num: int, x: int, c: int) -> Rational:
+    """t(n) = a^eps * num/(c * s^x) in lowest terms, where ab = r/s in lowest terms.
+
+    ``_checked_triple`` divides out the spare factors, checked, and
+    ``exact._lowest_terms`` finishes the term with gcds against a's
+    numerator and denominator only.
+    """
+    return _lowest_terms(p.a, *_checked_triple(p, kind, n, num, x, c))
 
 
 def terms(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:

@@ -21,6 +21,7 @@ from biperiodic import (
     term_fast_counted,
     term_recurrence,
 )
+from biperiodic import genmatrix
 from biperiodic.exact import _power
 from biperiodic.genmatrix import _Ladder
 from biperiodic.sequences import terms
@@ -286,10 +287,18 @@ CANONICAL_PAIRS = [
 ]
 
 
+def entries(m):
+    return [m.e11, m.e12, m.e21, m.e22]
+
+
 def assert_engines_canonical(p, n):
     values = [binet_lucas(p, n)]
     if p.ab_plus_4 != 0:
         values += [binet_fib(p, n), term_fast(p, FIB, n), term_fast(p, LUC, n)]
+    if n >= 1:
+        values += entries(power_closed_form(p, n).core)
+    if n >= 0 or p.ab_plus_4 != 0:
+        values += entries(matrix_power(p, n))
     for x in values:
         assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1, (p, n, x)
 
@@ -304,6 +313,23 @@ class TestCanonicalForm:
         for ab in CANONICAL_PAIRS:
             for n in (-2001, -2000, 2000, 2001):
                 assert_engines_canonical(SeqParams(*ab), n)
+
+
+def test_a_corrupted_kernel_entry_is_refused(monkeypatch):
+    # ab = -20/9: the (1,2) entry of the kernel power at m = 10 carries one
+    # spare factor 9 over t(10) = a*N/9^4, so an entry off by one fails the
+    # checked division instead of yielding a wrong matrix
+    kernel = genmatrix._kernel
+
+    def corrupted(p, m):
+        (p11, p12, p22), exponent, count = kernel(p, m)
+        return (p11, p12 + 1, p22), exponent, count
+
+    monkeypatch.setattr(genmatrix, "_kernel", corrupted)
+    p = SeqParams(F(5, 3), F(-4, 3))
+    for engine in (power_closed_form, matrix_power):
+        with pytest.raises(AssertionError, match="not a multiple of 9"):
+            engine(p, 10)
 
 
 def test_counted_power_reports_products():

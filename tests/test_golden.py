@@ -71,6 +71,13 @@ EXTRA_GOLDEN = [
     (("verify", "--identity", "all", "--a-set", "5/3,-2", "--b-set", "-7/2,2",
       "--n-range", "-5..5", "--m-range", "-3..4"),
      0, "347f45ce3854118de0f1a8170bd025075fea6944b271503a214e375ef3afd1fb"),
+    # matrix powers whose core entries cancel against a: a = 2 shares the
+    # prime 2 with s = 2 (ab = 1/2), and a = 1/2 has a denominator that
+    # divides some numerators N (ab = 1/3)
+    (("matrix", "--a", "2", "--b", "1/4", "--n", "9", "--show", "all"),
+     0, "ee57a31cb8508890638b9d1f22055a9d854cfe709803a70771f3da188d56e61f"),
+    (("matrix", "--a", "1/2", "--b", "2/3", "--n", "-10", "--show", "entries"),
+     0, "dc411e6953e569d52339e46a8281392091b11cdf61114581bbc45e18aac4c98d"),
 ]
 
 GOLDEN = [
