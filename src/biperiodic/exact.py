@@ -95,12 +95,25 @@ def _lowest_terms(a: Fraction, eps: int, num: int, den: int) -> Fraction:
     normalization.
     """
     if eps:
-        p, q = a.numerator, a.denominator
-        g, h = gcd(p, den), gcd(num, q)
-        num, den = (p // g) * (num // h), (q // h) * (den // g)
+        return _product(a.numerator, a.denominator, num, den)
     # Fraction(num, den) would take a gcd of the whole operands again
     x = object.__new__(Fraction)
     x._numerator, x._denominator = num, den
+    return x
+
+
+def _product(p: int, q: int, num: int, den: int) -> Fraction:
+    """(p/q) * (num/den) in lowest terms, for two fractions in lowest terms with q, den > 0.
+
+    The lemma of ``_lowest_terms``: the only gcds taken are gcd(p, den)
+    and gcd(num, q), so a big operand meets only the other fraction's
+    small one when one fraction is small. ``genmatrix`` finishes each
+    entry of G^n here.
+    """
+    g, h = gcd(p, den), gcd(num, q)
+    # Fraction(num, den) would take a gcd of the whole operands again
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = (p // g) * (num // h), (q // h) * (den // g)
     return x
 
 
@@ -256,11 +269,6 @@ class Mat2:
             self.e11 * other.e12 + self.e12 * other.e22,
             self.e21 * other.e11 + self.e22 * other.e21,
             self.e21 * other.e12 + self.e22 * other.e22,
-        )
-
-    def scaled(self, factor) -> "Mat2":
-        return Mat2(
-            factor * self.e11, factor * self.e12, factor * self.e21, factor * self.e22
         )
 
     def det(self):

@@ -75,26 +75,58 @@ both B, so P21/a = b*P12 and the (2,1) entry is (b/a)*t(m).
 Lowest terms. Every term is a^eps * N/s^k with gcd(N, s) = 1, so an
 entry of P carries at most two spare factors of s (|j|+e-k is 0, 1 or 2).
 ``term_fast`` reads t(n) = a^eps * entry/s^(|j|+e) from one entry of P,
-and the core of G^m reads t(m+1), t(m) and t(m-1) from P11, a*P12 and P22;
-each entry goes to ``sequences._finished_term``, which divides the spare
-factors out, checked, and reduces against a's numerator and denominator
-only. The (2,1) entry b*N/s^k shares the checked N of t(m) = a*N/s^k and
-is reduced against b's numerator and denominator the same way. No gcd
-ever runs on kernel-sized operands.
+and the core of G^m reads t(m+1), t(m) and t(m-1) from P11, a*P12 and P22.
+``sequences._checked_triple`` divides the spare factors out of each entry,
+checked, and ``exact._lowest_terms`` reduces against a's numerator and
+denominator only. The (2,1) entry b*N/s^k shares the checked N of
+t(m) = a*N/s^k and is reduced against b's numerator and denominator the
+same way. ``matrix_power`` runs the same three checks, then finishes G^n
+from the entries of P themselves.
 
-Degenerate point ab + 4 = 0: det(G) = (a^2/b^2)(ab+4) = 0, so G has no
-inverse and G^n = 0 for n >= 2 (trace and determinant both vanish). The
-prefactor then carries no information and term extraction is impossible;
-``term_fast`` refuses such parameters, while ``power_closed_form`` still
-reads its core from the kernel (n >= 1, so j >= 0) through the same
-checked finisher: its entries are still the terms there.
+Prefactor. Let Q = det(G) = (a/b)^2 (ab+4) in lowest terms
+(``SeqParams.det_g``); ``det_power`` is Q^n. For n = 2j + e the prefactor
+is (a/b)^n (ab+4)^j = (a/b)^e * Q^j, and the core of G^n is c*Z/s^x with
+x = |j|+e, c = (1, a, b, 1) and Z = (P11, P12, P12, P22) row-major. Let
+R = Q/s for j >= 0 and R = 1/(Q*s) for j < 0, so that Q^j = (s*R)^|j| in
+both cases. Then, entry by entry,
+
+    G^n = c * (a/(b*s))^e * Z * R^|j|
+
+since (a/b)^e * Q^j / s^x = (a/b)^e * s^|j| * R^|j| / s^(|j|+e). The
+finisher takes this product without ``Fraction`` arithmetic, in two steps
+of the lemma of ``exact._lowest_terms``: gcd(X*x, Y*y) = gcd(x, Y) *
+gcd(X, y) for X/Y and x/y in lowest terms. First Z * R^|j|, with
+R = rn/rd in lowest terms: gcd(Z * rn^|j|, rd^|j|) = gcd(Z, rd^|j|), taken
+one rd at a time, since gcd(Z, rd^h) = g * gcd(Z/g, rd^(h-1)) for
+g = gcd(Z, rd), until g = 1. Then the small factor c * (a/(b*s))^e, with
+gcds against its own numerator and denominator only. So every gcd pairs a
+big operand with a small one. The loop's rounds are bounded by how often
+Z divides by rd's primes, not by |j|: of the primes of s, Z = N * s^(x-k)
+holds at most the two spare factors, as N is prime to s. The large powers
+of s never meet a gcd. They sit in s^x and R^|j|, and the formula sets
+their exponents against each other.
+That matters where a/b shares a prime with s: at (a, b) = (2, 1/4),
+a/b = 8, s = 2 and every core denominator is a power of 2.
+``ClosedForm.materialize`` reads each entry v of its core back as the
+integer Z = v * s^x/c, checked, and finishes it the same way.
+
+Degenerate point ab + 4 = 0: Q = det(G) = 0, so G has no inverse and
+G^n = 0 for n >= 2 (trace and determinant both vanish). There R = Q/s = 0,
+so the finisher gives the zero matrix for n >= 2 (j >= 1) and the core
+times (a/b)^e for n in {0, 1}. Negative powers raise SingularMatrixError:
+``_kernel`` refuses j < 0 and the finisher refuses 1/Q. Term extraction
+is impossible; ``term_fast`` refuses such parameters, while
+``power_closed_form`` still reads its core from the kernel (n >= 1, so
+j >= 0) through the same checked division: its entries are still the
+terms there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Literal
 
-from .exact import Mat2, Rational, SingularMatrixError, _lowest_terms, _power
+from .exact import Mat2, Rational, SingularMatrixError, _lowest_terms, _power, _product
 from .sequences import SeqParams, SequenceKind, _checked_triple, _finished_term, parity
 
 
@@ -151,35 +183,93 @@ def _kernel(p: SeqParams, m: int) -> tuple[tuple[int, int, int], int, int]:
     return (u * b11 - w, u * b12, u * b22 - w), abs(j) + e, count
 
 
-def _core(p: SeqParams, m: int) -> tuple[tuple[Rational, ...], int]:
-    """The core (t(m+1), t(m), (b/a)*t(m), t(m-1)) of G^m row-major, and the product count.
+def _checked_kernel(p: SeqParams, m: int):
+    """_kernel's (P11, P12, P22), the term triples of t(m+1), t(m), t(m-1) and the product count.
 
-    One kernel power; every entry is finished from it through
-    ``sequences._finished_term``'s checked division (module docstring,
-    lowest terms).
+    Each entry goes through ``sequences._checked_triple``, whose checked
+    division yields the triple (eps, N, s^k) of the term it holds (module
+    docstring, lowest terms).
     """
     (p11, p12, p22), x, count = _kernel(p, m)
     kind = _exposed_kind(m)
-    _, num, den = _checked_triple(p, kind, m, p12, x, 1)  # t(m) = a*num/den
-    return (
-        _finished_term(p, kind, m + 1, p11, x, 1),
-        _lowest_terms(p.a, 1, num, den),
-        _lowest_terms(p.b, 1, num, den),
-        _finished_term(p, kind, m - 1, p22, x, 1),
-    ), count
+    triples = (
+        _checked_triple(p, kind, m + 1, p11, x, 1),
+        _checked_triple(p, kind, m, p12, x, 1),
+        _checked_triple(p, kind, m - 1, p22, x, 1),
+    )
+    return (p11, p12, p22), triples, count
+
+
+def _times_power(z: int, rd: int, big: int, rn_j: int, rd_j: int) -> tuple[int, int]:
+    """z * (rn/rd)^big in lowest terms as (numerator, denominator), for rn_j = rn^big, rd_j = rd^big.
+
+    rn/rd is in lowest terms, so gcd(z * rn_j, rd_j) = gcd(z, rd^big); it
+    is taken one rd at a time, and every gcd pairs z with the small rd
+    (module docstring, prefactor).
+    """
+    if not z:
+        return 0, 1
+    g = 1
+    for _ in range(big):
+        h = gcd(z, rd)
+        if h == 1:
+            break
+        z //= h
+        g *= h
+    return z * rn_j, rd_j // g
+
+
+def _scaled(p: SeqParams, n: int, zs) -> Mat2:
+    """G^n from Z = (Z11, Z12, Z21, Z22), the core of G^n times s^(|j|+e)/(1, a, b, 1).
+
+    G^n = c * (a/(b*s))^e * Z * R^|j| entry by entry, for n = 2j + e and
+    c = (1, a, b, 1); ``exact._product`` multiplies by the small factor
+    c * (a/(b*s))^e (module docstring, prefactor).
+    """
+    j, e = divmod(n, 2)
+    big, s = abs(j), p.ab.denominator
+    qn, qd = p.det_g.numerator, p.det_g.denominator
+    if j < 0:
+        if qn == 0:
+            raise SingularMatrixError("ab + 4 = 0: det(G) = 0, negative powers do not exist")
+        qn, qd = (qd, qn) if qn > 0 else (-qd, -qn)
+    g = gcd(qn, s)
+    rn, rd = qn // g, qd * (s // g)  # R = Q/s for j >= 0, 1/(Q*s) for j < 0
+    rn_j, rd_j = rn**big, rd**big
+    pa, qa = p.a.numerator, p.a.denominator
+    if e:
+        # u = a/(b*s), a*u and b*u = a/s, each in lowest terms by exact._product's lemma
+        alpha, beta = p.a_over_b.numerator, p.a_over_b.denominator
+        g = gcd(alpha, s)
+        un, ud = alpha // g, beta * (s // g)
+        g, h, k = gcd(pa, ud), gcd(un, qa), gcd(pa, s)
+        factors = (
+            (un, ud),
+            ((pa // g) * (un // h), (qa // h) * (ud // g)),
+            (pa // k, qa * (s // k)),
+            (un, ud),
+        )
+    else:
+        factors = ((1, 1), (pa, qa), (p.b.numerator, p.b.denominator), (1, 1))
+    entries, last = [], None
+    for (fn, fd), z in zip(factors, zs):
+        if z != last:  # Z21 = Z12 in a core of G^n: one product by R^|j| serves both
+            last = z
+            num, den = _times_power(z, rd, big, rn_j, rd_j)
+        entries.append(_product(fn, fd, num, den))
+    return Mat2(*entries)
 
 
 def matrix_power_counted(p: SeqParams, n: int) -> tuple[Mat2, int]:
     """G^n for any integer n, with the number of 2x2 products performed.
 
-    G^n is the prefactor times the core of one kernel power, whose entries
-    come through the checked finisher of ``term_fast`` with no gcd on
-    kernel-sized operands; only the prefactor's multiply normalizes.
-    Negative powers require ab + 4 != 0.
+    G^n is finished from one kernel power, whose entries are checked
+    against their terms' shapes, and the prefactor's small bases, with no
+    ``Fraction`` arithmetic and no gcd of two big integers (module
+    docstring, prefactor). Negative powers require ab + 4 != 0.
     """
-    core, count = _core(p, n)
-    scale = _prefactor(p, n)
-    return Mat2(*(scale * t for t in core)), count
+    (p11, p12, p22), _, count = _checked_kernel(p, n)
+    return _scaled(p, n, (p11, p12, p12, p22)), count
 
 
 def matrix_power(p: SeqParams, n: int) -> Mat2:
@@ -187,7 +277,7 @@ def matrix_power(p: SeqParams, n: int) -> Mat2:
 
 
 def det_power(p: SeqParams, n: int) -> Rational:
-    """det(G^n) = ((a^2/b^2)(ab+4))^n for any integer n, without touching the matrix.
+    """det(G^n) = Q^n for any integer n, Q = det(G) = (a^2/b^2)(ab+4), without touching the matrix.
 
     On the singular line ab + 4 = 0 the determinant is 0 for n >= 1 and 1
     at n = 0; negative powers do not exist there and raise
@@ -195,17 +285,12 @@ def det_power(p: SeqParams, n: int) -> Rational:
     """
     if n < 0 and p.ab_plus_4 == 0:
         raise SingularMatrixError("ab + 4 = 0: determinant is 0, negative powers do not exist")
-    return ((p.a * p.a) / (p.b * p.b) * p.ab_plus_4) ** n
+    return p.det_g**n
 
 
 def _exposed_kind(n: int) -> SequenceKind:
     """The sequence the core of G^n holds: fibonacci at even n, lucas at odd n."""
     return SequenceKind.FIBONACCI if parity(n) == 0 else SequenceKind.LUCAS
-
-
-def _prefactor(p: SeqParams, n: int) -> Rational:
-    # (a/b)^n * (ab+4)^floor(n/2); floor toward -infinity for negative n.
-    return (p.a / p.b) ** n * p.ab_plus_4 ** (n // 2)
 
 
 @dataclass(frozen=True)
@@ -233,22 +318,44 @@ class ClosedForm:
         return self.n // 2
 
     def scale(self) -> Rational:
-        return _prefactor(self.params, self.n)
+        """(a/b)^n * (ab+4)^floor(n/2) = (a/b)^e * Q^j for n = 2j + e, Q = det(G)."""
+        j, e = divmod(self.n, 2)
+        return self.params.a_over_b**e * self.params.det_g**j
 
     def materialize(self) -> Mat2:
-        return self.core.scaled(self.scale())
+        """G^n from this core through ``matrix_power``'s finisher, without ``Fraction`` arithmetic.
+
+        Each core entry is read back as the integer entry * s^(|j|+e)/c,
+        c = (1, a, b, 1), checked; a core whose entries do not all give an
+        integer raises AssertionError.
+        """
+        p, n, core = self.params, self.n, self.core
+        j, e = divmod(n, 2)
+        x = abs(j) + e
+        s_x = p.ab.denominator**x
+        zs = []
+        for v, c in zip((core.e11, core.e12, core.e21, core.e22), (1, p.a, p.b, 1)):
+            q, r = divmod(s_x * c.denominator, v.denominator)
+            z, rest = divmod(v.numerator * q, c.numerator)
+            if r or rest:
+                raise AssertionError(f"a core entry is not {c} * Z / s^{x} for an integer Z")
+            zs.append(z)
+        return _scaled(p, n, zs)
 
 
 def power_closed_form(p: SeqParams, n: int) -> ClosedForm:
     """The factored form of G^n (n >= 1).
 
-    The core comes from one kernel power through the checked finisher of
+    The core comes from one kernel power through the checked division of
     ``term_fast``, with no gcd on kernel-sized operands, at every parameter
     point, ab + 4 = 0 included.
     """
     if n < 1:
         raise ValueError("power_closed_form requires n >= 1")
-    return ClosedForm(p, n, Mat2(*_core(p, n)[0]))
+    _, (t11, t12, t22), _ = _checked_kernel(p, n)
+    a, b = p.a, p.b
+    core = Mat2(_lowest_terms(a, *t11), _lowest_terms(a, *t12), _lowest_terms(b, *t12), _lowest_terms(a, *t22))
+    return ClosedForm(p, n, core)
 
 
 def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rational, int]:

@@ -83,9 +83,10 @@ class SequenceKind(enum.Enum):
 class SeqParams:
     """Validated nonzero parameter pair (a, b) with derived constants.
 
-    ``ab``, ``ab_plus_4`` and ``disc`` = ab*(ab+4) = (ab)^2 + 4ab, the
-    radicand of the characteristic roots, are computed once per instance.
-    Equality, hashing and repr use (a, b) only.
+    ``ab``, ``ab_plus_4``, ``disc`` = ab*(ab+4) = (ab)^2 + 4ab, the
+    radicand of the characteristic roots, ``a_over_b`` and ``det_g`` =
+    (a/b)^2 * (ab+4), the determinant of the generating matrix, are
+    computed once per instance. Equality, hashing and repr use (a, b) only.
     """
 
     a: Rational
@@ -93,13 +94,24 @@ class SeqParams:
     ab: Rational = field(init=False, repr=False, compare=False)
     ab_plus_4: Rational = field(init=False, repr=False, compare=False)
     disc: Rational = field(init=False, repr=False, compare=False)
+    a_over_b: Rational = field(init=False, repr=False, compare=False)
+    det_g: Rational = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = _rational(self.a), _rational(self.b)
         if a == 0 or b == 0:
             raise ValueError("sequence parameters a and b must both be nonzero")
-        ab = a * b
-        derived = {"a": a, "b": b, "ab": ab, "ab_plus_4": ab + 4, "disc": ab * (ab + 4)}
+        ab, ratio = a * b, a / b
+        ab_plus_4 = ab + 4
+        derived = {
+            "a": a,
+            "b": b,
+            "ab": ab,
+            "ab_plus_4": ab_plus_4,
+            "disc": ab * ab_plus_4,
+            "a_over_b": ratio,
+            "det_g": ratio * ratio * ab_plus_4,
+        }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 

@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction as F
 from math import gcd
 
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biperiodic import (
+    ClosedForm,
     Mat2,
     SeqParams,
     SequenceKind,
@@ -296,7 +299,8 @@ def assert_engines_canonical(p, n):
     if p.ab_plus_4 != 0:
         values += [binet_fib(p, n), term_fast(p, FIB, n), term_fast(p, LUC, n)]
     if n >= 1:
-        values += entries(power_closed_form(p, n).core)
+        cf = power_closed_form(p, n)
+        values += entries(cf.core) + entries(cf.materialize())
     if n >= 0 or p.ab_plus_4 != 0:
         values += entries(matrix_power(p, n))
     for x in values:
@@ -330,6 +334,87 @@ def test_a_corrupted_kernel_entry_is_refused(monkeypatch):
     for engine in (power_closed_form, matrix_power):
         with pytest.raises(AssertionError, match="not a multiple of 9"):
             engine(p, 10)
+
+
+def test_a_core_entry_off_its_term_shape_is_refused():
+    # materialize reads each core entry back as an integer times c/s^x; an
+    # entry whose denominator does not divide s^x (here 9^5) has none
+    p = SeqParams(F(5, 3), F(-4, 3))
+    core = power_closed_form(p, 10).core
+    bad = Mat2(core.e11 + F(1, 3**13), core.e12, core.e21, core.e22)
+    with pytest.raises(AssertionError, match="for an integer Z"):
+        ClosedForm(p, 10, bad).materialize()
+
+
+def oracle_core(a, b, n, fib, luc):
+    """The core [[t(n+1), t(n)], [(b/a)*t(n), t(n-1)]] of G^n from oracle tables."""
+    t = fib if n % 2 == 0 else luc
+    return Mat2(t[n + 1], t[n], (b / a) * t[n], t[n - 1])
+
+
+@pytest.mark.parametrize("a, b", [(F(2), F(1, 4)), (F(-2), F(-1, 4))])
+def test_powers_where_a_over_b_shares_the_prime_of_s(a, b):
+    # a/b = 8 and s = 2: every core denominator is a power of 2, which the
+    # prefactor's 2s cancel; negative powers run the j < 0 prefactor
+    p = SeqParams(a, b)
+    g = generating_matrix(p)
+    inverse = g.inverse()
+    fib, luc = oracle_fib_table(a, b, -42, 42), oracle_lucas_table(a, b, -42, 42)
+    up, down = Mat2.identity(), Mat2.identity()
+    for n in range(1, 41):
+        up, down = up * g, down * inverse
+        assert matrix_power(p, n) == up, n
+        assert power_closed_form(p, n).materialize() == up, n
+        assert matrix_power(p, -n) == down, -n
+        assert ClosedForm(p, -n, oracle_core(a, b, -n, fib, luc)).materialize() == down, -n
+
+
+@pytest.mark.parametrize("a, b", [(F(1), F(-4)), (F(1, 2), F(-8))])
+def test_powers_on_the_singular_line(a, b):
+    # ab + 4 = 0: det(G) = 0 and G^n = 0 for n >= 2; negative powers do not exist
+    p = SeqParams(a, b)
+    g = generating_matrix(p)
+    fib, luc = oracle_fib_table(a, b, -6, 6), oracle_lucas_table(a, b, -6, 6)
+    power = Mat2.identity()
+    for n in range(5):
+        assert matrix_power(p, n) == power, n
+        if n >= 1:
+            assert power_closed_form(p, n).materialize() == power, n
+        if n >= 2:
+            assert power == Mat2(0, 0, 0, 0), n
+        power = power * g
+    for n in (-1, -2, -3):
+        with pytest.raises(SingularMatrixError):
+            matrix_power(p, n)
+        with pytest.raises(SingularMatrixError):
+            det_power(p, n)
+        with pytest.raises(SingularMatrixError):
+            ClosedForm(p, n, oracle_core(a, b, n, fib, luc)).materialize()
+
+
+def test_matrix_powers_take_no_gcd_of_two_big_integers(monkeypatch):
+    # every gcd call, math.gcd (which Fraction's arithmetic uses) and each
+    # module's own gcd name alike, must have an operand of at most 64 bits
+    real = math.gcd
+    smaller = []
+
+    def spy(*operands):
+        smaller.append(min(abs(x).bit_length() for x in operands))
+        return real(*operands)
+
+    monkeypatch.setattr(math, "gcd", spy)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "biperiodic" and getattr(module, "gcd", None) is real:
+            monkeypatch.setattr(module, "gcd", spy)
+    for ab in CANONICAL_PAIRS:
+        p = SeqParams(*ab)
+        for n in (-2001, 2000, 2001, 20000):
+            if n < 0 and p.ab_plus_4 == 0:
+                continue
+            matrix_power(p, n)
+            if n >= 1:
+                power_closed_form(p, n).materialize()
+    assert smaller and max(smaller) <= 64
 
 
 def test_counted_power_reports_products():
