@@ -40,13 +40,16 @@ core of G^m is
 
 Proof: the core is G^m over the prefactor, S * N^m * S^-1 / (ab+4)^j, and
 ab+4 = (r+4s)/s. For j >= 0, N^(2j) = (K^2/s^2)^j = (r+4s)^j * M^j / s^(2j),
-so N^m/(ab+4)^j = M^j * K^e / s^(j+e). For j < 0 (this needs r+4s != 0),
-M^-1 = adj(M)/s^2 turns N^(2j) = ((r+4s) * M/s^2)^j into
-(r+4s)^j * adj(M)^|j|, so N^m/(ab+4)^j = adj(M)^|j| * K^e / s^(|j|+e). At
-the singular point ab + 4 = 0 the j >= 0 form still holds: M/s and K/s
-have entries polynomial in ab, so both sides are polynomials in a, 1/a
-and b that agree off the curve ab = -4, hence on it too. The kernel never
-forms the factor (r+4s)^j, and the prefactor puts it back where G^m needs it.
+so N^m/(ab+4)^j = M^j * K^e / s^(j+e). For j < 0, M^-1 = adj(M)/s^2 turns
+N^(2j) = ((r+4s) * M/s^2)^j into (r+4s)^j * adj(M)^|j|, so
+N^m/(ab+4)^j = adj(M)^|j| * K^e / s^(|j|+e). Each case divides by a power
+of r+4s, so this proves the formula off the curve ab = -4 only; it holds
+on the curve too, for every m. The core holds terms, polynomials in a and b
+(for m < 0 by the sign reflection), and M/s, adj(M)/s and K/s have entries
+polynomial in ab, so both sides are polynomials in a, 1/a and b that agree
+off the curve, hence on it. The kernel never forms the factor (r+4s)^j and
+tests no predicate of the curve; the prefactor puts the factor back where
+G^m needs it.
 
 Cayley-Hamilton ladder. M and adj(M) = t*I - M share the trace t = r+2s
 and the determinant q = s^2, so each B in {M, adj(M)} satisfies
@@ -81,7 +84,8 @@ checked, and ``exact._lowest_terms`` reduces against a's numerator and
 denominator only. The (2,1) entry b*N/s^k shares the checked N of
 t(m) = a*N/s^k and is reduced against b's numerator and denominator the
 same way. ``matrix_power`` runs the same three checks, then finishes G^n
-from the entries of P themselves.
+from the entries of P themselves. A check hands back k, not s^k, so only
+the term finishers build the large powers s^k.
 
 Prefactor. Let Q = det(G) = (a/b)^2 (ab+4) in lowest terms
 (``SeqParams.det_g``); ``det_power`` is Q^n. For n = 2j + e the prefactor
@@ -110,15 +114,18 @@ a/b = 8, s = 2 and every core denominator is a power of 2.
 ``ClosedForm.materialize`` reads each entry v of its core back as the
 integer Z = v * s^x/c, checked, and finishes it the same way.
 
-Degenerate point ab + 4 = 0: Q = det(G) = 0, so G has no inverse and
+Degenerate line ab + 4 = 0: Q = det(G) = 0, so G has no inverse and
 G^n = 0 for n >= 2 (trace and determinant both vanish). There R = Q/s = 0,
 so the finisher gives the zero matrix for n >= 2 (j >= 1) and the core
-times (a/b)^e for n in {0, 1}. Negative powers raise SingularMatrixError:
-``_kernel`` refuses j < 0 and the finisher refuses 1/Q. Term extraction
-is impossible; ``term_fast`` refuses such parameters, while
-``power_closed_form`` still reads its core from the kernel (n >= 1, so
-j >= 0) through the same checked division: its entries are still the
-terms there.
+times (a/b)^e for n in {0, 1}. The kernel and the finisher test no
+predicate of the line; it is decided once, where n comes in from a caller.
+``matrix_power``, ``ClosedForm.materialize`` and ``det_power`` first call
+``_refuse_negative_power``, which raises SingularMatrixError for n < 0 on
+the line. ``power_closed_form`` takes n >= 1 only and serves the line: its
+entries are still the terms. ``term_fast`` refuses the whole line by
+contract, so ``term --method matrix`` exits 3 there, although the kernel
+entry it reads is the term there too; ``--method recurrence`` serves the
+line, and so does ``--method binet`` for lucas.
 """
 from __future__ import annotations
 
@@ -167,10 +174,6 @@ def _kernel(p: SeqParams, m: int) -> tuple[tuple[int, int, int], int, int]:
     j, e = divmod(m, 2)
     if j >= 0:
         base, k = (r + s, s, s), (1, -s)
-    elif r + 4 * s == 0:
-        raise SingularMatrixError(
-            "generating matrix is singular (ab + 4 = 0); negative powers do not exist"
-        )
     else:
         base, k = (s, -s, r + s), (-1, -r - 3 * s)
     t, q = r + 2 * s, s * s
@@ -187,8 +190,8 @@ def _checked_kernel(p: SeqParams, m: int):
     """_kernel's (P11, P12, P22), the term triples of t(m+1), t(m), t(m-1) and the product count.
 
     Each entry goes through ``sequences._checked_triple``, whose checked
-    division yields the triple (eps, N, s^k) of the term it holds (module
-    docstring, lowest terms).
+    division yields the triple (eps, N, k) of the term a^eps * N/s^k it
+    holds (module docstring, lowest terms).
     """
     (p11, p12, p22), x, count = _kernel(p, m)
     kind = _exposed_kind(m)
@@ -230,8 +233,6 @@ def _scaled(p: SeqParams, n: int, zs) -> Mat2:
     big, s = abs(j), p.ab.denominator
     qn, qd = p.det_g.numerator, p.det_g.denominator
     if j < 0:
-        if qn == 0:
-            raise SingularMatrixError("ab + 4 = 0: det(G) = 0, negative powers do not exist")
         qn, qd = (qd, qn) if qn > 0 else (-qd, -qn)
     g = gcd(qn, s)
     rn, rd = qn // g, qd * (s // g)  # R = Q/s for j >= 0, 1/(Q*s) for j < 0
@@ -260,6 +261,14 @@ def _scaled(p: SeqParams, n: int, zs) -> Mat2:
     return Mat2(*entries)
 
 
+def _refuse_negative_power(p: SeqParams, n: int) -> None:
+    """The one refusal of G^n for n < 0 on the line ab + 4 = 0, where det(G) = 0."""
+    if n < 0 and p.ab_plus_4 == 0:
+        raise SingularMatrixError(
+            "ab + 4 = 0: generating matrix is singular, negative powers do not exist"
+        )
+
+
 def matrix_power_counted(p: SeqParams, n: int) -> tuple[Mat2, int]:
     """G^n for any integer n, with the number of 2x2 products performed.
 
@@ -268,6 +277,7 @@ def matrix_power_counted(p: SeqParams, n: int) -> tuple[Mat2, int]:
     ``Fraction`` arithmetic and no gcd of two big integers (module
     docstring, prefactor). Negative powers require ab + 4 != 0.
     """
+    _refuse_negative_power(p, n)
     (p11, p12, p22), _, count = _checked_kernel(p, n)
     return _scaled(p, n, (p11, p12, p12, p22)), count
 
@@ -283,8 +293,7 @@ def det_power(p: SeqParams, n: int) -> Rational:
     at n = 0; negative powers do not exist there and raise
     SingularMatrixError.
     """
-    if n < 0 and p.ab_plus_4 == 0:
-        raise SingularMatrixError("ab + 4 = 0: determinant is 0, negative powers do not exist")
+    _refuse_negative_power(p, n)
     return p.det_g**n
 
 
@@ -327,9 +336,11 @@ class ClosedForm:
 
         Each core entry is read back as the integer entry * s^(|j|+e)/c,
         c = (1, a, b, 1), checked; a core whose entries do not all give an
-        integer raises AssertionError.
+        integer raises AssertionError. n < 0 on the line ab + 4 = 0 raises
+        SingularMatrixError, as in ``matrix_power``.
         """
         p, n, core = self.params, self.n, self.core
+        _refuse_negative_power(p, n)
         j, e = divmod(n, 2)
         x = abs(j) + e
         s_x = p.ab.denominator**x
@@ -352,7 +363,9 @@ def power_closed_form(p: SeqParams, n: int) -> ClosedForm:
     """
     if n < 1:
         raise ValueError("power_closed_form requires n >= 1")
-    _, (t11, t12, t22), _ = _checked_kernel(p, n)
+    _, triples, _ = _checked_kernel(p, n)
+    s = p.ab.denominator
+    t11, t12, t22 = ((eps, num, s**k) for eps, num, k in triples)
     a, b = p.a, p.b
     core = Mat2(_lowest_terms(a, *t11), _lowest_terms(a, *t12), _lowest_terms(b, *t12), _lowest_terms(a, *t22))
     return ClosedForm(p, n, core)
@@ -370,8 +383,8 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
     """
     if p.ab_plus_4 == 0:
         raise SingularMatrixError(
-            "term extraction needs ab + 4 != 0 (the prefactor vanishes); "
-            "use the recurrence for this parameter point"
+            "ab + 4 = 0: the matrix term path refuses this parameter line; "
+            "use the recurrence, or Binet for lucas"
         )
     m = n if kind is _exposed_kind(n) else n + 1
     power, exponent, count = _kernel(p, m)

@@ -34,7 +34,13 @@ Catalog notes:
   (even, even) respectively, which their domains do not include.
 * ``det-power``, ``matrix-form``, ``inverse-power``, ``binet-fib`` and
   ``binet-lucas`` cross-check the matrix and closed-form engines against
-  the recurrence oracle and against each other.
+  the recurrence oracle and against each other. On the line ab = -4,
+  where ab + 4 = 0 and ab(ab + 4) = 0 alike (ab != 0), two engines refuse:
+  ``inverse-power`` needs G^-n, which does not exist there, and
+  ``binet-fib`` divides by alpha - beta = 0. Each of the two carries its
+  reason as data, ``_IdentityDef.line_reason``, and the verify grid
+  records every point on the line as an exclusion with that reason; the
+  other three check the line like any other point.
 
 How a check runs: an evaluator reads its terms and the constants a, b and
 ab + 4 from one ``_Table`` per parameter point. The terms come from the
@@ -418,18 +424,6 @@ _OPPOSITE = _ParityDomain(frozenset({(0, 1), (1, 0)}), "m and n of opposite pari
 _EVEN_M_ODD_N = _ParityDomain(frozenset({(0, 1)}), "m even and n odd")
 
 
-def _needs_invertible(p: SeqParams) -> Optional[str]:
-    if p.ab_plus_4 == 0:
-        return "ab + 4 = 0: generating matrix is singular"
-    return None
-
-
-def _needs_distinct_roots(p: SeqParams) -> Optional[str]:
-    if p.disc == 0:
-        return "ab = -4: repeated characteristic root"
-    return None
-
-
 @dataclass(frozen=True)
 class _IdentityDef:
     evaluate: Callable
@@ -437,7 +431,9 @@ class _IdentityDef:
     n_range: tuple[int, int]
     m_range: Optional[tuple[int, int]] = None
     parity_domain: Optional[_ParityDomain] = None
-    exclude: Optional[Callable[[SeqParams], Optional[str]]] = None
+    #: why the entry's engine refuses the line ab + 4 = 0, recorded for each
+    #: grid point on it; None: the line is checked like any other point
+    line_reason: Optional[str] = None
     min_index: Optional[int] = None
     expected: Expectation = Expectation.HOLDS
     #: documented exact lhs - rhs as gap(table, lhs, *indices); None: lhs == rhs
@@ -496,11 +492,13 @@ _CATALOG: dict[IdentityId, _IdentityDef] = {
     IdentityId.SUB_QQ: _IdentityDef(_eval_sub_qq, _SHIFTED, _SHIFTED, parity_domain=_BOTH_EVEN),
     IdentityId.SUB_LL: _IdentityDef(_eval_sub_ll, _SHIFTED, _SHIFTED, parity_domain=_BOTH_ODD),
     IdentityId.SUB_QL: _IdentityDef(_eval_sub_ql, _SHIFTED, _SHIFTED, parity_domain=_EVEN_M_ODD_N),
-    IdentityId.BINET_FIB: _IdentityDef(_eval_binet_fib, (-50, 50), exclude=_needs_distinct_roots),
+    IdentityId.BINET_FIB: _IdentityDef(
+        _eval_binet_fib, (-50, 50), line_reason="ab = -4: repeated characteristic root"
+    ),
     IdentityId.BINET_LUCAS: _IdentityDef(_eval_binet_lucas, (-50, 50)),
     IdentityId.MATRIX_FORM: _IdentityDef(_eval_matrix_form, (1, 64), min_index=1),
     IdentityId.INVERSE_POWER: _IdentityDef(
-        _eval_inverse_power, (-16, 16), exclude=_needs_invertible
+        _eval_inverse_power, (-16, 16), line_reason="ab + 4 = 0: generating matrix is singular"
     ),
 }
 
@@ -623,8 +621,9 @@ def verify_grid(
     the range given. A one-index identity ignores ``m_range`` and reports
     it as None.
 
-    Parameter points where the identity is undefined (singular matrix,
-    repeated root) are recorded as exclusions, never counted or thrown.
+    Where the entry has a ``line_reason`` (inverse-power, binet-fib), each
+    point on the line ab + 4 = 0 is recorded as an exclusion with that
+    reason, never counted or thrown.
     Counterexamples come back sorted lexicographically by (a, b, indices)
     so reports are reproducible byte for byte.
     """
@@ -646,7 +645,7 @@ def verify_grid(
     else:
         m_range = None
 
-    evaluator, gap = idef.evaluate, idef.gap
+    evaluator, gap, line_reason = idef.evaluate, idef.gap, idef.line_reason
     grid = _index_tuples(idef, n_range, m_range)
     checked = passed = unexpected = 0
     counterexamples: list[Counterexample] = []
@@ -654,11 +653,9 @@ def verify_grid(
     for a in a_vals:
         for b in b_vals:
             p = SeqParams(a, b)
-            if idef.exclude is not None:
-                reason = idef.exclude(p)
-                if reason is not None:
-                    excluded.append(ExcludedPoint(a, b, reason))
-                    continue
+            if line_reason is not None and p.ab_plus_4 == 0:
+                excluded.append(ExcludedPoint(a, b, line_reason))
+                continue
             table = _Table(p)
             for indices in grid:
                 lhs, rhs = evaluator(table, *indices)

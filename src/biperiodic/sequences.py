@@ -201,22 +201,22 @@ def _term_shape(kind: SequenceKind, n: int) -> tuple[int, int]:
 def _checked_triple(
     p: SeqParams, kind: SequenceKind, n: int, num: int, x: int, c: int
 ) -> tuple[int, int, int]:
-    """(eps, N, s^k) with t(n) = a^eps * N/s^k = a^eps * num/(c * s^x).
+    """(eps, N, k) with t(n) = a^eps * N/s^k = a^eps * num/(c * s^x).
 
     Here ab = r/s in lowest terms. Both O(log n) engines hand each term
     over as num/(c * s^x). With (eps, k) from ``_term_shape``, that shape
     makes c * s^(x-k) divide num exactly; a remainder means an engine broke
     that shape and raises AssertionError (raised, not asserted, so
-    ``python -O`` keeps the check). The result is the triple ``_forward``
-    yields, N prime to s.
+    ``python -O`` keeps the check). N is prime to s. The exponent k comes
+    back, not the power s^k, so a caller that only checks builds no big
+    power.
     """
     eps, k = _term_shape(kind, n)
-    s = p.ab.denominator
-    divisor = c * s ** (x - k)
+    divisor = c * p.ab.denominator ** (x - k)
     quotient, remainder = divmod(num, divisor)
     if remainder:
         raise AssertionError(f"{kind.value}({n}): engine numerator is not a multiple of {divisor}")
-    return eps, quotient, s**k
+    return eps, quotient, k
 
 
 def _finished_term(p: SeqParams, kind: SequenceKind, n: int, num: int, x: int, c: int) -> Rational:
@@ -226,7 +226,8 @@ def _finished_term(p: SeqParams, kind: SequenceKind, n: int, num: int, x: int, c
     ``exact._lowest_terms`` finishes the term with gcds against a's
     numerator and denominator only.
     """
-    return _lowest_terms(p.a, *_checked_triple(p, kind, n, num, x, c))
+    eps, quotient, k = _checked_triple(p, kind, n, num, x, c)
+    return _lowest_terms(p.a, eps, quotient, p.ab.denominator**k)
 
 
 def terms(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:

@@ -27,7 +27,7 @@ from biperiodic import (
 from biperiodic import genmatrix
 from biperiodic.exact import _power
 from biperiodic.genmatrix import _Ladder
-from biperiodic.sequences import terms
+from biperiodic.sequences import _finished_term, terms
 from conftest import brute_mat_pow, classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
 
 FIB = SequenceKind.FIBONACCI
@@ -369,8 +369,22 @@ def test_powers_where_a_over_b_shares_the_prime_of_s(a, b):
         assert ClosedForm(p, -n, oracle_core(a, b, -n, fib, luc)).materialize() == down, -n
 
 
+@pytest.mark.parametrize("a, b", [(F(1), F(-4)), (F(1, 2), F(-8)), (F(2), F(-2))])
+def test_kernel_serves_the_singular_line(a, b):
+    # the kernel decides nothing about ab + 4 = 0: the entry term_fast reads,
+    # finished by the checked division, is the term there too, at both signs of j
+    p = SeqParams(a, b)
+    oracles = {FIB: oracle_fib_table(a, b, -12, 13), LUC: oracle_lucas_table(a, b, -12, 13)}
+    for kind, oracle in oracles.items():
+        for n in range(-12, 13):
+            m = n if kind is genmatrix._exposed_kind(n) else n + 1
+            power, exponent, _ = genmatrix._kernel(p, m)
+            entry = power[1] if m == n else power[2]
+            assert _finished_term(p, kind, n, entry, exponent, 1) == oracle[n], (kind, n)
+
+
 @pytest.mark.parametrize("a, b", [(F(1), F(-4)), (F(1, 2), F(-8))])
-def test_powers_on_the_singular_line(a, b):
+def test_powers_on_the_singular_line(a, b, monkeypatch):
     # ab + 4 = 0: det(G) = 0 and G^n = 0 for n >= 2; negative powers do not exist
     p = SeqParams(a, b)
     g = generating_matrix(p)
@@ -384,12 +398,28 @@ def test_powers_on_the_singular_line(a, b):
             assert power == Mat2(0, 0, 0, 0), n
         power = power * g
     for n in (-1, -2, -3):
-        with pytest.raises(SingularMatrixError):
-            matrix_power(p, n)
-        with pytest.raises(SingularMatrixError):
-            det_power(p, n)
-        with pytest.raises(SingularMatrixError):
-            ClosedForm(p, n, oracle_core(a, b, n, fib, luc)).materialize()
+        refusals = (
+            lambda: matrix_power(p, n),
+            lambda: det_power(p, n),
+            lambda: ClosedForm(p, n, oracle_core(a, b, n, fib, luc)).materialize(),
+        )
+        messages = set()
+        for refused in refusals:
+            with pytest.raises(SingularMatrixError) as info:
+                refused()
+            messages.add(str(info.value))
+        assert len(messages) == 1, messages
+    # refused where n comes in, before any kernel power
+    kernel, calls = genmatrix._kernel, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(genmatrix, "_kernel", counted)
+    with pytest.raises(SingularMatrixError):
+        matrix_power(p, -3)
+    assert calls == []
 
 
 def test_matrix_powers_take_no_gcd_of_two_big_integers(monkeypatch):

@@ -28,6 +28,9 @@ from conftest import nonzero, oracle_fib_table, oracle_lucas_table, pairs
 #: small index windows lo..hi with lo <= 0 <= hi
 WINDOW = st.tuples(st.integers(-8, 0), st.integers(0, 8))
 GENERIC_PAIRS = [(F(2), F(3)), (F(5, 3), F(-7, 2)), (F(-1), F(1, 2))]
+#: a 4 x 5 grid with four points on the line ab = -4, ON_THE_LINE in (a, b) order
+LINE_GRID = ([1, 2, F(-1, 2), 4], [-4, -2, 8, -1, 3])
+ON_THE_LINE = [(F(-1, 2), 8), (1, -4), (2, -2), (4, -1)]
 
 
 class TestTermTable:
@@ -289,17 +292,26 @@ class TestVerifyGrid:
         assert det_power(SeqParams(1, -4), 3) == 0
 
     def test_inverse_power_records_exclusions(self):
-        report = verify_grid(IdentityId.INVERSE_POWER, [1, 2], [-4, 1], n_range=(-4, 4))
-        assert len(report.excluded) == 1
-        assert (report.excluded[0].a, report.excluded[0].b) == (1, -4)
-        assert report.checked == 3 * 9
-        assert report.passed == report.checked
+        report = verify_grid(IdentityId.INVERSE_POWER, *LINE_GRID, n_range=(-4, 4))
+        reason = "ab + 4 = 0: generating matrix is singular"
+        assert [(e.a, e.b, e.reason) for e in report.excluded] == [(a, b, reason) for a, b in ON_THE_LINE]
+        assert report.passed == report.checked == 16 * 9
 
     def test_binet_fib_records_degenerate_exclusions(self):
-        report = verify_grid(IdentityId.BINET_FIB, [2], [-2, 3], n_range=(-5, 5))
-        assert len(report.excluded) == 1
-        assert report.excluded[0].reason.startswith("ab = -4")
-        assert report.passed == report.checked == 11
+        report = verify_grid(IdentityId.BINET_FIB, *LINE_GRID, n_range=(-5, 5))
+        reason = "ab = -4: repeated characteristic root"
+        assert [(e.a, e.b, e.reason) for e in report.excluded] == [(a, b, reason) for a, b in ON_THE_LINE]
+        assert report.passed == report.checked == 16 * 11
+
+    @pytest.mark.parametrize(
+        "ident, indices",
+        [(IdentityId.DET_POWER, 5), (IdentityId.MATRIX_FORM, 5), (IdentityId.BINET_LUCAS, 11)],
+    )
+    def test_engine_entries_without_a_reason_check_the_line(self, ident, indices):
+        # n_range -5..5, clipped at min_index 1 for det-power and matrix-form
+        report = verify_grid(ident, *LINE_GRID, n_range=(-5, 5))
+        assert report.excluded == ()
+        assert report.passed == report.checked == 20 * indices
 
     def test_report_invariants(self):
         passing = verify_grid(IdentityId.CASSINI_LUCAS, [2], [3], n_range=(1, 20))
@@ -447,8 +459,7 @@ def _naive_report(ident, a_values, b_values, n_range, m_range):
     counterexamples = []
     for a in a_values:
         for b in b_values:
-            p = SeqParams(a, b)
-            if idef.exclude is not None and idef.exclude(p) is not None:
+            if idef.line_reason is not None and F(a) * F(b) == -4:
                 continue
             table = _OracleTable(a, b, 4 * (WINDOW_REACH + 1))
             for indices in grid:
