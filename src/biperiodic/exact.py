@@ -249,6 +249,8 @@ class Mat2:
     e22: object
 
     def __post_init__(self):
+        if type(self.e11) is type(self.e12) is type(self.e21) is type(self.e22) is Fraction:
+            return  # nothing to coerce: the engines' results are Fractions already
         object.__setattr__(self, "e11", _coerce_scalar(self.e11))
         object.__setattr__(self, "e12", _coerce_scalar(self.e12))
         object.__setattr__(self, "e21", _coerce_scalar(self.e21))

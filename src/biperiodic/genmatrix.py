@@ -112,20 +112,23 @@ their exponents against each other.
 That matters where a/b shares a prime with s: at (a, b) = (2, 1/4),
 a/b = 8, s = 2 and every core denominator is a power of 2.
 ``ClosedForm.materialize`` reads each entry v of its core back as the
-integer Z = v * s^x/c, checked, and finishes it the same way.
+integer Z = v * s^x/c, checked, and finishes it the same way; so does the
+catalog's matrix-form check, which hands ``_from_core`` its core as
+unreduced (numerator, denominator) pairs.
 
 Degenerate line ab + 4 = 0: Q = det(G) = 0, so G has no inverse and
 G^n = 0 for n >= 2 (trace and determinant both vanish). There R = Q/s = 0,
 so the finisher gives the zero matrix for n >= 2 (j >= 1) and the core
 times (a/b)^e for n in {0, 1}. The kernel and the finisher test no
 predicate of the line; it is decided once, where n comes in from a caller.
-``matrix_power``, ``ClosedForm.materialize`` and ``det_power`` first call
-``_refuse_negative_power``, which raises SingularMatrixError for n < 0 on
-the line. ``power_closed_form`` takes n >= 1 only and serves the line: its
-entries are still the terms. ``term_fast`` refuses the whole line by
-contract, so ``term --method matrix`` exits 3 there, although the kernel
-entry it reads is the term there too; ``--method recurrence`` serves the
-line, and so does ``--method binet`` for lucas.
+``matrix_power``, ``_from_core`` (so ``ClosedForm.materialize``) and
+``det_power`` first call ``_refuse_negative_power``, which raises
+SingularMatrixError for n < 0 on the line. ``power_closed_form`` takes
+n >= 1 only and serves the line: its entries are still the terms.
+``term_fast`` refuses the whole line by contract, so ``term --method
+matrix`` exits 3 there, although the kernel entry it reads is the term
+there too; ``--method recurrence`` serves the line, and so does
+``--method binet`` for lucas.
 """
 from __future__ import annotations
 
@@ -339,19 +342,32 @@ class ClosedForm:
         integer raises AssertionError. n < 0 on the line ab + 4 = 0 raises
         SingularMatrixError, as in ``matrix_power``.
         """
-        p, n, core = self.params, self.n, self.core
-        _refuse_negative_power(p, n)
-        j, e = divmod(n, 2)
-        x = abs(j) + e
-        s_x = p.ab.denominator**x
-        zs = []
-        for v, c in zip((core.e11, core.e12, core.e21, core.e22), (1, p.a, p.b, 1)):
-            q, r = divmod(s_x * c.denominator, v.denominator)
-            z, rest = divmod(v.numerator * q, c.numerator)
-            if r or rest:
-                raise AssertionError(f"a core entry is not {c} * Z / s^{x} for an integer Z")
-            zs.append(z)
-        return _scaled(p, n, zs)
+        core = self.core
+        entries = (core.e11, core.e12, core.e21, core.e22)
+        return _from_core(self.params, self.n, [(v.numerator, v.denominator) for v in entries])
+
+
+def _from_core(p: SeqParams, n: int, pairs) -> Mat2:
+    """G^n from its core, each entry e11, e12, e21, e22 given as a pair (num, den), den != 0.
+
+    A pair need not be in lowest terms, and den may be negative. Each entry
+    is read back as the integer Z = (num/den) * s^(|j|+e)/c, c = (1, a, b,
+    1), by one checked exact division; an entry that gives no integer
+    raises AssertionError. ``_scaled`` finishes G^n from the four Z.
+    ``ClosedForm.materialize`` and the catalog's matrix-form check, which
+    reads its core from the walk, both finish here.
+    """
+    _refuse_negative_power(p, n)
+    j, e = divmod(n, 2)
+    x = abs(j) + e
+    s_x = p.ab.denominator**x
+    zs = []
+    for (num, den), c in zip(pairs, (1, p.a, p.b, 1)):
+        z, rest = divmod(num * s_x * c.denominator, den * c.numerator)
+        if rest:
+            raise AssertionError(f"a core entry is not {c} * Z / s^{x} for an integer Z")
+        zs.append(z)
+    return _scaled(p, n, zs)
 
 
 def power_closed_form(p: SeqParams, n: int) -> ClosedForm:

@@ -58,18 +58,31 @@ q(m)*q(n-1), over s^((m+n-4)/2). The constants a and b stay ``_Unreduced``
 at every point, so ``cassini-lucas``'s division by a is exact. Either way
 a check takes no gcd, and the evaluators keep the formulas they would have
 over ``Fraction``s. A value becomes a ``Fraction`` only at the boundary:
-when a ``Counterexample`` stores it, when the public ``evaluate`` returns
-it, and in the ``Mat2``-valued matrix-form core. Every coefficient c(n),
-a or b by the parity of n, comes from ``sequences._coefficient``, the one
-home of that alternation.
+when a ``Counterexample`` stores it and when the public ``evaluate``
+returns it. matrix-form hands its walk core to ``genmatrix`` as
+(numerator, denominator) pairs, which ``genmatrix._from_core`` reads back
+to integers, one checked division each. Every coefficient c(n), a or b by
+the parity of n, comes from ``sequences._coefficient``, the one home of
+that alternation.
+
+How a grid runs: a point pays for its evaluators and little else. A
+two-index grid is built from its four parity sub-boxes, and
+``_IdentityDef.refusal``, the one domain check, is asked once per
+sub-box (``_index_tuples``). At each point ``verify_grid`` maps the
+evaluator over the grid and compares its two sides in C loops
+(``itertools.starmap``), keeping one flag per check. A point whose checks
+all hold runs no Python loop step; a point with a failed check, and every
+point of the two entries with a ``gap``, go through a per-tuple loop,
+which evaluates a failed check again to report it.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
-from itertools import product
+from itertools import compress, starmap
+from operator import eq, not_
 from typing import Callable, NamedTuple, Optional
 
 from . import binet as _binet
@@ -313,12 +326,18 @@ def _eval_det_power(t: _Table, n: int):
     return _gm.matrix_power(t.params, n).det(), _gm.det_power(t.params, n)
 
 
+def _pair(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int, Fraction or ``_Unreduced``, as it stands."""
+    return (value.n, value.d) if type(value) is _Unreduced else (value.numerator, value.denominator)
+
+
 def _eval_matrix_form(t: _Table, n: int):
     # the core comes from the walk, so binary exponentiation is checked against it
     p, read = t.params, t.fib if _gm._exposed_kind(n) is _FIB else t.lucas
-    below, mid, above = (_fraction(read(k)) for k in (n - 1, n, n + 1))
-    core = Mat2(above, mid, (p.b / p.a) * mid, below)
-    return _gm.ClosedForm(p, n, core).materialize(), _gm.matrix_power(p, n)
+    below, (mn, md), above = (_pair(read(k)) for k in (n - 1, n, n + 1))
+    a, b = p.a, p.b
+    side = (b.numerator * a.denominator * mn, b.denominator * a.numerator * md)  # (b/a) * t(n)
+    return _gm._from_core(p, n, (above, (mn, md), side, below)), _gm.matrix_power(p, n)
 
 
 def _eval_inverse_power(t: _Table, n: int):
@@ -599,10 +618,27 @@ def report_matches_expectation(report: IdentityReport) -> bool:
 
 
 def _index_tuples(idef: _IdentityDef, n_range, m_range) -> list[tuple[int, ...]]:
-    """The grid's index tuples that ``idef.refusal`` admits, m-major, n ascending."""
-    spans = (n_range,) if idef.arity == 1 else (m_range, n_range)
-    grid = product(*(range(lo, hi + 1) for lo, hi in spans))
-    return [indices for indices in grid if idef.refusal(indices) is None]
+    """The grid's index tuples that ``idef.refusal`` admits, m-major, n ascending.
+
+    A one-index grid asks ``refusal`` of every tuple. A two-index grid is
+    the union of its four parity sub-boxes, (m & 1, n & 1) fixed, and asks
+    ``refusal`` once per sub-box, of its first tuple, keeping or dropping
+    the whole sub-box: no two-index entry has a ``min_index``, so
+    ``refusal`` is constant on each. The n of an m row are then one
+    stepped range for each parity of m.
+    """
+    if idef.arity == 1:
+        lo, hi = n_range
+        return [indices for indices in zip(range(lo, hi + 1)) if idef.refusal(indices) is None]
+    (m_lo, m_hi), (n_lo, n_hi) = m_range, n_range
+    rows = {}  # parity of m -> the admitted n of every m of that parity
+    for m in range(m_lo, min(m_lo + 2, m_hi + 1)):
+        kept = [n for n in range(n_lo, min(n_lo + 2, n_hi + 1)) if idef.refusal((m, n)) is None]
+        if len(kept) == 2:
+            rows[m & 1] = range(n_lo, n_hi + 1)
+        else:
+            rows[m & 1] = range(kept[0], n_hi + 1, 2) if kept else ()
+    return [(m, n) for m in range(m_lo, m_hi + 1) for n in rows[m & 1]]
 
 
 def verify_grid(
@@ -624,6 +660,12 @@ def verify_grid(
     Where the entry has a ``line_reason`` (inverse-power, binet-fib), each
     point on the line ab + 4 = 0 is recorded as an exclusion with that
     reason, never counted or thrown.
+    An entry without a ``gap`` runs a point's checks as one
+    ``starmap(eq, starmap(partial(evaluator, table), grid))`` and keeps
+    only the flags; where one is false, that check runs again in the
+    per-tuple loop that every check of a ``gap`` entry takes, to judge it
+    and build its counterexample. Evaluators only read the table, so a
+    second run gives the same sides.
     Counterexamples come back sorted lexicographically by (a, b, indices)
     so reports are reproducible byte for byte.
     """
@@ -657,19 +699,28 @@ def verify_grid(
                 excluded.append(ExcludedPoint(a, b, line_reason))
                 continue
             table = _Table(p)
-            for indices in grid:
+            checked += len(grid)
+            if gap is None:
+                # the point's checks in one C loop, keeping only the flags
+                flags = list(starmap(eq, starmap(partial(evaluator, table), grid)))
+                held = flags.count(True)
+                passed += held
+                if held == len(grid):
+                    continue
+                unexpected += len(grid) - held
+                # evaluators are pure reads of the table: a failed check runs again
+                suspects = compress(grid, map(not_, flags))
+            else:
+                suspects = grid
+            for indices in suspects:
                 lhs, rhs = evaluator(table, *indices)
-                checked += 1
-                held = lhs == rhs
-                if held:
+                if lhs == rhs:
                     passed += 1
                 else:
                     counterexamples.append(
                         Counterexample(a, b, indices, _fraction(lhs), _fraction(rhs))
                     )
-                if gap is None:
-                    unexpected += not held
-                elif lhs - rhs != gap(table, lhs, *indices):
+                if gap is not None and lhs - rhs != gap(table, lhs, *indices):
                     unexpected += 1
     counterexamples.sort(key=lambda ce: (ce.a, ce.b, ce.indices))
     excluded.sort(key=lambda ex: (ex.a, ex.b))

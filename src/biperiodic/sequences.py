@@ -49,8 +49,9 @@ X_(j+1) and Y_(j+1) are both r*Y_j, and Y_0 = 1, so Y_j and X_(j+1) are
 r^j and r^(j+1) modulo s and prime to it (X_0 sits over s^0 = 1): each
 term comes out as a^eps * N/s^k with gcd(N, s) = 1, the (eps, k) of
 ``_term_shape``. ``_forward`` is this one walk; it yields (eps, N, s^k)
-per index, carries s^k along and takes no gcd. ``_reflect`` reads every
-negative index from it, so the fast path never steps backward.
+per index, carries s^k along and takes no gcd. Every negative index is
+read from it by the sign rule, ``_NEGATED_PARITY``, so the fast path
+never steps backward.
 ``TermTable`` and ``terms`` finish each term they keep with
 ``exact._lowest_terms``, which takes gcds against a's numerator and
 denominator only; ``TermTable`` keeps each term of one parameter pair once
@@ -180,10 +181,10 @@ def _forward(p: SeqParams, kind: SequenceKind):
         power *= s
 
 
-def _reflect(kind: SequenceKind, k: int, t: Rational) -> Rational:
-    """t(-k) from t = t(k): the sign is (-1)^(k+1) for fibonacci, (-1)^k for lucas."""
-    sign_exponent = k + 1 if kind is SequenceKind.FIBONACCI else k
-    return -t if parity(sign_exponent) == 1 else t
+#: The sign rule t(-k) = (-1)^(k+1) * t(k) for fibonacci, (-1)^k * t(k) for
+#: lucas, as data: the parity of the k >= 0 at which t(-k) = -t(k). Its
+#: readers test k & 1 against it inline, with no call per index.
+_NEGATED_PARITY = {SequenceKind.FIBONACCI: 0, SequenceKind.LUCAS: 1}
 
 
 def _term_shape(kind: SequenceKind, n: int) -> tuple[int, int]:
@@ -239,6 +240,7 @@ def terms(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:
     if lo > hi:
         raise ValueError(f"empty index range {lo}..{hi}")
     below, above = [], []  # t(min(hi, -1)) down to t(lo); t(max(lo, 0)) up to t(hi)
+    negated = _NEGATED_PARITY[kind]
     for k, (eps, num, den) in enumerate(islice(_forward(p, kind), max(-lo, hi) + 1)):
         inside, mirrored = lo <= k <= hi, k and lo <= -k <= hi
         if inside or mirrored:
@@ -246,31 +248,31 @@ def terms(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:
             if inside:
                 above.append(t)
             if mirrored:
-                below.append(_reflect(kind, k, t))
+                below.append(-t if k & 1 == negated else t)
     return below[::-1] + above
 
 
 class _Walk(dict):
-    """n -> value(eps, N, s^k) of t(|n|) for one sequence, signed by ``_reflect`` when n < 0.
+    """n -> value(eps, N, s^k) of t(|n|) for one sequence, signed by ``_NEGATED_PARITY`` for n < 0.
 
     A missing index extends the one ``_forward`` walk to |n| and stores both
     signs of every index it passes, so a stored index is a plain dict read:
     ``walk.__getitem__`` runs no Python frame. ``value`` builds each stored
     value from the walk's triple t(|n|) = a^eps * N/s^k, once per index
-    walked.
+    walked; the sign of t(-k) is a test of k's low bit, inline.
     """
 
     def __init__(self, p: SeqParams, kind: SequenceKind, value):
         super().__init__()
-        self._kind, self._value = kind, value
+        self._negated, self._value = _NEGATED_PARITY[kind], value
         self._pairs = _forward(p, kind)
         self._next = 0  # the first index not walked yet
 
     def __missing__(self, n: int):
-        kind, value = self._kind, self._value
+        negated, value, pairs = self._negated, self._value, self._pairs
         for k in range(self._next, abs(n) + 1):
-            t = value(*next(self._pairs))
-            self[-k] = _reflect(kind, k, t)
+            t = value(*next(pairs))
+            self[-k] = -t if k & 1 == negated else t
             self[k] = t
         self._next = abs(n) + 1
         return self[n]

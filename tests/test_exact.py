@@ -183,6 +183,18 @@ FIB_Q = Mat2(1, 1, 1, 0)
 
 
 class TestMat2:
+    def test_entries_are_coerced_unless_all_are_fractions(self):
+        # four Fractions are kept as they are; an int or QuadExt among them
+        # is still coerced or kept, and a float still refused
+        entries = (F(1, 2), F(-3), F(0), F(7, 5))
+        m = Mat2(*entries)
+        assert all(got is want for got, want in zip((m.e11, m.e12, m.e21, m.e22), entries))
+        mixed = Mat2(F(1, 2), 3, QuadExt(1, 1, 5), F(7, 5))
+        assert type(mixed.e12) is F and mixed.e12 == 3
+        assert mixed.e21 == QuadExt(1, 1, 5)
+        with pytest.raises(TypeError):
+            Mat2(F(1, 2), F(-3), F(0), 0.5)
+
     def test_identity_commutes(self):
         m = Mat2(F(16, 3), F(4, 3), 2, F(4, 3))
         identity = Mat2.identity()

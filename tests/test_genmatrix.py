@@ -346,6 +346,24 @@ def test_a_core_entry_off_its_term_shape_is_refused():
         ClosedForm(p, 10, bad).materialize()
 
 
+@pytest.mark.parametrize("a, b", [(F(5, 3), F(-4, 3)), (F(2), F(1, 4)), (F(-3, 2), F(1, 2))])
+@pytest.mark.parametrize("n", [1, 2, 9, -10])
+def test_a_core_given_as_unreduced_pairs_finishes_like_materialize(a, b, n):
+    # the catalog hands the core over as (numerator, denominator) pairs, not
+    # in lowest terms and with either sign of denominator
+    p = SeqParams(a, b)
+    fib = oracle_fib_table(a, b, n - 1, n + 1)
+    luc = oracle_lucas_table(a, b, n - 1, n + 1)
+    core = oracle_core(a, b, n, fib, luc)
+    entries = (core.e11, core.e12, core.e21, core.e22)
+    pairs = [(-7 * v.numerator, -7 * v.denominator) for v in entries]
+    power = matrix_power(p, n)
+    assert genmatrix._from_core(p, n, pairs) == ClosedForm(p, n, core).materialize() == power
+    pairs[2] = (pairs[2][0] + 1, pairs[2][1])
+    with pytest.raises(AssertionError, match="for an integer Z"):
+        genmatrix._from_core(p, n, pairs)
+
+
 def oracle_core(a, b, n, fib, luc):
     """The core [[t(n+1), t(n)], [(b/a)*t(n), t(n-1)]] of G^n from oracle tables."""
     t = fib if n % 2 == 0 else luc

@@ -78,6 +78,16 @@ EXTRA_GOLDEN = [
      0, "ee57a31cb8508890638b9d1f22055a9d854cfe709803a70771f3da188d56e61f"),
     (("matrix", "--a", "1/2", "--b", "2/3", "--n", "-10", "--show", "entries"),
      0, "dc411e6953e569d52339e46a8281392091b11cdf61114581bbc45e18aac4c98d"),
+    # a duplicated value in the a set, so the same point is checked twice and
+    # its counterexamples come back twice, in order
+    (("verify", "--identity", "thm6-vi-printed", "--a-set", "1/2,1/2,-3", "--b-set", "3,-3/2",
+      "--n-range", "-3..4", "--m-range", "-2..5"),
+     0, "abf14fe9c004b3e10e6708bce09b8bc42a8d46f8b530f9fa5b97d965b8ae48e9"),
+    # the whole catalog on boxes that start at odd indices, so each two-index
+    # grid's parity classes begin off the box's first row and column
+    (("verify", "--identity", "all", "--a-set", "5/3,-2", "--b-set", "-7/2,1/2",
+      "--n-range", "-7..6", "--m-range", "-3..8"),
+     0, "1f908e7c9deb0c5dd859627078280e66174d8e8be05842c1d0735e0b1fb2555c"),
 ]
 
 GOLDEN = [

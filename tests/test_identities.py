@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 from itertools import product
 
@@ -22,7 +23,14 @@ from biperiodic import (
     report_matches_expectation,
     verify_grid,
 )
-from biperiodic.identities import _CATALOG, _index_tuples, _Unreduced
+from biperiodic.identities import (
+    _CATALOG,
+    _eval_sub_qq,
+    _fraction,
+    _index_tuples,
+    _Table,
+    _Unreduced,
+)
 from conftest import nonzero, oracle_fib_table, oracle_lucas_table, pairs
 
 #: small index windows lo..hi with lo <= 0 <= hi
@@ -598,3 +606,73 @@ def test_parity_rules_fail_on_the_classes_outside_their_domain(ident):
                  for m, n in product(window, repeat=2) if (m & 1, n & 1) == cls]
         held = all(lhs == rhs for lhs, rhs in sides)
         assert held is (cls in HOLDS_OFF_DOMAIN.get(ident, ())), cls
+
+
+#: an index box lo..hi of width 1..8, starting at odd and even indices alike
+BOX = st.integers(-12, 12).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, lo + 7)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(n_range=BOX, m_range=BOX)
+@example(n_range=(3, 3), m_range=(-4, 5))  # one column: a single n parity
+@example(n_range=(-3, 4), m_range=(2, 2))  # one row: a single m parity
+@example(n_range=(-5, 0), m_range=(-5, -5))  # n wholly below min_index 1
+@example(n_range=(-4, 3), m_range=(-3, 4))  # odd m start, even n start
+def test_index_tuples_are_the_box_filtered_by_refusal(n_range, m_range):
+    # the grid asks refusal once per parity sub-box; it must keep exactly
+    # the tuples that asking it of every tuple keeps, in the same order
+    for ident, idef in _CATALOG.items():
+        spans = (n_range,) if idef.arity == 1 else (m_range, n_range)
+        box = product(*(range(lo, hi + 1) for lo, hi in spans))
+        want = [indices for indices in box if idef.refusal(indices) is None]
+        got = _index_tuples(idef, n_range, m_range if idef.arity == 2 else None)
+        assert got == want, ident
+
+
+def test_no_two_index_entry_has_a_min_index():
+    # refusal is constant on a parity sub-box only while this holds
+    two_index = [idef for idef in _CATALOG.values() if idef.arity == 2]
+    assert len(two_index) == 13
+    assert all(idef.min_index is None for idef in two_index)
+
+
+def test_a_failing_ordinary_entry_reports_what_a_naive_loop_does(monkeypatch):
+    # sub-qq broken at some tuples of the points with b = 3 only, so some
+    # points take the all-held path and others fall back to the per-tuple
+    # loop; a = 2 is given twice, so its counterexamples come back twice
+    ident = IdentityId.SUB_QQ
+
+    def broken(t, m, n):
+        lhs, rhs = _eval_sub_qq(t, m, n)
+        if t.params.b == 3 and (m + 3 * n) % 5 == 0:
+            return lhs + 1, rhs
+        return lhs, rhs
+
+    idef = dataclasses.replace(_CATALOG[ident], evaluate=broken)
+    monkeypatch.setitem(_CATALOG, ident, idef)
+    a_values, b_values = [2, F(1, 2), 2], [3, F(-3, 2)]
+    n_range, m_range = (-6, 5), (-3, 4)
+    report = verify_grid(ident, a_values, b_values, n_range=n_range, m_range=m_range)
+
+    grid = [(m, n) for m in range(m_range[0], m_range[1] + 1)
+            for n in range(n_range[0], n_range[1] + 1) if idef.refusal((m, n)) is None]
+    checked = passed = unexpected = 0
+    counterexamples = []
+    for a in a_values:
+        for b in b_values:
+            table = _Table(SeqParams(a, b))
+            for indices in grid:
+                lhs, rhs = broken(table, *indices)
+                checked += 1
+                if lhs == rhs:
+                    passed += 1
+                else:
+                    unexpected += 1
+                    counterexamples.append((F(a), F(b), indices, _fraction(lhs), _fraction(rhs)))
+    counterexamples.sort(key=lambda ce: ce[:3])
+
+    assert 0 < unexpected < checked
+    assert (report.checked, report.passed, report.unexpected) == (checked, passed, unexpected)
+    got = [(ce.a, ce.b, ce.indices, ce.lhs, ce.rhs) for ce in report.counterexamples]
+    assert got == counterexamples
+    assert not report_matches_expectation(report)
