@@ -58,31 +58,44 @@ q(m)*q(n-1), over s^((m+n-4)/2). The constants a and b stay ``_Unreduced``
 at every point, so ``cassini-lucas``'s division by a is exact. Either way
 a check takes no gcd, and the evaluators keep the formulas they would have
 over ``Fraction``s. A value becomes a ``Fraction`` only at the boundary:
-when a ``Counterexample`` stores it and when the public ``evaluate``
-returns it. matrix-form hands its walk core to ``genmatrix`` as
-(numerator, denominator) pairs, which ``genmatrix._from_core`` reads back
-to integers, one checked division each. Every coefficient c(n), a or b by
+when the public ``evaluate`` returns it, and when a side of a
+counterexample that ``verify_grid`` built is first read. matrix-form
+hands its walk core to ``genmatrix`` as (numerator, denominator) pairs,
+which ``genmatrix._from_core`` reads back to integers, one checked
+division each. Every coefficient c(n), a or b by
 the parity of n, comes from ``sequences._coefficient``, the one home of
 that alternation.
 
-How a grid runs: a point pays for its evaluators and little else. A
-two-index grid is built from its four parity sub-boxes, and
-``_IdentityDef.refusal``, the one domain check, is asked once per
-sub-box (``_index_tuples``). At each point ``verify_grid`` maps the
-evaluator over the grid and compares its two sides in C loops
-(``itertools.starmap``), keeping one flag per check. A point whose checks
-all hold runs no Python loop step; a point with a failed check, and every
-point of the two entries with a ``gap``, go through a per-tuple loop,
-which evaluates a failed check again to report it.
+How a grid runs: a point pays for its evaluators and little else, and
+runs no Python loop step per check. A two-index grid is built from its
+four parity sub-boxes, and ``_IdentityDef.refusal``, the one domain
+check, is asked once per sub-box (``_index_tuples``). At each point
+``verify_grid`` maps the evaluator over the grid in one C loop
+(``itertools.starmap``):
+
+* an entry without a ``gap`` keeps one flag per check, lhs == rhs. Where
+  one is false, that check alone runs again for its counterexample, and
+  must fail again.
+* the two entries with a ``gap`` fail at most of their checks, so they
+  keep both sides. The same pass counts the checks that hold and compares
+  lhs - rhs with ``gap``, in C loops, and the counterexamples come from
+  the kept sides.
+
+A counterexample is built in C loops too, holding each side as the check
+computed it; the side becomes a ``Fraction`` when first read
+(``_FromRow``). So ``verify``, which prints at most 25 counterexamples
+per identity and counts the rest, normalizes at most 50 sides, not two
+per failed check.
 """
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
-from itertools import compress, starmap
-from operator import eq, not_
+from itertools import chain, compress, repeat, starmap
+from operator import attrgetter, eq, not_, sub
 from typing import Callable, NamedTuple, Optional
 
 from . import binet as _binet
@@ -580,6 +593,52 @@ class Counterexample:
     lhs: object
     rhs: object
 
+    def __getstate__(self):
+        # a copy or pickle holds the normalized fields, never a raw side
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+
+class _FromRow:
+    """A field of a ``Counterexample`` that ``verify_grid`` built, filled on first read.
+
+    Such an instance holds only ``_row``, the tuple (a, b, indices, lhs,
+    rhs) with each side as the check computed it, an int or an
+    ``_Unreduced`` value. The first read of a field takes it from the row
+    through ``_fraction``, which normalizes a side and passes any other
+    value as it is, and caches it in the instance ``__dict__``, as
+    ``functools.cached_property`` does. An instance dict entry shadows this
+    non-data descriptor, so later reads, and every read of an instance
+    built through the constructor, are plain attribute reads.
+    """
+
+    def __init__(self, name: str, position: int):
+        self.name, self.position = name, position
+
+    def __get__(self, ce, owner=None):
+        if ce is None:
+            return self
+        cache = ce.__dict__
+        value = cache[self.name] = _fraction(cache["_row"][self.position])
+        return value
+
+
+# attached after @dataclass, which thus sees five plain fields without defaults
+for _position, _name in enumerate(Counterexample.__dataclass_fields__):
+    setattr(Counterexample, _name, _FromRow(_name, _position))
+del _position, _name
+
+
+def _unread_counterexamples(a, b, indices, lhs, rhs) -> list[Counterexample]:
+    """The ``Counterexample`` at (a, b) of each tuple of ``indices``, built in C loops.
+
+    Each holds its row for ``_FromRow``; ``object.__setattr__`` passes the
+    frozen dataclass's ``__setattr__`` by, as its generated ``__init__`` does.
+    """
+    built = list(map(object.__new__, repeat(Counterexample, len(indices))))
+    rows = zip(repeat(a), repeat(b), indices, lhs, rhs)
+    deque(map(object.__setattr__, built, repeat("_row"), rows), maxlen=0)
+    return built
+
 
 @dataclass(frozen=True)
 class ExcludedPoint:
@@ -660,14 +719,17 @@ def verify_grid(
     Where the entry has a ``line_reason`` (inverse-power, binet-fib), each
     point on the line ab + 4 = 0 is recorded as an exclusion with that
     reason, never counted or thrown.
-    An entry without a ``gap`` runs a point's checks as one
-    ``starmap(eq, starmap(partial(evaluator, table), grid))`` and keeps
-    only the flags; where one is false, that check runs again in the
-    per-tuple loop that every check of a ``gap`` entry takes, to judge it
-    and build its counterexample. Evaluators only read the table, so a
-    second run gives the same sides.
+    At each point the evaluator runs once per tuple in a C loop. An entry
+    without a ``gap`` keeps only the flags lhs == rhs; where one is false,
+    that check runs again for its counterexample, and an ``AssertionError``
+    is raised if it then holds: the evaluator is not a pure read of its
+    table, and the counts would not add up. An entry with a ``gap`` keeps
+    both sides and compares lhs - rhs with ``gap`` in the same pass.
+    Counterexamples hold their sides as computed, normalized to
+    ``Fraction``s on first read.
     Counterexamples come back sorted lexicographically by (a, b, indices)
-    so reports are reproducible byte for byte.
+    so reports are reproducible byte for byte; the sort is stable, so the
+    counterexamples of a point given twice interleave.
     """
     idef = _CATALOG[ident]
     a_vals = tuple(_rational(a) for a in a_values)
@@ -689,8 +751,9 @@ def verify_grid(
 
     evaluator, gap, line_reason = idef.evaluate, idef.gap, idef.line_reason
     grid = _index_tuples(idef, n_range, m_range)
+    columns = tuple(zip(*grid))  # gap's arguments after lhs
     checked = passed = unexpected = 0
-    counterexamples: list[Counterexample] = []
+    found: dict[tuple, list[list[Counterexample]]] = {}  # (a, b) -> one list per visit
     excluded: list[ExcludedPoint] = []
     for a in a_vals:
         for b in b_vals:
@@ -698,31 +761,42 @@ def verify_grid(
             if line_reason is not None and p.ab_plus_4 == 0:
                 excluded.append(ExcludedPoint(a, b, line_reason))
                 continue
+            if not grid:  # nothing to check, and no sides to unzip below
+                continue
             table = _Table(p)
+            fill = partial(evaluator, table)
             checked += len(grid)
             if gap is None:
                 # the point's checks in one C loop, keeping only the flags
-                flags = list(starmap(eq, starmap(partial(evaluator, table), grid)))
+                flags = list(starmap(eq, starmap(fill, grid)))
                 held = flags.count(True)
                 passed += held
                 if held == len(grid):
                     continue
                 unexpected += len(grid) - held
-                # evaluators are pure reads of the table: a failed check runs again
-                suspects = compress(grid, map(not_, flags))
+                # a failed check runs again for its counterexample, and must fail again
+                failing = list(compress(grid, map(not_, flags)))
+                lhs, rhs = zip(*starmap(fill, failing))
+                if any(map(eq, lhs, rhs)):
+                    raise AssertionError(f"{ident.value}: evaluator is not a pure read of its table")
             else:
-                suspects = grid
-            for indices in suspects:
-                lhs, rhs = evaluator(table, *indices)
-                if lhs == rhs:
-                    passed += 1
-                else:
-                    counterexamples.append(
-                        Counterexample(a, b, indices, _fraction(lhs), _fraction(rhs))
-                    )
-                if gap is not None and lhs - rhs != gap(table, lhs, *indices):
-                    unexpected += 1
-    counterexamples.sort(key=lambda ce: (ce.a, ce.b, ce.indices))
+                # the point's checks in one C loop, keeping the sides
+                lhs, rhs = zip(*starmap(fill, grid))
+                flags = list(map(eq, lhs, rhs))
+                passed += flags.count(True)
+                gaps = map(gap, repeat(table), lhs, *columns)
+                unexpected += len(grid) - list(map(eq, map(sub, lhs, rhs), gaps)).count(True)
+                failed = list(map(not_, flags))
+                failing, lhs, rhs = (list(compress(column, failed)) for column in (grid, lhs, rhs))
+            found.setdefault((a, b), []).append(_unread_counterexamples(a, b, failing, lhs, rhs))
+    # sorted by (a, b, indices): a grid is in index order already, and the
+    # visits of a point given twice interleave by indices, in visit order on a tie
+    counterexamples: list[Counterexample] = []
+    for point in sorted(found):
+        visits = found[point]
+        if len(visits) > 1:
+            visits = [sorted(chain(*visits), key=attrgetter("indices"))]
+        counterexamples += visits[0]
     excluded.sort(key=lambda ex: (ex.a, ex.b))
     return IdentityReport(
         identity=ident,

@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import math
+import pickle
 from fractions import Fraction as F
 from itertools import product
 
@@ -21,12 +24,17 @@ from biperiodic import (
     evaluate,
     expectation,
     report_matches_expectation,
+    verify_default,
     verify_grid,
 )
+from biperiodic.cli import MAX_COUNTEREXAMPLES_SHOWN
 from biperiodic.identities import (
     _CATALOG,
+    Counterexample,
+    _eval_cassini_fib,
     _eval_sub_qq,
     _fraction,
+    _gap_thm4_printed,
     _index_tuples,
     _Table,
     _Unreduced,
@@ -372,8 +380,6 @@ def test_expectation_catalog():
 
 
 def test_verify_default_uses_standard_grid_and_ranges():
-    from biperiodic import verify_default
-
     report = verify_default(IdentityId.DET_POWER)
     assert len(report.a_values) == len(report.b_values) == 6
     assert report.n_range == (1, 32)
@@ -676,3 +682,130 @@ def test_a_failing_ordinary_entry_reports_what_a_naive_loop_does(monkeypatch):
     got = [(ce.a, ce.b, ce.indices, ce.lhs, ce.rhs) for ce in report.counterexamples]
     assert got == counterexamples
     assert not report_matches_expectation(report)
+
+
+def test_an_impure_evaluator_is_refused(monkeypatch):
+    # a failed check of an entry without a gap runs again for its
+    # counterexample; a check that then holds would be counted both
+    # unexpected and passed, so verify_grid raises (python -O keeps it)
+    ident = IdentityId.CASSINI_FIB
+    runs = 0
+
+    def flaky(t, n):
+        nonlocal runs
+        lhs, rhs = _eval_cassini_fib(t, n)
+        if n == 4:
+            runs += 1
+            if runs == 1:
+                return lhs + 1, rhs
+        return lhs, rhs
+
+    monkeypatch.setitem(_CATALOG, ident, dataclasses.replace(_CATALOG[ident], evaluate=flaky))
+    with pytest.raises(AssertionError, match="cassini-fib: evaluator is not a pure read of its table"):
+        verify_grid(ident, [2], [3], n_range=(1, 9))
+    assert runs == 2
+
+
+def test_a_gap_entry_reports_what_a_naive_loop_does(monkeypatch):
+    # thm4-i-printed with a gap off at some tuples, so the one pass per point
+    # counts unexpected tuples among checks that hold (a = b = 2) and among
+    # those that fail; integral points, non-integral ones and a = 2 given
+    # twice, whose counterexamples come back twice
+    ident = IdentityId.THM4_I_PRINTED
+
+    def skewed(t, lhs, n):
+        documented = _gap_thm4_printed(t, lhs, n)
+        return documented + 1 if n % 3 == 0 else documented
+
+    idef = dataclasses.replace(_CATALOG[ident], gap=skewed)
+    monkeypatch.setitem(_CATALOG, ident, idef)
+    a_values, b_values = [2, F(1, 2), 2], [2, F(-3, 2), 3]
+    n_range = (-5, 8)
+    report = verify_grid(ident, a_values, b_values, n_range=n_range)
+
+    checked = passed = unexpected = 0
+    counterexamples = []
+    for a in a_values:
+        for b in b_values:
+            table = _Table(SeqParams(a, b))
+            for n in range(n_range[0], n_range[1] + 1):
+                lhs, rhs = idef.evaluate(table, n)
+                checked += 1
+                passed += lhs == rhs
+                unexpected += lhs - rhs != skewed(table, lhs, n)
+                if lhs != rhs:
+                    counterexamples.append((F(a), F(b), (n,), _fraction(lhs), _fraction(rhs)))
+    counterexamples.sort(key=lambda ce: ce[:3])
+
+    assert 0 < passed < checked and 0 < unexpected < checked
+    assert (report.checked, report.passed, report.unexpected) == (checked, passed, unexpected)
+    got = [(ce.a, ce.b, ce.indices, ce.lhs, ce.rhs) for ce in report.counterexamples]
+    assert got == counterexamples
+    assert not report_matches_expectation(report)
+
+
+def test_erratum_counterexamples_build_fractions_on_read(monkeypatch):
+    # thm6-vi-printed fails at 23,436 of the default grid's 24,336 checks;
+    # its report builds Fractions per point, and reading the counterexamples
+    # that verify prints normalizes their sides and no others
+    new = F.__new__
+    built = 0
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting_new)
+    report = verify_default(IdentityId.THM6_VI_PRINTED)
+    at_report = built
+    shown = [(ce.lhs, ce.rhs) for ce in report.counterexamples[:MAX_COUNTEREXAMPLES_SHOWN]]
+    monkeypatch.undo()
+    assert len(report.counterexamples) == 23436
+    assert all(lhs == -rhs for lhs, rhs in shown)
+    assert at_report <= 32 * 36, at_report
+    assert built - at_report <= 2 * MAX_COUNTEREXAMPLES_SHOWN == 50, built - at_report
+
+
+#: the pinned verify grids of the two erratum entries (tests/test_golden.py)
+ERRATUM_GRIDS = [
+    (IdentityId.THM4_I_PRINTED, [2, 3], [3, 2], (1, 9), None),
+    (IdentityId.THM4_I_PRINTED, [F(5, 3), F(-2, 5)], [F(-4, 3), F(7, 2)], (-8, 8), None),
+    (IdentityId.THM4_I_PRINTED, [2, -1, 3], [-2, 1, -3], (-8, 8), None),
+    (IdentityId.THM6_VI_PRINTED, [F(1, 2), F(1, 2), -3], [3, F(-3, 2)], (-3, 4), (-2, 5)),
+    (IdentityId.THM6_VI_PRINTED, [F(5, 3), -2], [F(-7, 2), F(1, 2)], (-7, 6), (-3, 8)),
+    (IdentityId.THM6_VI_PRINTED, [2, -1, 3], [-2, 1, -3], (-8, 8), None),
+]
+
+
+@pytest.mark.parametrize("ident, a_values, b_values, n_range, m_range", ERRATUM_GRIDS)
+def test_counterexamples_behave_as_if_built_eagerly(ident, a_values, b_values, n_range, m_range):
+    # a report's counterexamples against Counterexample(a, b, indices,
+    # Fraction, Fraction) built through the constructor; each comparison
+    # reads a fresh report, so its first read of every field is its own
+    def fresh():
+        return verify_grid(ident, a_values, b_values, n_range=n_range, m_range=m_range).counterexamples
+
+    idef = _CATALOG[ident]
+    grid = _index_tuples(idef, n_range, (m_range or n_range) if idef.arity == 2 else None)
+    eager = []
+    for a in a_values:
+        for b in b_values:
+            for indices in grid:
+                lhs, rhs = evaluate(ident, SeqParams(a, b), *indices)
+                if lhs != rhs:
+                    eager.append(Counterexample(F(a), F(b), indices, lhs, rhs))
+    eager.sort(key=lambda ce: (ce.a, ce.b, ce.indices))
+    assert eager
+
+    assert list(fresh()) == eager
+    assert [hash(ce) for ce in fresh()] == [hash(ce) for ce in eager]
+    assert [repr(ce) for ce in fresh()] == [repr(ce) for ce in eager]
+    assert [dataclasses.astuple(ce) for ce in fresh()] == [dataclasses.astuple(ce) for ce in eager]
+    for got in ([copy.copy(ce) for ce in fresh()], pickle.loads(pickle.dumps(fresh()))):
+        assert list(got) == eager
+        assert [vars(ce) for ce in got] == [vars(ce) for ce in eager]
+    for ce in fresh():
+        for side in (ce.lhs, ce.rhs):
+            assert type(side) is F
+            assert side.denominator > 0 and math.gcd(side.numerator, side.denominator) == 1
