@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -10,8 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biperiodic import IdentityId, cli, genmatrix, identities, sequences
+from conftest import oracle_fib_table, oracle_lucas_table
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -93,13 +97,13 @@ class TestTerm:
     def test_csv_and_json_carry_the_same_values(self):
         args = ("term", "--kind", "fib", "--a", "1/2", "--b", "-3/2", "--n-range", "-4..8")
         record = run_json(*args, "--format", "json")
-        json_values = [r["value"] for r in record["results"]]
         proc = run_cli(*args, "--format", "csv")
         assert proc.returncode == 0
-        lines = proc.stdout.decode().splitlines()
-        assert lines[0] == "n,value"
-        csv_values = [line.split(",")[1] for line in lines[1:]]
-        assert sorted(csv_values) == sorted(json_values)
+        rows = [line.split(",") for line in proc.stdout.decode().splitlines()]
+        assert rows == [["n", "value"]] + [
+            [str(r["n"]), r["value"]] for r in record["results"]
+        ]
+        assert [r["n"] for r in record["results"]] == list(range(-4, 9))
 
 
 class TestMatrix:
@@ -260,13 +264,12 @@ class TestTable:
         args = ("table", "--a", "2", "--b", "3", "--n-range", "-2..4")
         record = run_json(*args)
         proc = run_cli(*args, "--format", "csv")
-        lines = proc.stdout.decode().splitlines()
-        assert lines[0] == "n,fib,lucas"
-        csv_cells = sorted(cell for line in lines[1:] for cell in line.split(",")[1:])
-        json_cells = sorted(
-            str(row[k]) for row in record["results"] for k in ("fib", "lucas")
-        )
-        assert csv_cells == json_cells
+        assert proc.returncode == 0
+        rows = [line.split(",") for line in proc.stdout.decode().splitlines()]
+        assert rows == [["n", "fib", "lucas"]] + [
+            [str(row["n"]), row["fib"], row["lucas"]] for row in record["results"]
+        ]
+        assert [row["n"] for row in record["results"]] == list(range(-2, 5))
 
     def test_abbreviated_flag_takes_a_negative_range(self):
         full = run_cli("table", "--a", "2", "--b", "3", "--n-range", "-3..3")
@@ -282,6 +285,69 @@ class TestTable:
     def test_bad_kind_exits_2(self):
         proc = run_cli("table", "--a", "1", "--b", "1", "--n-range", "0..3", "--kinds", "fib,weird")
         assert proc.returncode == 2
+
+
+#: Points of the differential test below: integral and fractional terms, both signs.
+ROW_POINTS = [("2", "3"), ("1/2", "-3"), ("5/3", "-2/3"), ("-1", "1"), ("-3/2", "1/2")]
+
+
+def _cell(x: Fraction) -> str:
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+@st.composite
+def row_commands(draw):
+    """A ``table`` or ``term`` argv and its stdout, rendered from one dict per row.
+
+    The expected text comes from ``json.dumps(record, indent=2)`` and
+    ``csv.writer``, over values of the conftest oracles.
+    """
+    a, b = draw(st.sampled_from(ROW_POINTS))
+    lo = draw(st.integers(-25, 25))
+    hi = lo + draw(st.integers(0, 30)) * draw(st.booleans())  # one-row ranges often
+    fmt = draw(st.sampled_from(("json", "csv")))
+    oracles = {"fib": oracle_fib_table(Fraction(a), Fraction(b), lo, hi),
+               "lucas": oracle_lucas_table(Fraction(a), Fraction(b), lo, hi)}
+    if draw(st.booleans()):
+        given_kinds = draw(st.lists(st.sampled_from(("fib", "lucas")), min_size=1, max_size=3))
+        argv = ["table", "--a", a, "--b", b, "--n-range", f"{lo}..{hi}",
+                "--kinds", ",".join(given_kinds)]
+        kinds = list(dict.fromkeys(given_kinds))
+        params = {"a": a, "b": b, "n_range": f"{lo}..{hi}", "kinds": kinds}
+        columns = {kind: oracles[kind] for kind in kinds}
+    else:
+        kind = draw(st.sampled_from(("fib", "lucas")))
+        method = draw(st.sampled_from(("recurrence", "matrix", "binet")))
+        single = lo == hi and draw(st.booleans())
+        index = ["--n", str(lo)] if single else ["--n-range", f"{lo}..{hi}"]
+        argv = ["term", "--kind", kind, "--a", a, "--b", b, *index, "--method", method]
+        params = {"kind": kind, "a": a, "b": b, "n": lo if single else None,
+                  "n_range": None if single else f"{lo}..{hi}", "method": method}
+        columns = {"value": oracles[kind]}
+    rows = [{"n": n, **{name: _cell(t[n]) for name, t in columns.items()}}
+            for n in range(lo, hi + 1)]
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["n", *columns])
+        writer.writerows([row.values() for row in rows])
+        expected = out.getvalue()
+    else:
+        record = {"schema_version": "1", "command": argv[0], "params": params, "results": rows}
+        expected = json.dumps(record, indent=2) + "\n"
+    if fmt != "json" or draw(st.booleans()):
+        argv += ["--format", fmt]
+    return argv, expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(row_commands())
+def test_rows_render_as_json_dumps_and_csv_writer_would(command):
+    argv, expected = command
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert out.getvalue() == expected
 
 
 def test_byte_determinism_of_cheap_commands():

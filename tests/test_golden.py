@@ -88,6 +88,25 @@ EXTRA_GOLDEN = [
     (("verify", "--identity", "all", "--a-set", "5/3,-2", "--b-set", "-7/2,1/2",
       "--n-range", "-7..6", "--m-range", "-3..8"),
      0, "1f908e7c9deb0c5dd859627078280e66174d8e8be05842c1d0735e0b1fb2555c"),
+    # rows of table and term in both formats: a window across 0 with
+    # fractional terms, kinds in the reverse of the default order, a
+    # one-row range, and each term method
+    (("table", "--a", "5/3", "--b", "-2/3", "--n-range", "-150..250", "--format", "csv"),
+     0, "d9feefdb376a25afd5895d11a58f921ac978e894658affc6c9f2b6e1e867899d"),
+    (("table", "--a", "5/3", "--b", "-2/3", "--n-range", "-150..250", "--kinds", "lucas,fib"),
+     0, "669d6081b0279b3359dff7334eda4b295ec688326487696af2b997a5e82fe739"),
+    (("table", "--a", "1/2", "--b", "-3", "--n-range", "0..0"),
+     0, "49d9b5aeaa27127f0740b02b311733311660236dede3be6c5f43b96ffeaa70e1"),
+    (("table", "--a", "1/2", "--b", "-3", "--n-range", "0..0", "--format", "csv"),
+     0, "6d911a2f9cccba4694a65c77cedd67adb00113134eb803d66f2de4f8f04fc143"),
+    (("term", "--kind", "lucas", "--a", "2", "--b", "3", "--n-range", "-6..6",
+      "--method", "binet", "--format", "csv"),
+     0, "a9c3f1adf42d876826a63f255adb2fbc2babfdd93db99934cf5770bd596a804e"),
+    (("term", "--kind", "fib", "--a", "1/2", "--b", "-3/2", "--n-range", "-4..8"),
+     0, "d3db9f45f6b6c357e151646fbb96b7d71b6001c39bd0e6d55c145213ab77a8fd"),
+    (("term", "--kind", "fib", "--a", "5/3", "--b", "-4/3", "--n", "7",
+      "--method", "matrix", "--format", "csv"),
+     0, "20069f9ea700a19bae271391819e599837213f0aed34cd5c43b555189ac02cf4"),
 ]
 
 GOLDEN = [
