@@ -6,6 +6,10 @@ Output contract:
   exact ``num/den`` string (``/den`` dropped when the denominator is 1),
   never a float. Output is byte-deterministic for identical inputs.
 * CSV (term and table only) carries the same values with a header row.
+* term and table map one ``str.format`` template per row over columns of
+  cells, indented in JSON as ``json.dumps(indent=2)`` indents them. No cell
+  needs escaping: the keys are n, value, fib and lucas; the cells are ints
+  and ``format_rational`` strings, made of ``-``, digits and ``/`` only.
 * Exit codes: 0 success, 1 identity-verification mismatch, 2 usage error,
   3 domain error (singular matrix / repeated root).
 """
@@ -98,14 +102,23 @@ def _value_json(v):
     return format_rational(v)
 
 
-def _emit_json(record) -> str:
-    return json.dumps(record, indent=2) + "\n"
+def _emit_json(record, columns=None) -> str:
+    """``json.dumps(record, indent=2)``, ``columns`` appended as its last key "results"."""
+    text = json.dumps(record, indent=2)
+    if columns:
+        fields = ",\n".join(f'      "{c}": ' + ("{}" if c == "n" else '"{}"') for c in columns)
+        rows = ",\n".join(map(("    {{\n" + fields + "\n    }}").format, *columns.values()))
+        text = f'{text[:-2]},\n  "results": [\n{rows}\n  ]\n}}'  # reopen the final "\n}"
+    return text + "\n"
 
 
-def _csv(columns: list[str], rows: list[dict]) -> str:
-    """A header row of ``columns``, then each row's values in that order."""
-    lines = [columns] + [[str(row[c]) for c in columns] for row in rows]
-    return "".join(",".join(line) + "\n" for line in lines)
+def _emit_rows(args, params: dict, columns: dict) -> str:
+    """``columns`` (name -> cells, "n" first) as rows in ``args.format``."""
+    if args.format == "csv":
+        line = ",".join(["{}"] * len(columns)) + "\n"
+        return ",".join(columns) + "\n" + "".join(map(line.format, *columns.values()))
+    record = {"schema_version": SCHEMA_VERSION, "command": args.command, "params": params}
+    return _emit_json(record, columns)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,25 +182,16 @@ def cmd_term(args) -> tuple[str, int]:
         lo, hi = _parse_range(args.n_range)
         range_echo = f"{lo}..{hi}"
     values = _term_values(p, SequenceKind(args.kind), args.method, lo, hi)
-    results = [
-        {"n": n, "value": format_rational(v)} for n, v in zip(range(lo, hi + 1), values)
-    ]
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "term",
-        "params": {
-            "kind": args.kind,
-            "a": format_rational(p.a),
-            "b": format_rational(p.b),
-            "n": args.n,
-            "n_range": range_echo,
-            "method": args.method,
-        },
-        "results": results,
+    columns = {"n": range(lo, hi + 1), "value": list(map(format_rational, values))}
+    params = {
+        "kind": args.kind,
+        "a": format_rational(p.a),
+        "b": format_rational(p.b),
+        "n": args.n,
+        "n_range": range_echo,
+        "method": args.method,
     }
-    if args.format == "csv":
-        return _csv(["n", "value"], results), 0
-    return _emit_json(record), 0
+    return _emit_rows(args, params, columns), 0
 
 
 def _closed_form_json(cf: ClosedForm):
@@ -322,25 +326,16 @@ def cmd_table(args) -> tuple[str, int]:
             raise UsageError(f"invalid kind {item!r}: expected fib or lucas")
         if item not in kinds:
             kinds.append(item)
-    columns = [terms(p, SequenceKind(kind), lo, hi) for kind in kinds]
-    rows = [
-        {"n": n, **{kind: format_rational(v) for kind, v in zip(kinds, values)}}
-        for n, *values in zip(range(lo, hi + 1), *columns)
-    ]
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "table",
-        "params": {
-            "a": format_rational(p.a),
-            "b": format_rational(p.b),
-            "n_range": f"{lo}..{hi}",
-            "kinds": kinds,
-        },
-        "results": rows,
+    columns = {"n": range(lo, hi + 1)}
+    for kind in kinds:
+        columns[kind] = list(map(format_rational, terms(p, SequenceKind(kind), lo, hi)))
+    params = {
+        "a": format_rational(p.a),
+        "b": format_rational(p.b),
+        "n_range": f"{lo}..{hi}",
+        "kinds": kinds,
     }
-    if args.format == "csv":
-        return _csv(["n"] + kinds, rows), 0
-    return _emit_json(record), 0
+    return _emit_rows(args, params, columns), 0
 
 
 _COMMANDS = {
