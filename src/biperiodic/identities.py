@@ -43,43 +43,50 @@ Catalog notes:
   other three check the line like any other point.
 
 How a check runs: an evaluator reads its terms and the constants a, b and
-ab + 4 from one ``_Table`` per parameter point. The terms come from the
+ab + 4 from one table per parameter point. The terms come from the
 integer walk of ``sequences``, which hands over each term t(n) as
 a^eps * N/s^k with ab = r/s in lowest terms and gcd(N, s) = 1. Where
-s = den a = 1, that is a plain int: the terms and ab + 4 are ints, so the
-checks that read only those (``thm6-*``, ``add-*``, ``sub-*``) run on int
-arithmetic alone. Elsewhere they are ``_Unreduced`` values n/d, which no
-operation ever reduces: a product multiplies numerators and denominators,
-a sum cross-multiplies (or adds numerators over a shared denominator), and
-n1/d1 == n2/d2 is n1*d2 == n2*d1. Each value there carries its own
-denominator, because the identities are not homogeneous in index weight:
-at even m and n, add-qq sets q(m+n), over s^((m+n-2)/2), against
-q(m)*q(n-1), over s^((m+n-4)/2). The constants a and b stay ``_Unreduced``
-at every point, so ``cassini-lucas``'s division by a is exact. Either way
-a check takes no gcd, and the evaluators keep the formulas they would have
-over ``Fraction``s. A value becomes a ``Fraction`` only at the boundary:
-when the public ``evaluate`` returns it, and when a side of a
-counterexample that ``verify_grid`` built is first read. matrix-form
-hands its walk core to ``genmatrix`` as (numerator, denominator) pairs,
-which ``genmatrix._from_core`` reads back to integers, one checked
-division each. Every coefficient c(n), a or b by
-the parity of n, comes from ``sequences._coefficient``, the one home of
-that alternation.
+s = den a = 1, that is a plain int, and so is ab + 4. Elsewhere each value
+keeps its own denominator, because the identities are not homogeneous in
+index weight: at even m and n, add-qq sets q(m+n), over s^((m+n-2)/2),
+against q(m)*q(n-1), over s^((m+n-4)/2). No operation reduces a value: a
+product multiplies numerators and denominators, a sum cross-multiplies
+(or adds numerators over a shared denominator), and n1/d1 == n2/d2 is
+n1*d2 == n2*d1. So a check takes no gcd, and the evaluators keep the
+formulas they would have over ``Fraction``s.
+
+* A one-index entry reads a ``_Table`` at one index per call; its terms
+  are ints or ``_Unreduced`` values n/d. a and b are ``_Unreduced``, so
+  ``cassini-lucas``'s division by a is exact, and every coefficient c(n)
+  comes from ``sequences._coefficient``, the one home of that alternation.
+* The 13 two-index entries (``thm6-*``, ``add-*``, ``sub-*``) read only
+  terms and ab + 4, and never branch on an index. Each is called once per
+  point with the grid's index columns (``_Index``) on ``_Lanes``, where a
+  term read is a ``_Lane`` of numerators and denominators whose +, - and *
+  are C maps. A column has no truth value, equality or order, so an
+  evaluator that branched on an index would raise there.
+
+A value becomes a ``Fraction`` only at the boundary: when the public
+``evaluate`` returns it (it runs a two-index entry on lanes too, as a grid
+of one tuple), and when a side of a counterexample that ``verify_grid``
+built is first read. matrix-form hands its walk core to ``genmatrix`` as
+(numerator, denominator) pairs, which ``genmatrix._from_core`` reads back
+to integers, one checked division each.
 
 How a grid runs: a point pays for its evaluators and little else, and
 runs no Python loop step per check. A two-index grid is built from its
 four parity sub-boxes, and ``_IdentityDef.refusal``, the one domain
-check, is asked once per sub-box (``_index_tuples``). At each point
-``verify_grid`` maps the evaluator over the grid in one C loop
-(``itertools.starmap``):
+check, is asked once per sub-box (``_index_tuples``). At each point:
 
-* an entry without a ``gap`` keeps one flag per check, lhs == rhs. Where
-  one is false, that check alone runs again for its counterexample, and
-  must fail again.
-* the two entries with a ``gap`` fail at most of their checks, so they
-  keep both sides. The same pass counts the checks that hold and compares
-  lhs - rhs with ``gap``, in C loops, and the counterexamples come from
-  the kept sides.
+* a two-index entry is called once, and the flags lhs == rhs come from its
+  two lanes in one C map. Where one is false, the entry runs again on the
+  failing index columns alone, whose checks must fail again.
+  ``thm6-vi-printed``'s ``gap``, 2 * lhs, is lane arithmetic too.
+* a one-index entry is mapped over the grid in one C loop
+  (``itertools.starmap``), keeping one flag per check; a failed check
+  alone runs again for its counterexample, and must fail again.
+  ``thm4-i-printed`` fails at most of its checks, so it keeps both sides;
+  the same pass compares lhs - rhs with ``gap``.
 
 A counterexample is built in C loops too, holding each side as the check
 computed it; the side becomes a ``Fraction`` when first read
@@ -94,8 +101,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
-from itertools import chain, compress, repeat, starmap
-from operator import attrgetter, eq, not_, sub
+from itertools import chain, compress, count, repeat, starmap
+from operator import add, attrgetter, eq, mul, not_, sub
 from typing import Callable, NamedTuple, Optional
 
 from . import binet as _binet
@@ -269,26 +276,28 @@ class _Unreduced:
     __hash__ = None
 
 
+class _Pair(tuple):
+    """(n, d), the rational n/d of a lane kept unreduced; a tuple built in C, with no Python frame."""
+
+    __slots__ = ()
+
+
 def _fraction(value):
-    """An ``_Unreduced`` value or an int as a Fraction; any other value (Fraction, Mat2) unchanged."""
+    """An ``_Unreduced`` value, a ``_Pair`` or an int as a Fraction; any other value (Fraction, Mat2) unchanged."""
     if type(value) is _Unreduced:
         return value.fraction()
+    if type(value) is _Pair:
+        return Fraction(*value)
     return Fraction(value) if type(value) is int else value
 
 
 class _Table:
-    """One parameter point as the evaluators read it: gcd-free terms and constants.
+    """One parameter point as a one-index evaluator reads it: gcd-free terms and constants.
 
-    ``fib(n)`` and ``lucas(n)`` are the terms of one integer walk per kind,
-    read as a dict lookup that runs no Python frame once the term is walked.
-    The walk hands over t(n) = a^eps * N/s^k. Where s = den a = 1 that is
-    the int a^eps * N, so the terms and ``ab_plus_4`` are plain ints and an
-    operation on them runs no Python frame either; elsewhere each term is
+    ``fib(n)`` and ``lucas(n)`` read one integer walk per kind, a dict lookup
+    once the term is walked: ints where s = den a = 1, and elsewhere
     ``_Unreduced(num(a)^eps * N, den(a)^eps * s^k)``. ``a`` and ``b`` are
-    ``_Unreduced`` at every point, so ``cassini-lucas``'s division by a
-    stays exact, and the evaluators pick each coefficient from them with
-    ``sequences._coefficient``. ``params`` is the point itself, for the
-    engines.
+    ``_Unreduced`` at every point; ``params`` is the point, for the engines.
     """
 
     def __init__(self, p: SeqParams):
@@ -308,6 +317,135 @@ class _Table:
                 return _Unreduced(nums[eps] * n, dens[eps] * power)
         self.fib = _Walk(p, _FIB, value).__getitem__
         self.lucas = _Walk(p, _LUCAS, value).__getitem__
+        self.b_minus_a = self.b - self.a  # thm4-i-printed's gap
+
+
+class _Column:
+    """One value per check, with no truth value, equality, order or hash: a
+    per-check branch, such as ``_sign(n)``, raises rather than run once."""
+
+    __slots__ = ()
+
+    def _refuse(self, *other):
+        raise TypeError(f"{type(self).__name__}: a column has no truth value, equality or order")
+
+    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __hash__ = _refuse
+
+
+def _index_op(op, reflected=False):
+    def apply(self, other):
+        if type(other) is int:
+            other = _Index(repeat(other), (other, other))
+        elif type(other) is not _Index:
+            return NotImplemented
+        x, y = (other, self) if reflected else (self, other)
+        corners = [op(i, j) for i in x.span for j in y.span]  # +, - and * take their extremes there
+        return _Index(list(map(op, x.v, y.v)), (min(corners), max(corners)))
+    return apply
+
+
+class _Index(_Column):
+    """A column of int indices ``v`` within ``span`` = (lo, hi); +, - and * map in C."""
+
+    __slots__ = ("v", "span")
+
+    def __init__(self, v, span=None):
+        self.v, self.span = v, span or (min(v), max(v))
+
+    __add__ = __radd__ = _index_op(add)
+    __mul__ = __rmul__ = _index_op(mul)
+    __sub__, __rsub__ = _index_op(sub), _index_op(sub, reflected=True)
+
+
+def _times(x: Optional[list], y: Optional[list]) -> Optional[list]:
+    """x[i] * y[i], None standing for a list of ones."""
+    return y if x is None else x if y is None else list(map(mul, x, y))
+
+
+def _cross(x: "_Lane", y: "_Lane"):
+    """The numerators of x and y over one denominator list, and that list: cross-multiplied,
+    or as they are where the two denominator lists agree (one C compare)."""
+    if x.d == y.d:
+        return x.n, y.n, x.d
+    return _times(x.n, y.d), _times(y.n, x.d), _times(x.d, y.d)
+
+
+def _lane_op(op, reflected=False):
+    def apply(self, other):
+        if type(other) is int:
+            other = _Lane([other] * len(self.n))
+        elif type(other) is _Unreduced:
+            other = _Lane([other.n] * len(self.n), [other.d] * len(self.n))
+        elif type(other) is not _Lane:
+            return NotImplemented
+        x, y = (other, self) if reflected else (self, other)
+        if op is mul:
+            return _Lane(_times(x.n, y.n), _times(x.d, y.d))
+        xn, yn, d = _cross(x, y)
+        return _Lane(list(map(op, xn, yn)), d)
+    return apply
+
+
+class _Lane(_Column):
+    """Rationals n[i]/d[i], never reduced; ``d`` is None where every d[i] is 1.
+
+    +, - and * with a lane, an int or an ``_Unreduced`` constant map in C.
+    """
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: list, d: Optional[list] = None):
+        self.n, self.d = n, d
+
+    __add__ = __radd__ = _lane_op(add)
+    __mul__ = __rmul__ = _lane_op(mul)
+    __sub__, __rsub__ = _lane_op(sub), _lane_op(sub, reflected=True)
+
+
+def _held(x: _Lane, y: _Lane) -> list[bool]:
+    """x[i] == y[i] for each i: n1 * d2 == n2 * d1."""
+    return list(map(eq, *_cross(x, y)[:2]))
+
+
+def _kept(lane: _Lane, flags) -> list:
+    """The lane's values where ``flags`` is true, as a check computed them: ints or ``_Pair``s."""
+    if lane.d is None:
+        return list(compress(lane.n, flags))
+    return list(map(_Pair, zip(compress(lane.n, flags), compress(lane.d, flags))))
+
+
+class _Lanes:
+    """One parameter point as a two-index evaluator reads it: the terms, as lanes, and ``ab_plus_4``.
+
+    One walk per kind stores the numerator num(a)^eps * N of each term
+    t(n) = a^eps * N/s^k, signed as in ``_Table``. Its denominator
+    den(a)^eps * s^k depends on |n| only, and is stored under n and -n.
+    So a read is two C maps over the index column, and one where
+    s = den a = 1, whose lanes have ``d`` None.
+    """
+
+    def __init__(self, p: SeqParams):
+        ab4 = p.ab_plus_4
+        integral = p.ab.denominator == p.a.denominator == 1
+        self.ab_plus_4 = ab4.numerator if integral else _Unreduced(ab4.numerator, ab4.denominator)
+        self.fib, self.lucas = (_reader(p, kind, integral) for kind in (_FIB, _LUCAS))
+
+
+def _reader(p: SeqParams, kind: SequenceKind, integral: bool):
+    nums, dens, walked, denominators = (1, p.a.numerator), (1, p.a.denominator), count(), {}
+
+    def numerator(eps, n, power):  # called for |n| = 0, 1, 2, ... in turn
+        if not integral:
+            k = next(walked)
+            denominators[k] = denominators[-k] = dens[eps] * power
+        return nums[eps] * n
+
+    get = _Walk(p, kind, numerator).__getitem__
+
+    def read(idx: _Index) -> _Lane:
+        get(max(idx.span[1], -idx.span[0]))  # the walk extends once, storing each denominator read
+        return _Lane(list(map(get, idx.v)), None if integral else list(map(denominators.__getitem__, idx.v)))
+    return read
 
 
 def _eval_cassini_fib(t: _Table, n: int):
@@ -331,8 +469,7 @@ def _eval_thm4_printed(t: _Table, n: int):
 
 def _gap_thm4_printed(t: _Table, lhs, n: int):
     # minus cassini-fib's lhs, which is rhs: (c(n + 1) - c(n)) * q(n)^2 = (-1)^n * (b - a) * q(n)^2
-    c, c_next = (_coefficient(t.a, t.b, _FIB, k) for k in (n, n + 1))
-    return (c_next - c) * t.fib(n) ** 2
+    return _sign(n) * t.b_minus_a * t.fib(n) ** 2
 
 
 def _eval_det_power(t: _Table, n: int):
@@ -557,7 +694,11 @@ def evaluate(ident: IdentityId, p: SeqParams, *indices: int):
     if refusal is not None:
         error, message, *args = refusal
         raise error(message.format(ident.value, *args))
-    lhs, rhs = idef.evaluate(_Table(p), *indices)
+    if idef.arity == 1:
+        lhs, rhs = idef.evaluate(_Table(p), *indices)
+    else:  # on the lane path, as a grid of one tuple
+        sides = idef.evaluate(_Lanes(p), *map(_Index, zip(indices)))
+        lhs, rhs = (_kept(side, (True,))[0] for side in sides)
     return _fraction(lhs), _fraction(rhs)
 
 
@@ -719,14 +860,11 @@ def verify_grid(
     Where the entry has a ``line_reason`` (inverse-power, binet-fib), each
     point on the line ab + 4 = 0 is recorded as an exclusion with that
     reason, never counted or thrown.
-    At each point the evaluator runs once per tuple in a C loop. An entry
-    without a ``gap`` keeps only the flags lhs == rhs; where one is false,
-    that check runs again for its counterexample, and an ``AssertionError``
-    is raised if it then holds: the evaluator is not a pure read of its
-    table, and the counts would not add up. An entry with a ``gap`` keeps
-    both sides and compares lhs - rhs with ``gap`` in the same pass.
-    Counterexamples hold their sides as computed, normalized to
-    ``Fraction``s on first read.
+    A point's checks run as the module docstring says. Where a failed check
+    of an entry without a ``gap`` holds when run again, an ``AssertionError``
+    is raised: the evaluator is not a pure read of its table, and the counts
+    would not add up. Counterexamples hold their sides as computed,
+    normalized to ``Fraction``s on first read.
     Counterexamples come back sorted lexicographically by (a, b, indices)
     so reports are reproducible byte for byte; the sort is stable, so the
     counterexamples of a point given twice interleave.
@@ -752,6 +890,7 @@ def verify_grid(
     evaluator, gap, line_reason = idef.evaluate, idef.gap, idef.line_reason
     grid = _index_tuples(idef, n_range, m_range)
     columns = tuple(zip(*grid))  # gap's arguments after lhs
+    indices = tuple(map(_Index, columns)) if idef.arity == 2 else ()
     checked = passed = unexpected = 0
     found: dict[tuple, list[list[Counterexample]]] = {}  # (a, b) -> one list per visit
     excluded: list[ExcludedPoint] = []
@@ -763,10 +902,26 @@ def verify_grid(
                 continue
             if not grid:  # nothing to check, and no sides to unzip below
                 continue
-            table = _Table(p)
+            table = (_Table if idef.arity == 1 else _Lanes)(p)
             fill = partial(evaluator, table)
             checked += len(grid)
-            if gap is None:
+            if idef.arity == 2:
+                # the point's checks in one evaluator call, its arithmetic C maps over lanes
+                lhs, rhs = evaluator(table, *indices)
+                flags = _held(lhs, rhs)
+                passed += flags.count(True)
+                as_documented = flags if gap is None else _held(
+                    lhs - rhs, gap(table, lhs, *indices))
+                unexpected += as_documented.count(False)
+                if all(flags):
+                    continue
+                failed = list(map(not_, flags))
+                if gap is None:  # a failed check runs again, and must fail again
+                    again = evaluator(table, *(_Index(list(compress(c, failed))) for c in columns))
+                    if any(_held(*again)):
+                        raise AssertionError(f"{ident.value}: evaluator is not a pure read of its table")
+                failing, lhs, rhs = list(compress(grid, failed)), _kept(lhs, failed), _kept(rhs, failed)
+            elif gap is None:
                 # the point's checks in one C loop, keeping only the flags
                 flags = list(starmap(eq, starmap(fill, grid)))
                 held = flags.count(True)

@@ -3,7 +3,8 @@ import dataclasses
 import math
 import pickle
 from fractions import Fraction as F
-from itertools import product
+from itertools import product, repeat
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from biperiodic import (
     verify_default,
     verify_grid,
 )
+from biperiodic import identities
 from biperiodic.cli import MAX_COUNTEREXAMPLES_SHOWN
 from biperiodic.identities import (
     _CATALOG,
@@ -35,7 +37,11 @@ from biperiodic.identities import (
     _eval_sub_qq,
     _fraction,
     _gap_thm4_printed,
+    _Index,
     _index_tuples,
+    _kept,
+    _Lane,
+    _Lanes,
     _Table,
     _Unreduced,
 )
@@ -294,10 +300,12 @@ class TestVerifyGrid:
             return forward(p, kind)
 
         monkeypatch.setattr(sequences, "_forward", counted)
-        for ident in (IdentityId.MATRIX_FORM, IdentityId.CASSINI_LUCAS):
+        # thm6-iii runs on lanes, over a 12 x 12 index box
+        for ident, checks in ((IdentityId.MATRIX_FORM, 12), (IdentityId.CASSINI_LUCAS, 12),
+                              (IdentityId.THM6_III, 144)):
             report = verify_grid(ident, [2, F(-3, 2)], [3, -2], n_range=(1, 12))
-            assert report.passed == report.checked == 48
-        assert len(walks) == len(set(walks)) == 16  # 2 identities x 4 points x 2 kinds
+            assert report.passed == report.checked == 4 * checks
+        assert len(walks) == len(set(walks)) == 24  # 3 identities x 4 points x 2 kinds
 
     def test_det_power_at_singular_point(self):
         report = verify_grid(IdentityId.DET_POWER, [1], [-4], n_range=(1, 5))
@@ -455,6 +463,7 @@ class _OracleTable:
         luc = oracle_lucas_table(a, b, -reach, reach)
         self.params = SeqParams(a, b)
         self.a, self.b, self.ab_plus_4 = F(a), F(b), F(a) * F(b) + 4
+        self.b_minus_a = self.b - self.a
         self.fib, self.lucas = fib.__getitem__, luc.__getitem__
 
 
@@ -555,11 +564,10 @@ def test_cassini_checks_build_fractions_per_point_not_per_check(monkeypatch):
 TERM_ONLY = [ident for ident in IdentityId if ident.value.startswith(("thm6-", "add-", "sub-"))]
 
 
-def test_term_only_checks_build_no_unreduced_at_integral_points(monkeypatch):
-    # where s = den a = 1 (ab = r/s), the terms a^eps * N/s^k and ab + 4 are
-    # plain ints, b fractional or not: the point builds a and b as _Unreduced
-    # and nothing more, however many checks run; at any other point, s = 1
-    # with a fractional a included, every operation still builds one
+def test_term_only_checks_build_unreduced_per_point_not_per_check(monkeypatch):
+    # the two-index entries run on lanes of int numerators and denominators:
+    # a point builds its ab + 4 as an _Unreduced where s = den a != 1 (ab = r/s)
+    # or a is fractional, and nothing more, however many of its checks run
     init = _Unreduced.__init__
     built = 0
 
@@ -569,24 +577,20 @@ def test_term_only_checks_build_no_unreduced_at_integral_points(monkeypatch):
         init(self, n, d)
 
     monkeypatch.setattr(_Unreduced, "__init__", counting_init)
-    counts = {}
     integral = ((F(2), F(-3)), (F(2), F(-3, 2)))
     fractional = ((F(1, 2), F(3)), (F(1, 2), F(2)))
+    assert len(TERM_ONLY) == 13
     for a, b in integral + fractional:
-        built = checked = 0
         for ident in TERM_ONLY:
             n_range, m_range = DEFAULT_RANGES[ident]
-            report = verify_grid(ident, [a], [b], n_range=n_range, m_range=m_range)
-            assert report_matches_expectation(report), ident
-            checked += report.checked
-        counts[a, b] = built, checked
-    assert len(TERM_ONLY) == 13
-    for point in integral:
-        built, checked = counts[point]
-        assert built <= 2 * len(TERM_ONLY) < checked, (point, counts)
-    for point in fractional:
-        built, checked = counts[point]
-        assert built > 2 * checked, (point, counts)
+            counts = []
+            for box in ((n_range, m_range), ((0, 1), (0, 1))):  # the default grid, a 2 x 2 one
+                built = 0
+                report = verify_grid(ident, [a], [b], n_range=box[0], m_range=box[1])
+                assert report_matches_expectation(report), ident
+                counts.append((built, report.checked))
+            (big, many), (small, few) = counts
+            assert big == small == int((a, b) in fractional) and many > 100 * few, (a, b, ident, counts)
 
 
 #: rule -> the parity classes outside its domain on which it still holds at
@@ -643,38 +647,42 @@ def test_no_two_index_entry_has_a_min_index():
 
 
 def test_a_failing_ordinary_entry_reports_what_a_naive_loop_does(monkeypatch):
-    # sub-qq broken at some tuples of the points with b = 3 only, so some
-    # points take the all-held path and others fall back to the per-tuple
-    # loop; a = 2 is given twice, so its counterexamples come back twice
+    # sub-qq with q(3) one too large at the points with b = 3 only, so some
+    # points hold at every check and others fail at some; a = 2 is given
+    # twice, so its counterexamples come back twice. The fault is one
+    # perturbed term of the point, in the lanes and in the naive loop alike
     ident = IdentityId.SUB_QQ
 
-    def broken(t, m, n):
-        lhs, rhs = _eval_sub_qq(t, m, n)
-        if t.params.b == 3 and (m + 3 * n) % 5 == 0:
-            return lhs + 1, rhs
-        return lhs, rhs
+    class Perturbed(_Lanes):
+        def __init__(self, p):
+            super().__init__(p)
+            if p.b == 3:
+                fib = self.fib
+                self.fib = lambda idx: fib(idx) + _Lane([int(k == 3) for k in idx.v])
 
-    idef = dataclasses.replace(_CATALOG[ident], evaluate=broken)
-    monkeypatch.setitem(_CATALOG, ident, idef)
+    monkeypatch.setattr(identities, "_Lanes", Perturbed)
     a_values, b_values = [2, F(1, 2), 2], [3, F(-3, 2)]
     n_range, m_range = (-6, 5), (-3, 4)
     report = verify_grid(ident, a_values, b_values, n_range=n_range, m_range=m_range)
 
+    idef = _CATALOG[ident]
     grid = [(m, n) for m in range(m_range[0], m_range[1] + 1)
             for n in range(n_range[0], n_range[1] + 1) if idef.refusal((m, n)) is None]
     checked = passed = unexpected = 0
     counterexamples = []
     for a in a_values:
         for b in b_values:
-            table = _Table(SeqParams(a, b))
+            table = _OracleTable(a, b, 12)
+            if b == 3:
+                table.fib.__self__[3] += 1  # the oracle dict behind fib
             for indices in grid:
-                lhs, rhs = broken(table, *indices)
+                lhs, rhs = _eval_sub_qq(table, *indices)
                 checked += 1
                 if lhs == rhs:
                     passed += 1
                 else:
                     unexpected += 1
-                    counterexamples.append((F(a), F(b), indices, _fraction(lhs), _fraction(rhs)))
+                    counterexamples.append((F(a), F(b), indices, lhs, rhs))
     counterexamples.sort(key=lambda ce: ce[:3])
 
     assert 0 < unexpected < checked
@@ -704,6 +712,91 @@ def test_an_impure_evaluator_is_refused(monkeypatch):
     with pytest.raises(AssertionError, match="cassini-fib: evaluator is not a pure read of its table"):
         verify_grid(ident, [2], [3], n_range=(1, 9))
     assert runs == 2
+
+
+def test_an_impure_lane_evaluator_is_refused(monkeypatch):
+    # the lane twin: a two-index entry's failed checks run again, on the
+    # failing index columns, and must fail again
+    ident = IdentityId.SUB_QQ
+    runs = 0
+
+    def flaky(t, m, n):
+        nonlocal runs
+        runs += 1
+        lhs, rhs = _eval_sub_qq(t, m, n)
+        return (lhs + 1 if runs == 1 else lhs), rhs
+
+    monkeypatch.setitem(_CATALOG, ident, dataclasses.replace(_CATALOG[ident], evaluate=flaky))
+    with pytest.raises(AssertionError, match="sub-qq: evaluator is not a pure read of its table"):
+        verify_grid(ident, [2], [3], n_range=(-4, 4))
+    assert runs == 2
+
+
+def test_columns_have_no_truth_value_equality_order_or_hash():
+    # so a per-check branch cannot run once for a whole column
+    for column in (_Index([1, 2, 3]), _Lane([1, 2], [3, 4])):
+        for use in (bool, lambda c: c == c, lambda c: c != 1, lambda c: c < 2, hash):
+            with pytest.raises(TypeError):
+                use(column)
+
+
+def test_column_arithmetic_matches_elementwise_arithmetic():
+    # +, - and * with a column or a constant on either side, against int and
+    # Fraction arithmetic one element at a time; a span bounds its column
+    def values(x, size=4):
+        if type(x) is _Index:
+            return x.v
+        if type(x) is _Lane:
+            return [_fraction(v) for v in _kept(x, repeat(True))]
+        return [_fraction(x)] * size
+
+    m, n = _Index([3, -1, 0, 7]), _Index([-2, 5, 4, 1])
+    xs, ys = [F(3, 4), F(-5), F(0), F(7, 9)], [F(1, 6), F(2, 3), F(-4, 5), F(3)]
+    x = _Lane([v.numerator * 2 for v in xs], [v.denominator * 2 for v in xs])  # unreduced
+    y = _Lane([v.numerator for v in ys], [v.denominator for v in ys])
+    ints = _Lane([4, -3, 0, 2])
+    for op in (add, sub, mul):
+        for left, right in ((m, n), (m, 3), (-2, n)):
+            got, want = op(left, right), list(map(op, values(left), values(right)))
+            assert got.v == want and got.span[0] <= min(want) and max(want) <= got.span[1]
+        for left, right in ((x, y), (x, 3), (-2, y), (_Unreduced(10, -4), y), (ints, y), (ints, 5)):
+            assert values(op(left, right)) == list(map(op, values(left), values(right))), (op, left, right)
+
+
+def test_an_evaluator_that_branches_on_its_index_raises_on_a_column():
+    # cassini-fib picks its coefficients by the parity of n
+    with pytest.raises(TypeError):
+        _eval_cassini_fib(_Table(SeqParams(2, 3)), _Index([1, 2, 3]))
+
+
+#: coprime denominators that are not powers of 2, negative parameters, and
+#: points on ab = -4, besides the random pairs
+LANE_POINTS = st.one_of(
+    st.sampled_from([(F(7, 5), F(-11, 3)), (F(-11, 3), F(7, 5)), (F(-3, 7), F(-5)),
+                     (F(2), F(-2)), (F(-1, 2), F(8)), (F(4, 3), F(-3))]),
+    pairs,
+)
+#: an index box lo..hi of width 1..7 that may start odd and may cross 0
+SMALL_BOX = st.integers(-7, 7).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, lo + 6)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(ab=LANE_POINTS, n_range=SMALL_BOX, m_range=SMALL_BOX)
+@example(ab=(F(7, 5), F(-11, 3)), n_range=(-5, 1), m_range=(-3, 3))
+@example(ab=(F(2), F(-2)), n_range=(-7, -1), m_range=(1, 7))
+def test_lanes_match_the_oracle_tuple_by_tuple(ab, n_range, m_range):
+    # each two-index evaluator on lanes against the same evaluator over
+    # oracle Fractions, one index tuple at a time
+    a, b = ab
+    oracle = _OracleTable(a, b, 2 * (13 + 13 + 1) + 1)  # thm6-*'s reach, 2(m + n + 1) + 1
+    for ident in TERM_ONLY:
+        idef = _CATALOG[ident]
+        grid = _index_tuples(idef, n_range, m_range)
+        if not grid:
+            continue
+        sides = idef.evaluate(_Lanes(SeqParams(a, b)), *map(_Index, zip(*grid)))
+        got = zip(*(map(_fraction, _kept(side, repeat(True))) for side in sides))
+        assert list(got) == [idef.evaluate(oracle, *indices) for indices in grid], ident
 
 
 def test_a_gap_entry_reports_what_a_naive_loop_does(monkeypatch):
