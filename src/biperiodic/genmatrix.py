@@ -113,8 +113,8 @@ That matters where a/b shares a prime with s: at (a, b) = (2, 1/4),
 a/b = 8, s = 2 and every core denominator is a power of 2.
 ``ClosedForm.materialize`` reads each entry v of its core back as the
 integer Z = v * s^x/c, checked, and finishes it the same way; so does the
-catalog's matrix-form check, which hands ``_from_core`` its core as
-unreduced (numerator, denominator) pairs.
+catalog's matrix-form check, which hands ``_from_core`` its core, read
+from the walk, as (numerator, denominator) pairs.
 
 Degenerate line ab + 4 = 0: Q = det(G) = 0, so G has no inverse and
 G^n = 0 for n >= 2 (trace and determinant both vanish). There R = Q/s = 0,

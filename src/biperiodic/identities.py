@@ -43,56 +43,67 @@ Catalog notes:
   other three check the line like any other point.
 
 How a check runs: an evaluator reads its terms and the constants a, b and
-ab + 4 from one table per parameter point. The terms come from the
-integer walk of ``sequences``, which hands over each term t(n) as
-a^eps * N/s^k with ab = r/s in lowest terms and gcd(N, s) = 1. Where
-s = den a = 1, that is a plain int, and so is ab + 4. Elsewhere each value
-keeps its own denominator, because the identities are not homogeneous in
-index weight: at even m and n, add-qq sets q(m+n), over s^((m+n-2)/2),
-against q(m)*q(n-1), over s^((m+n-4)/2). No operation reduces a value: a
-product multiplies numerators and denominators, a sum cross-multiplies
-(or adds numerators over a shared denominator), and n1/d1 == n2/d2 is
-n1*d2 == n2*d1. So a check takes no gcd, and the evaluators keep the
-formulas they would have over ``Fraction``s.
+ab + 4 from one table per parameter point, of the type
+``_IdentityDef.table`` names.
 
-* A one-index entry reads a ``_Table`` at one index per call; its terms
-  are ints or ``_Unreduced`` values n/d. a and b are ``_Unreduced``, so
-  ``cassini-lucas``'s division by a is exact, and every coefficient c(n)
-  comes from ``sequences._coefficient``, the one home of that alternation.
-* The 13 two-index entries (``thm6-*``, ``add-*``, ``sub-*``) read only
-  terms and ab + 4, and never branch on an index. Each is called once per
-  point with the grid's index columns (``_Index``) on ``_Lanes``, where a
-  term read is a ``_Lane`` of numerators and denominators whose +, - and *
-  are C maps. A column has no truth value, equality or order, so an
-  evaluator that branched on an index would raise there.
+* The 16 recurrence entries (``cassini-*``, ``thm4-i-printed``,
+  ``thm6-*``, ``add-*``, ``sub-*``) read a ``_Lanes``, and are called with
+  index columns (``_Index``): a term read is a ``_Lane`` of numerators and
+  denominators whose +, -, *, ** and / are C maps. The terms come from the
+  integer walk of ``sequences``, which hands over each term t(n) as
+  a^eps * N/s^k with ab = r/s in lowest terms and gcd(N, s) = 1. Where
+  s = den a = 1, a lane holds plain ints. Elsewhere each value keeps its
+  own denominator, because the identities are not homogeneous in index
+  weight: at even m and n, add-qq sets q(m+n), over s^((m+n-2)/2), against
+  q(m)*q(n-1), over s^((m+n-4)/2). No operation reduces a value: a product
+  multiplies numerators and denominators, a sum cross-multiplies (or adds
+  numerators over a shared denominator), and n1/d1 == n2/d2 is
+  n1*d2 == n2*d1. So a check takes no gcd, and the evaluators keep the
+  formulas they would have over ``Fraction``s. a, b and ab + 4 are the
+  point's ``Fraction``s, which a lane broadcasts; ``cassini-lucas``
+  divides its lane by a.
+* A column has no truth value, equality or order, so an evaluator that
+  branched on an index would raise there. It may read only a column's
+  parity: ``sequences.parity`` of a column whose indices share one parity
+  is that int, so every coefficient c(n) still comes from
+  ``sequences._coefficient``, the one home of that alternation, and a
+  column of mixed parity raises.
+* The five engine entries (``det-power``, ``matrix-form``,
+  ``inverse-power``, ``binet-*``) read a ``sequences.TermTable`` at one
+  index tuple per call: an engine's ``Fraction`` or ``Mat2`` against the
+  walk's terms in lowest terms.
 
-A value becomes a ``Fraction`` only at the boundary: when the public
-``evaluate`` returns it (it runs a two-index entry on lanes too, as a grid
-of one tuple), and when a side of a counterexample that ``verify_grid``
-built is first read. matrix-form hands its walk core to ``genmatrix`` as
-(numerator, denominator) pairs, which ``genmatrix._from_core`` reads back
-to integers, one checked division each.
+A lane value becomes a ``Fraction`` only at the boundary: when the public
+``evaluate`` returns it (it runs a recurrence entry on lanes too, as a
+grid of one tuple), and when a side of a counterexample that
+``verify_grid`` built is first read. matrix-form hands its walk core to
+``genmatrix`` as (numerator, denominator) pairs, which
+``genmatrix._from_core`` reads back to integers, one checked division
+each.
 
 How a grid runs: a point pays for its evaluators and little else, and
 runs no Python loop step per check. A two-index grid is built from its
 four parity sub-boxes, and ``_IdentityDef.refusal``, the one domain
 check, is asked once per sub-box (``_index_tuples``). At each point:
 
-* a two-index entry is called once, and the flags lhs == rhs come from its
-  two lanes in one C map. Where one is false, the entry runs again on the
-  failing index columns alone, whose checks must fail again.
-  ``thm6-vi-printed``'s ``gap``, 2 * lhs, is lane arithmetic too.
-* a one-index entry is mapped over the grid in one C loop
+* a recurrence entry is called once per block of the grid (``_blocks``):
+  a one-index grid is cut into its two parity classes, and a two-index
+  grid is one block, as its evaluators read no parity. The flags
+  lhs == rhs come from the block's two lanes in one C map. Where one is
+  false, the entry runs again on the block's failing index columns alone,
+  whose checks must fail again. An erratum entry's ``gap`` is lane
+  arithmetic too (thm6-vi-printed's 2 * lhs, thm4-i-printed's
+  (-1)^n * (b - a) * q(n)^2), held against lhs - rhs in one more C map.
+* an engine entry is mapped over the grid in one C loop
   (``itertools.starmap``), keeping one flag per check; a failed check
   alone runs again for its counterexample, and must fail again.
-  ``thm4-i-printed`` fails at most of its checks, so it keeps both sides;
-  the same pass compares lhs - rhs with ``gap``.
 
 A counterexample is built in C loops too, holding each side as the check
 computed it; the side becomes a ``Fraction`` when first read
 (``_FromRow``). So ``verify``, which prints at most 25 counterexamples
 per identity and counts the rest, normalizes at most 50 sides, not two
-per failed check.
+per failed check. The failed checks of a point's two parity blocks are
+merged into index order first.
 """
 from __future__ import annotations
 
@@ -102,14 +113,12 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
 from itertools import chain, compress, count, repeat, starmap
-from operator import add, attrgetter, eq, mul, not_, sub
+from operator import add, and_, attrgetter, eq, itemgetter, mul, not_, sub
 from typing import Callable, NamedTuple, Optional
 
 from . import binet as _binet
 from . import genmatrix as _gm
 from .exact import Mat2, _rational
-# TermTable has no caller here. It stays importable as identities.TermTable, a
-# documented name that the benchmark's layer trace patches (TermTable.term).
 from .sequences import SeqParams, SequenceKind, TermTable, _coefficient, _Walk, parity
 
 _FIB, _LUCAS = SequenceKind.FIBONACCI, SequenceKind.LUCAS
@@ -171,111 +180,6 @@ def _sign(n: int) -> int:
     return 1 if parity(n) == 0 else -1
 
 
-def _parts(x) -> Optional[tuple[int, int]]:
-    """(numerator, denominator) of an int or Fraction; None for any other type."""
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, x.denominator
-    return None
-
-
-class _Unreduced:
-    """The rational n/d, d != 0 of either sign, kept unreduced: no operation takes a gcd.
-
-    Supports +, -, * and == among these values and with int and Fraction on
-    either side, and / and ** (int exponent) with this value on the left.
-    ``fraction()`` normalizes it.
-    """
-
-    __slots__ = ("n", "d")
-
-    def __init__(self, n: int, d: int):
-        self.n = n
-        self.d = d
-
-    def __repr__(self) -> str:
-        return f"_Unreduced({self.n}, {self.d})"
-
-    def fraction(self) -> Fraction:
-        return Fraction(self.n, self.d)
-
-    def __neg__(self) -> "_Unreduced":
-        return _Unreduced(-self.n, self.d)
-
-    def __add__(self, other):
-        if type(other) is _Unreduced:
-            on, od = other.n, other.d
-        elif (o := _parts(other)) is not None:
-            on, od = o
-        else:
-            return NotImplemented
-        d = self.d
-        if d == od:
-            return _Unreduced(self.n + on, d)
-        return _Unreduced(self.n * od + on * d, d * od)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is _Unreduced:
-            on, od = other.n, other.d
-        elif (o := _parts(other)) is not None:
-            on, od = o
-        else:
-            return NotImplemented
-        d = self.d
-        if d == od:
-            return _Unreduced(self.n - on, d)
-        return _Unreduced(self.n * od - on * d, d * od)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if type(other) is _Unreduced:
-            return _Unreduced(self.n * other.n, self.d * other.d)
-        if type(other) is int:
-            return _Unreduced(self.n * other, self.d)
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return _Unreduced(self.n * o[0], self.d * o[1])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if type(other) is _Unreduced:
-            on, od = other.n, other.d
-        elif (o := _parts(other)) is not None:
-            on, od = o
-        else:
-            return NotImplemented
-        if on == 0:
-            raise ZeroDivisionError("division by zero")
-        return _Unreduced(self.n * od, self.d * on)
-
-    def __pow__(self, k: int):
-        if type(k) is not int:
-            return NotImplemented
-        if k >= 0:
-            return _Unreduced(self.n**k, self.d**k)
-        if self.n == 0:
-            raise ZeroDivisionError("zero to a negative power")
-        return _Unreduced(self.d**-k, self.n**-k)
-
-    def __eq__(self, other):
-        if type(other) is _Unreduced:
-            on, od = other.n, other.d
-        elif (o := _parts(other)) is not None:
-            on, od = o
-        else:
-            return NotImplemented
-        if self.d == od:
-            return self.n == on
-        return self.n * od == on * self.d
-
-    __hash__ = None
-
-
 class _Pair(tuple):
     """(n, d), the rational n/d of a lane kept unreduced; a tuple built in C, with no Python frame."""
 
@@ -283,46 +187,15 @@ class _Pair(tuple):
 
 
 def _fraction(value):
-    """An ``_Unreduced`` value, a ``_Pair`` or an int as a Fraction; any other value (Fraction, Mat2) unchanged."""
-    if type(value) is _Unreduced:
-        return value.fraction()
+    """A ``_Pair`` or an int as a Fraction; any other value (Fraction, Mat2) unchanged."""
     if type(value) is _Pair:
         return Fraction(*value)
     return Fraction(value) if type(value) is int else value
 
 
-class _Table:
-    """One parameter point as a one-index evaluator reads it: gcd-free terms and constants.
-
-    ``fib(n)`` and ``lucas(n)`` read one integer walk per kind, a dict lookup
-    once the term is walked: ints where s = den a = 1, and elsewhere
-    ``_Unreduced(num(a)^eps * N, den(a)^eps * s^k)``. ``a`` and ``b`` are
-    ``_Unreduced`` at every point; ``params`` is the point, for the engines.
-    """
-
-    def __init__(self, p: SeqParams):
-        self.params = p
-        self.a, self.b = (_Unreduced(x.numerator, x.denominator) for x in (p.a, p.b))
-        ab4 = p.ab_plus_4
-        nums, dens = (1, p.a.numerator), (1, p.a.denominator)  # a^eps, eps = 0 or 1
-        if p.ab.denominator == p.a.denominator == 1:
-            self.ab_plus_4 = ab4.numerator
-
-            def value(eps, n, power):
-                return nums[eps] * n
-        else:
-            self.ab_plus_4 = _Unreduced(ab4.numerator, ab4.denominator)
-
-            def value(eps, n, power):
-                return _Unreduced(nums[eps] * n, dens[eps] * power)
-        self.fib = _Walk(p, _FIB, value).__getitem__
-        self.lucas = _Walk(p, _LUCAS, value).__getitem__
-        self.b_minus_a = self.b - self.a  # thm4-i-printed's gap
-
-
 class _Column:
     """One value per check, with no truth value, equality, order or hash: a
-    per-check branch, such as ``_sign(n)``, raises rather than run once."""
+    per-check branch, such as ``n == 4``, raises rather than run once."""
 
     __slots__ = ()
 
@@ -345,7 +218,12 @@ def _index_op(op, reflected=False):
 
 
 class _Index(_Column):
-    """A column of int indices ``v`` within ``span`` = (lo, hi); +, - and * map in C."""
+    """A column of int indices ``v`` within ``span`` = (lo, hi); +, - and * map in C.
+
+    ``& 1`` is the parity the indices share, a plain int, which is how
+    ``sequences.parity`` reads a column; on a column of mixed parity it
+    raises TypeError.
+    """
 
     __slots__ = ("v", "span")
 
@@ -355,6 +233,14 @@ class _Index(_Column):
     __add__ = __radd__ = _index_op(add)
     __mul__ = __rmul__ = _index_op(mul)
     __sub__, __rsub__ = _index_op(sub), _index_op(sub, reflected=True)
+
+    def __and__(self, other):
+        if other != 1:
+            return NotImplemented
+        bits = set(map(and_, self.v, repeat(1)))
+        if len(bits) != 1:
+            raise TypeError("_Index: a column of mixed parity has no parity")
+        return bits.pop()
 
 
 def _times(x: Optional[list], y: Optional[list]) -> Optional[list]:
@@ -370,12 +256,16 @@ def _cross(x: "_Lane", y: "_Lane"):
     return _times(x.n, y.d), _times(y.n, x.d), _times(x.d, y.d)
 
 
+def _constant(x, size: int) -> "_Lane":
+    """The int or Fraction x as a lane of ``size`` copies, ``d`` None where its denominator is 1."""
+    d = x.denominator
+    return _Lane([x.numerator] * size, None if d == 1 else [d] * size)
+
+
 def _lane_op(op, reflected=False):
     def apply(self, other):
-        if type(other) is int:
-            other = _Lane([other] * len(self.n))
-        elif type(other) is _Unreduced:
-            other = _Lane([other.n] * len(self.n), [other.d] * len(self.n))
+        if type(other) is int or type(other) is Fraction:
+            other = _constant(other, len(self.n))
         elif type(other) is not _Lane:
             return NotImplemented
         x, y = (other, self) if reflected else (self, other)
@@ -387,9 +277,10 @@ def _lane_op(op, reflected=False):
 
 
 class _Lane(_Column):
-    """Rationals n[i]/d[i], never reduced; ``d`` is None where every d[i] is 1.
+    """Rationals n[i]/d[i], never reduced, d[i] of either sign; ``d`` is None where every d[i] is 1.
 
-    +, - and * with a lane, an int or an ``_Unreduced`` constant map in C.
+    +, - and * with a lane or an int or Fraction constant, ** to an int
+    k >= 0 and / by a nonzero constant map in C.
     """
 
     __slots__ = ("n", "d")
@@ -401,10 +292,27 @@ class _Lane(_Column):
     __mul__ = __rmul__ = _lane_op(mul)
     __sub__, __rsub__ = _lane_op(sub), _lane_op(sub, reflected=True)
 
+    def __pow__(self, k):
+        if type(k) is not int or k < 0:
+            return NotImplemented
+        d = self.d
+        return _Lane(list(map(pow, self.n, repeat(k))), None if d is None else list(map(pow, d, repeat(k))))
+
+    def __truediv__(self, other):
+        if type(other) is not int and type(other) is not Fraction:
+            return NotImplemented
+        return self * Fraction(1, other)  # ZeroDivisionError where other is 0
+
 
 def _held(x: _Lane, y: _Lane) -> list[bool]:
     """x[i] == y[i] for each i: n1 * d2 == n2 * d1."""
     return list(map(eq, *_cross(x, y)[:2]))
+
+
+def _sides(evaluate, table, columns) -> list[_Lane]:
+    """``evaluate``'s (lhs, rhs) on index columns, as lanes: a constant side is broadcast."""
+    size = len(columns[0].v)
+    return [side if type(side) is _Lane else _constant(side, size) for side in evaluate(table, *columns)]
 
 
 def _kept(lane: _Lane, flags) -> list:
@@ -415,19 +323,19 @@ def _kept(lane: _Lane, flags) -> list:
 
 
 class _Lanes:
-    """One parameter point as a two-index evaluator reads it: the terms, as lanes, and ``ab_plus_4``.
+    """One parameter point as a recurrence entry reads it: the terms, as lanes, and the constants.
 
-    One walk per kind stores the numerator num(a)^eps * N of each term
-    t(n) = a^eps * N/s^k, signed as in ``_Table``. Its denominator
-    den(a)^eps * s^k depends on |n| only, and is stored under n and -n.
-    So a read is two C maps over the index column, and one where
+    ``a``, ``b`` and ``ab_plus_4`` are the point's ``Fraction``s. One walk
+    per kind stores the numerator num(a)^eps * N of each term
+    t(n) = a^eps * N/s^k, signed by the sign rule for n < 0. Its
+    denominator den(a)^eps * s^k depends on |n| only, and is stored under n
+    and -n. So a read is two C maps over the index column, and one where
     s = den a = 1, whose lanes have ``d`` None.
     """
 
     def __init__(self, p: SeqParams):
-        ab4 = p.ab_plus_4
+        self.a, self.b, self.ab_plus_4 = p.a, p.b, p.ab_plus_4
         integral = p.ab.denominator == p.a.denominator == 1
-        self.ab_plus_4 = ab4.numerator if integral else _Unreduced(ab4.numerator, ab4.denominator)
         self.fib, self.lucas = (_reader(p, kind, integral) for kind in (_FIB, _LUCAS))
 
 
@@ -448,129 +356,124 @@ def _reader(p: SeqParams, kind: SequenceKind, integral: bool):
     return read
 
 
-def _eval_cassini_fib(t: _Table, n: int):
+def _eval_cassini_fib(t: _Lanes, n: int):
     c, c_next = (_coefficient(t.a, t.b, _FIB, k) for k in (n, n + 1))
     lhs = c * t.fib(n - 1) * t.fib(n + 1) - c_next * t.fib(n) ** 2
     return lhs, t.a * _sign(n)
 
 
-def _eval_cassini_lucas(t: _Table, n: int):
+def _eval_cassini_lucas(t: _Lanes, n: int):
     c, c_next = (_coefficient(t.a, t.b, _LUCAS, k) for k in (n, n + 1))
     lhs = (c * t.lucas(n - 1) * t.lucas(n + 1) - c_next * t.lucas(n) ** 2) / t.a
     return lhs, _sign(n + 1) * t.ab_plus_4
 
 
-def _eval_thm4_printed(t: _Table, n: int):
+def _eval_thm4_printed(t: _Lanes, n: int):
     # c(n) on both products, where cassini-fib has c(n + 1) on q(n)^2: wrong at generic (a, b)
     c = _coefficient(t.a, t.b, _FIB, n)
     lhs = c * (t.fib(n + 1) * t.fib(n - 1) - t.fib(n) ** 2)
     return lhs, t.a * _sign(n)
 
 
-def _gap_thm4_printed(t: _Table, lhs, n: int):
+def _gap_thm4_printed(t: _Lanes, lhs, n: int):
     # minus cassini-fib's lhs, which is rhs: (c(n + 1) - c(n)) * q(n)^2 = (-1)^n * (b - a) * q(n)^2
-    return _sign(n) * t.b_minus_a * t.fib(n) ** 2
+    return _sign(n) * (t.b - t.a) * t.fib(n) ** 2
 
 
-def _eval_det_power(t: _Table, n: int):
+def _eval_det_power(t: TermTable, n: int):
     return _gm.matrix_power(t.params, n).det(), _gm.det_power(t.params, n)
 
 
-def _pair(value) -> tuple[int, int]:
-    """(numerator, denominator) of an int, Fraction or ``_Unreduced``, as it stands."""
-    return (value.n, value.d) if type(value) is _Unreduced else (value.numerator, value.denominator)
-
-
-def _eval_matrix_form(t: _Table, n: int):
+def _eval_matrix_form(t: TermTable, n: int):
     # the core comes from the walk, so binary exponentiation is checked against it
     p, read = t.params, t.fib if _gm._exposed_kind(n) is _FIB else t.lucas
-    below, (mn, md), above = (_pair(read(k)) for k in (n - 1, n, n + 1))
+    below, (mn, md), above = ((x.numerator, x.denominator) for x in map(read, (n - 1, n, n + 1)))
     a, b = p.a, p.b
     side = (b.numerator * a.denominator * mn, b.denominator * a.numerator * md)  # (b/a) * t(n)
     return _gm._from_core(p, n, (above, (mn, md), side, below)), _gm.matrix_power(p, n)
 
 
-def _eval_inverse_power(t: _Table, n: int):
+def _eval_inverse_power(t: TermTable, n: int):
     return _gm.matrix_power(t.params, n) * _gm.matrix_power(t.params, -n), Mat2.identity()
 
 
-def _eval_binet_fib(t: _Table, n: int):
+def _eval_binet_fib(t: TermTable, n: int):
     return _binet.binet_fib(t.params, n), t.fib(n)
 
 
-def _eval_binet_lucas(t: _Table, n: int):
+def _eval_binet_lucas(t: TermTable, n: int):
     return _binet.binet_lucas(t.params, n), t.lucas(n)
 
 
-def _eval_thm6_i(t: _Table, m: int, n: int):
+def _eval_thm6_i(t: _Lanes, m: int, n: int):
     lhs = t.ab_plus_4 * t.fib(2 * (m + n + 1))
     rhs = t.lucas(2 * m + 1) * t.lucas(2 * (n + 1)) + t.lucas(2 * m) * t.lucas(2 * n + 1)
     return lhs, rhs
 
 
-def _eval_thm6_ii(t: _Table, m: int, n: int):
+def _eval_thm6_ii(t: _Lanes, m: int, n: int):
     lhs = t.fib(2 * (m + n))
     rhs = t.fib(2 * m) * t.fib(2 * n + 1) + t.fib(2 * m - 1) * t.fib(2 * n)
     return lhs, rhs
 
 
-def _eval_thm6_iii(t: _Table, m: int, n: int):
+def _eval_thm6_iii(t: _Lanes, m: int, n: int):
     lhs = t.lucas(2 * (m + n) + 1)
     rhs = t.lucas(2 * m + 1) * t.fib(2 * n + 1) + t.lucas(2 * m) * t.fib(2 * n)
     return lhs, rhs
 
 
-def _eval_thm6_iv(t: _Table, m: int, n: int):
+def _eval_thm6_iv(t: _Lanes, m: int, n: int):
     lhs = t.ab_plus_4 * t.fib(2 * (m - n))
     rhs = t.lucas(2 * m + 1) * t.lucas(2 * (n + 1)) - t.lucas(2 * (m + 1)) * t.lucas(2 * n + 1)
     return lhs, rhs
 
 
-def _eval_thm6_v(t: _Table, m: int, n: int):
+def _eval_thm6_v(t: _Lanes, m: int, n: int):
     lhs = t.fib(2 * (m - n))
     rhs = t.fib(2 * m) * t.fib(2 * n + 1) - t.fib(2 * m + 1) * t.fib(2 * n)
     return lhs, rhs
 
 
-def _eval_thm6_vi_printed(t: _Table, m: int, n: int):
+def _eval_thm6_vi_printed(t: _Lanes, m: int, n: int):
     lhs = t.lucas(2 * (m - n) + 1)
     rhs = t.fib(2 * m + 1) * t.lucas(2 * n + 1) - t.fib(2 * (m + 1)) * t.lucas(2 * n)
     return lhs, rhs
 
 
-def _gap_thm6_vi_printed(t: _Table, lhs, m: int, n: int):
+def _gap_thm6_vi_printed(t: _Lanes, lhs, m: int, n: int):
     return 2 * lhs  # rhs = -lhs
 
 
-def _eval_thm6_vi_corrected(t: _Table, m: int, n: int):
+def _eval_thm6_vi_corrected(t: _Lanes, m: int, n: int):
     lhs = t.lucas(2 * (m - n) + 1)
     rhs = t.fib(2 * (m + 1)) * t.lucas(2 * n) - t.fib(2 * m + 1) * t.lucas(2 * n + 1)
     return lhs, rhs
 
 
-def _eval_add_qq(t: _Table, m: int, n: int):
+def _eval_add_qq(t: _Lanes, m: int, n: int):
     return t.fib(m + n), t.fib(m + 1) * t.fib(n) + t.fib(m) * t.fib(n - 1)
 
 
-def _eval_add_ll(t: _Table, m: int, n: int):
+def _eval_add_ll(t: _Lanes, m: int, n: int):
     lhs = t.ab_plus_4 * t.fib(m + n)
     return lhs, t.lucas(m + 1) * t.lucas(n) + t.lucas(m) * t.lucas(n - 1)
 
 
-def _eval_add_lq(t: _Table, m: int, n: int):
+def _eval_add_lq(t: _Lanes, m: int, n: int):
     return t.lucas(m + n), t.lucas(m + 1) * t.fib(n) + t.lucas(m) * t.fib(n - 1)
 
 
-def _eval_sub_qq(t: _Table, m: int, n: int):
+def _eval_sub_qq(t: _Lanes, m: int, n: int):
     return t.fib(m - n), t.fib(m) * t.fib(n + 1) - t.fib(m + 1) * t.fib(n)
 
 
-def _eval_sub_ll(t: _Table, m: int, n: int):
+def _eval_sub_ll(t: _Lanes, m: int, n: int):
     lhs = t.ab_plus_4 * t.fib(m - n)
     return lhs, t.lucas(m) * t.lucas(n + 1) - t.lucas(m + 1) * t.lucas(n)
 
 
-def _eval_sub_ql(t: _Table, m: int, n: int):
+def _eval_sub_ql(t: _Lanes, m: int, n: int):
     return t.lucas(m - n), t.fib(m) * t.lucas(n + 1) - t.fib(m + 1) * t.lucas(n)
 
 
@@ -605,8 +508,12 @@ class _IdentityDef:
     line_reason: Optional[str] = None
     min_index: Optional[int] = None
     expected: Expectation = Expectation.HOLDS
-    #: documented exact lhs - rhs as gap(table, lhs, *indices); None: lhs == rhs
+    #: documented exact lhs - rhs as gap(table, lhs, *indices), on lanes; None: lhs == rhs
     gap: Optional[Callable] = None
+    #: what ``evaluate`` reads at a point: ``_Lanes`` for a recurrence entry,
+    #: called on index columns, or ``TermTable`` for an engine entry, called
+    #: on one index tuple at a time
+    table: type = _Lanes
 
     # cached: the verify grid's per-tuple domain check reads it
     @cached_property
@@ -644,7 +551,7 @@ _CATALOG: dict[IdentityId, _IdentityDef] = {
         _eval_thm4_printed, (1, 200),
         expected=Expectation.FAILS_AT_ODD_INDEX, gap=_gap_thm4_printed,
     ),
-    IdentityId.DET_POWER: _IdentityDef(_eval_det_power, (1, 32), min_index=1),
+    IdentityId.DET_POWER: _IdentityDef(_eval_det_power, (1, 32), min_index=1, table=TermTable),
     IdentityId.THM6_I: _IdentityDef(_eval_thm6_i, _DOUBLED, _DOUBLED),
     IdentityId.THM6_II: _IdentityDef(_eval_thm6_ii, _DOUBLED, _DOUBLED),
     IdentityId.THM6_III: _IdentityDef(_eval_thm6_iii, _DOUBLED, _DOUBLED),
@@ -662,12 +569,14 @@ _CATALOG: dict[IdentityId, _IdentityDef] = {
     IdentityId.SUB_LL: _IdentityDef(_eval_sub_ll, _SHIFTED, _SHIFTED, parity_domain=_BOTH_ODD),
     IdentityId.SUB_QL: _IdentityDef(_eval_sub_ql, _SHIFTED, _SHIFTED, parity_domain=_EVEN_M_ODD_N),
     IdentityId.BINET_FIB: _IdentityDef(
-        _eval_binet_fib, (-50, 50), line_reason="ab = -4: repeated characteristic root"
+        _eval_binet_fib, (-50, 50), line_reason="ab = -4: repeated characteristic root",
+        table=TermTable,
     ),
-    IdentityId.BINET_LUCAS: _IdentityDef(_eval_binet_lucas, (-50, 50)),
-    IdentityId.MATRIX_FORM: _IdentityDef(_eval_matrix_form, (1, 64), min_index=1),
+    IdentityId.BINET_LUCAS: _IdentityDef(_eval_binet_lucas, (-50, 50), table=TermTable),
+    IdentityId.MATRIX_FORM: _IdentityDef(_eval_matrix_form, (1, 64), min_index=1, table=TermTable),
     IdentityId.INVERSE_POWER: _IdentityDef(
-        _eval_inverse_power, (-16, 16), line_reason="ab + 4 = 0: generating matrix is singular"
+        _eval_inverse_power, (-16, 16), line_reason="ab + 4 = 0: generating matrix is singular",
+        table=TermTable,
     ),
 }
 
@@ -694,11 +603,11 @@ def evaluate(ident: IdentityId, p: SeqParams, *indices: int):
     if refusal is not None:
         error, message, *args = refusal
         raise error(message.format(ident.value, *args))
-    if idef.arity == 1:
-        lhs, rhs = idef.evaluate(_Table(p), *indices)
-    else:  # on the lane path, as a grid of one tuple
-        sides = idef.evaluate(_Lanes(p), *map(_Index, zip(indices)))
+    if idef.table is _Lanes:  # on the lane path, as a grid of one tuple
+        sides = _sides(idef.evaluate, _Lanes(p), tuple(map(_Index, zip(indices))))
         lhs, rhs = (_kept(side, (True,))[0] for side in sides)
+    else:
+        lhs, rhs = idef.evaluate(idef.table(p), *indices)
     return _fraction(lhs), _fraction(rhs)
 
 
@@ -743,8 +652,8 @@ class _FromRow:
     """A field of a ``Counterexample`` that ``verify_grid`` built, filled on first read.
 
     Such an instance holds only ``_row``, the tuple (a, b, indices, lhs,
-    rhs) with each side as the check computed it, an int or an
-    ``_Unreduced`` value. The first read of a field takes it from the row
+    rhs) with each side as the check computed it: an int or a ``_Pair`` of
+    a lane, or an engine's ``Fraction`` or ``Mat2``. The first read of a field takes it from the row
     through ``_fraction``, which normalizes a side and passes any other
     value as it is, and caches it in the instance ``__dict__``, as
     ``functools.cached_property`` does. An instance dict entry shadows this
@@ -769,14 +678,21 @@ for _position, _name in enumerate(Counterexample.__dataclass_fields__):
 del _position, _name
 
 
-def _unread_counterexamples(a, b, indices, lhs, rhs) -> list[Counterexample]:
-    """The ``Counterexample`` at (a, b) of each tuple of ``indices``, built in C loops.
+def _unread_counterexamples(a, b, failures) -> list[Counterexample]:
+    """The ``Counterexample``s at (a, b) of ``failures``, in index order, built in C loops.
 
-    Each holds its row for ``_FromRow``; ``object.__setattr__`` passes the
-    frozen dataclass's ``__setattr__`` by, as its generated ``__init__`` does.
+    ``failures`` holds the (indices, lhs, rhs) lists of the failed checks of
+    each block of a point, each in index order; the two blocks of a
+    one-index grid are merged. Each counterexample holds its row for
+    ``_FromRow``; ``object.__setattr__`` passes the frozen dataclass's
+    ``__setattr__`` by, as its generated ``__init__`` does.
     """
-    built = list(map(object.__new__, repeat(Counterexample, len(indices))))
-    rows = zip(repeat(a), repeat(b), indices, lhs, rhs)
+    if len(failures) == 1:
+        rows = zip(repeat(a), repeat(b), *failures[0])
+    else:
+        merged = sorted(chain.from_iterable(zip(*block) for block in failures), key=itemgetter(0))
+        rows = map(add, repeat((a, b)), merged)
+    built = list(map(object.__new__, repeat(Counterexample, sum(len(block[0]) for block in failures))))
     deque(map(object.__setattr__, built, repeat("_row"), rows), maxlen=0)
     return built
 
@@ -841,6 +757,19 @@ def _index_tuples(idef: _IdentityDef, n_range, m_range) -> list[tuple[int, ...]]
     return [(m, n) for m in range(m_lo, m_hi + 1) for n in rows[m & 1]]
 
 
+def _blocks(idef: _IdentityDef, grid: list) -> list[list[tuple[int, ...]]]:
+    """The nonempty blocks of ``grid`` that ``idef.evaluate`` is called on, each in index order.
+
+    A one-index grid on lanes, consecutive n, is cut into its two parity
+    classes, so ``sequences.parity`` reads one int from each column. Any
+    other grid is one block: a two-index evaluator reads no parity, and an
+    engine entry is called per tuple.
+    """
+    if idef.arity == 1 and idef.table is _Lanes:
+        return [block for block in (grid[::2], grid[1::2]) if block]
+    return [grid] if grid else []
+
+
 def verify_grid(
     ident: IdentityId,
     a_values,
@@ -888,9 +817,10 @@ def verify_grid(
         m_range = None
 
     evaluator, gap, line_reason = idef.evaluate, idef.gap, idef.line_reason
-    grid = _index_tuples(idef, n_range, m_range)
-    columns = tuple(zip(*grid))  # gap's arguments after lhs
-    indices = tuple(map(_Index, columns)) if idef.arity == 2 else ()
+    blocks = _blocks(idef, _index_tuples(idef, n_range, m_range))
+    on_lanes = idef.table is _Lanes
+    columns = [tuple(map(_Index, zip(*block))) for block in blocks] if on_lanes else ()
+    size = sum(map(len, blocks))
     checked = passed = unexpected = 0
     found: dict[tuple, list[list[Counterexample]]] = {}  # (a, b) -> one list per visit
     excluded: list[ExcludedPoint] = []
@@ -900,29 +830,31 @@ def verify_grid(
             if line_reason is not None and p.ab_plus_4 == 0:
                 excluded.append(ExcludedPoint(a, b, line_reason))
                 continue
-            if not grid:  # nothing to check, and no sides to unzip below
+            if not blocks:  # nothing to check, and no sides to unzip below
                 continue
-            table = (_Table if idef.arity == 1 else _Lanes)(p)
-            fill = partial(evaluator, table)
-            checked += len(grid)
-            if idef.arity == 2:
-                # the point's checks in one evaluator call, its arithmetic C maps over lanes
-                lhs, rhs = evaluator(table, *indices)
-                flags = _held(lhs, rhs)
-                passed += flags.count(True)
-                as_documented = flags if gap is None else _held(
-                    lhs - rhs, gap(table, lhs, *indices))
-                unexpected += as_documented.count(False)
-                if all(flags):
-                    continue
-                failed = list(map(not_, flags))
-                if gap is None:  # a failed check runs again, and must fail again
-                    again = evaluator(table, *(_Index(list(compress(c, failed))) for c in columns))
-                    if any(_held(*again)):
-                        raise AssertionError(f"{ident.value}: evaluator is not a pure read of its table")
-                failing, lhs, rhs = list(compress(grid, failed)), _kept(lhs, failed), _kept(rhs, failed)
-            elif gap is None:
+            table = idef.table(p)
+            checked += size
+            failures = []  # per block: the (indices, lhs, rhs) lists of its failed checks
+            if on_lanes:
+                for block, idx in zip(blocks, columns):
+                    # the block's checks in one evaluator call, its arithmetic C maps over lanes
+                    lhs, rhs = _sides(evaluator, table, idx)
+                    flags = _held(lhs, rhs)
+                    passed += flags.count(True)
+                    as_documented = flags if gap is None else _held(lhs - rhs, gap(table, lhs, *idx))
+                    unexpected += as_documented.count(False)
+                    if all(flags):
+                        continue
+                    failed = list(map(not_, flags))
+                    if gap is None:  # a failed check runs again, and must fail again
+                        again = _sides(evaluator, table, [_Index(list(compress(c.v, failed))) for c in idx])
+                        if any(_held(*again)):
+                            raise AssertionError(f"{ident.value}: evaluator is not a pure read of its table")
+                    failures.append((list(compress(block, failed)), _kept(lhs, failed), _kept(rhs, failed)))
+            else:
                 # the point's checks in one C loop, keeping only the flags
+                (grid,) = blocks
+                fill = partial(evaluator, table)
                 flags = list(starmap(eq, starmap(fill, grid)))
                 held = flags.count(True)
                 passed += held
@@ -934,16 +866,9 @@ def verify_grid(
                 lhs, rhs = zip(*starmap(fill, failing))
                 if any(map(eq, lhs, rhs)):
                     raise AssertionError(f"{ident.value}: evaluator is not a pure read of its table")
-            else:
-                # the point's checks in one C loop, keeping the sides
-                lhs, rhs = zip(*starmap(fill, grid))
-                flags = list(map(eq, lhs, rhs))
-                passed += flags.count(True)
-                gaps = map(gap, repeat(table), lhs, *columns)
-                unexpected += len(grid) - list(map(eq, map(sub, lhs, rhs), gaps)).count(True)
-                failed = list(map(not_, flags))
-                failing, lhs, rhs = (list(compress(column, failed)) for column in (grid, lhs, rhs))
-            found.setdefault((a, b), []).append(_unread_counterexamples(a, b, failing, lhs, rhs))
+                failures.append((failing, lhs, rhs))
+            if failures:
+                found.setdefault((a, b), []).append(_unread_counterexamples(a, b, failures))
     # sorted by (a, b, indices): a grid is in index order already, and the
     # visits of a point given twice interleave by indices, in visit order on a tie
     counterexamples: list[Counterexample] = []

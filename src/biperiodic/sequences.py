@@ -56,13 +56,14 @@ never steps backward.
 ``exact._lowest_terms``, which takes gcds against a's numerator and
 denominator only; ``TermTable`` keeps each term of one parameter pair once
 and reads it in O(1), and ``terms`` walks once to the far end of an index
-range and keeps only the terms inside it. The identity catalog
-builds its own values from the same triples (see ``identities``), so
-``TermTable`` has no caller left in the package; it stays as exported API.
+range and keeps only the terms inside it. The identity catalog's engine
+entries read ``TermTable``; its recurrence entries build their own values
+from the same triples (see ``identities``).
 
 ``_coefficient`` and ``_seeds`` take the values a and b, not a
-``SeqParams``, and hand them back untouched: the oracle passes Fractions
-and the catalog its unreduced values.
+``SeqParams``, and hand them back untouched. ``_coefficient`` reads its
+index only through ``parity``, so the catalog passes it an index column
+whose indices share one parity (``identities._Index``).
 """
 from __future__ import annotations
 
@@ -118,8 +119,12 @@ class SeqParams:
 
 
 def parity(n: int) -> int:
-    """n - 2*floor(n/2): the {0,1} parity of n, negative indices included."""
-    return n - 2 * (n // 2)
+    """The {0,1} parity of n, negative indices included: n & 1 is n mod 2 for every int.
+
+    An index column of the catalog (``identities._Index``) answers ``& 1``
+    with the parity its indices share, and raises TypeError if they differ.
+    """
+    return n & 1
 
 
 def _coefficient(a, b, kind: SequenceKind, n: int):

@@ -2,8 +2,9 @@ import copy
 import dataclasses
 import math
 import pickle
+from collections import Counter
 from fractions import Fraction as F
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from operator import add, mul, sub
 
 import pytest
@@ -33,6 +34,8 @@ from biperiodic.cli import MAX_COUNTEREXAMPLES_SHOWN
 from biperiodic.identities import (
     _CATALOG,
     Counterexample,
+    _blocks,
+    _eval_binet_lucas,
     _eval_cassini_fib,
     _eval_sub_qq,
     _fraction,
@@ -42,9 +45,10 @@ from biperiodic.identities import (
     _kept,
     _Lane,
     _Lanes,
-    _Table,
-    _Unreduced,
+    _sides,
+    _sign,
 )
+from biperiodic.sequences import _coefficient, parity
 from conftest import nonzero, oracle_fib_table, oracle_lucas_table, pairs
 
 #: small index windows lo..hi with lo <= 0 <= hi
@@ -351,6 +355,16 @@ class TestVerifyGrid:
         keys = [(ce.a, ce.b, ce.indices) for ce in report.counterexamples]
         assert keys == sorted(keys)
 
+    def test_one_index_counterexamples_merge_their_parity_blocks_in_index_order(self):
+        # thm4-i-printed fails wherever q(n) != 0, at even and odd n alike; a
+        # point's two parity blocks come back merged, and a point given twice
+        # repeats each counterexample
+        report = verify_grid(IdentityId.THM4_I_PRINTED, [2, F(1, 2), 2], [3], n_range=(-5, 6))
+        failing = [(n,) for n in range(-5, 7) if n != 0]
+        keys = [(ce.a, ce.b, ce.indices) for ce in report.counterexamples]
+        assert keys == [(F(1, 2), 3, i) for i in failing] + [(2, 3, i) for i in failing for _ in "ab"]
+        assert report_matches_expectation(report)
+
     def test_deterministic_across_runs(self):
         first = verify_grid(IdentityId.THM6_V, [2, -1], [3, F(1, 2)], n_range=(0, 6))
         second = verify_grid(IdentityId.THM6_V, [2, -1], [3, F(1, 2)], n_range=(0, 6))
@@ -395,61 +409,6 @@ def test_verify_default_uses_standard_grid_and_ranges():
     assert report_matches_expectation(report)
 
 
-def _as_unreduced(x: F, scale: int) -> _Unreduced:
-    """x with numerator and denominator both multiplied by ``scale``: unreduced on purpose."""
-    return _Unreduced(x.numerator * scale, x.denominator * scale)
-
-
-#: an unreduced value and the Fraction it stands for
-unreduced = st.builds(
-    lambda x, scale: (_as_unreduced(x, scale), x),
-    st.fractions(min_value=-50, max_value=50, max_denominator=30),
-    st.integers(-6, 6).filter(bool),
-)
-#: an int or Fraction operand
-plain = st.one_of(st.integers(-50, 50), st.fractions(min_value=-50, max_value=50, max_denominator=30))
-
-
-class TestUnreduced:
-    """The catalog's gcd-free value against Fraction, alone and mixed with int and Fraction."""
-
-    @settings(deadline=None)
-    @given(x=unreduced, y=unreduced, z=plain, k=st.integers(-4, 4))
-    def test_matches_fraction_arithmetic(self, x, y, z, k):
-        (ux, fx), (uy, fy) = x, y
-        for got, want in [
-            (ux + uy, fx + fy), (ux - uy, fx - fy), (ux * uy, fx * fy),
-            (ux + z, fx + z), (z + ux, z + fx),
-            (ux - z, fx - z), (z - ux, z - fx),
-            (ux * z, fx * z), (z * ux, z * fx),
-            (-ux, -fx),
-        ]:
-            assert isinstance(got, _Unreduced)
-            assert got.fraction() == want
-        if fy:
-            assert (ux / uy).fraction() == fx / fy
-        if z:
-            assert (ux / z).fraction() == fx / z
-        if fx or k >= 0:
-            assert (ux**k).fraction() == fx**k
-
-    @settings(deadline=None)
-    @given(x=unreduced, y=unreduced, z=plain)
-    def test_equality_matches_fraction(self, x, y, z):
-        (ux, fx), (uy, fy) = x, y
-        assert (ux == uy) is (fx == fy)
-        assert (ux != uy) is (fx != fy)
-        assert (ux == z) is (z == ux) is (fx == z)
-        assert (ux != z) is (z != ux) is (fx != z)
-        assert ux == fx and fx == ux and ux == _as_unreduced(fx, -3)
-
-    def test_division_by_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            _Unreduced(1, 2) / _Unreduced(0, 5)
-        with pytest.raises(ZeroDivisionError):
-            _Unreduced(0, 2) ** -1
-
-
 #: index windows lo..hi with -WINDOW_REACH <= lo <= 0 <= hi <= WINDOW_REACH
 WINDOW_REACH = 4
 SMALL_WINDOW = st.tuples(st.integers(-WINDOW_REACH, 0), st.integers(0, WINDOW_REACH))
@@ -463,7 +422,6 @@ class _OracleTable:
         luc = oracle_lucas_table(a, b, -reach, reach)
         self.params = SeqParams(a, b)
         self.a, self.b, self.ab_plus_4 = F(a), F(b), F(a) * F(b) + 4
-        self.b_minus_a = self.b - self.a
         self.fib, self.lucas = fib.__getitem__, luc.__getitem__
 
 
@@ -562,35 +520,42 @@ def test_cassini_checks_build_fractions_per_point_not_per_check(monkeypatch):
 
 #: the 13 recurrence-based entries that read only terms and ab + 4, never a or b
 TERM_ONLY = [ident for ident in IdentityId if ident.value.startswith(("thm6-", "add-", "sub-"))]
+#: the 16 recurrence-based entries: TERM_ONLY, cassini-* and thm4-i-printed, all on lanes
+ON_LANES = [ident for ident in IdentityId if _CATALOG[ident].table is _Lanes]
 
 
-def test_term_only_checks_build_unreduced_per_point_not_per_check(monkeypatch):
-    # the two-index entries run on lanes of int numerators and denominators:
-    # a point builds its ab + 4 as an _Unreduced where s = den a != 1 (ab = r/s)
-    # or a is fractional, and nothing more, however many of its checks run
-    init = _Unreduced.__init__
-    built = 0
+def test_recurrence_checks_build_fractions_and_lanes_per_point_not_per_check(monkeypatch):
+    # a point calls its evaluator once per block of the grid, on lanes of int
+    # numerators and denominators: the Fractions and lanes it builds are as
+    # many on the default grid as on a tiny one, however many checks run
+    new, init = F.__new__, _Lane.__init__
+    built = Counter()
 
-    def counting_init(self, n, d):
-        nonlocal built
-        built += 1
+    def counting_new(cls, *args, **kwargs):
+        built[F] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_init(self, n, d=None):
+        built[_Lane] += 1
         init(self, n, d)
 
-    monkeypatch.setattr(_Unreduced, "__init__", counting_init)
+    monkeypatch.setattr(F, "__new__", counting_new)
+    monkeypatch.setattr(_Lane, "__init__", counting_init)
     integral = ((F(2), F(-3)), (F(2), F(-3, 2)))
-    fractional = ((F(1, 2), F(3)), (F(1, 2), F(2)))
-    assert len(TERM_ONLY) == 13
+    fractional = ((F(1, 2), F(3)), (F(1, 2), F(2)), (F(7, 5), F(-11, 3)))
+    assert len(ON_LANES) == 16 and set(TERM_ONLY) < set(ON_LANES)
     for a, b in integral + fractional:
-        for ident in TERM_ONLY:
+        for ident in ON_LANES:
             n_range, m_range = DEFAULT_RANGES[ident]
+            tiny = ((0, 1), (0, 1)) if m_range else ((1, 2), None)  # both parities of n
             counts = []
-            for box in ((n_range, m_range), ((0, 1), (0, 1))):  # the default grid, a 2 x 2 one
-                built = 0
+            for box in ((n_range, m_range), tiny):
+                built.clear()
                 report = verify_grid(ident, [a], [b], n_range=box[0], m_range=box[1])
                 assert report_matches_expectation(report), ident
-                counts.append((built, report.checked))
+                counts.append((dict(built), report.checked))
             (big, many), (small, few) = counts
-            assert big == small == int((a, b) in fractional) and many > 100 * few, (a, b, ident, counts)
+            assert big == small and big[_Lane] and many >= 100 * few, (a, b, ident, counts)
 
 
 #: rule -> the parity classes outside its domain on which it still holds at
@@ -630,13 +595,23 @@ BOX = st.integers(-12, 12).flatmap(lambda lo: st.tuples(st.just(lo), st.integers
 @example(n_range=(-4, 3), m_range=(-3, 4))  # odd m start, even n start
 def test_index_tuples_are_the_box_filtered_by_refusal(n_range, m_range):
     # the grid asks refusal once per parity sub-box; it must keep exactly
-    # the tuples that asking it of every tuple keeps, in the same order
+    # the tuples that asking it of every tuple keeps, in the same order.
+    # Its blocks hold those tuples, each in order: a one-index grid on lanes
+    # as its parity classes, whose columns each read one parity, any other
+    # grid whole
     for ident, idef in _CATALOG.items():
         spans = (n_range,) if idef.arity == 1 else (m_range, n_range)
         box = product(*(range(lo, hi + 1) for lo, hi in spans))
         want = [indices for indices in box if idef.refusal(indices) is None]
         got = _index_tuples(idef, n_range, m_range if idef.arity == 2 else None)
         assert got == want, ident
+        blocks = _blocks(idef, got)
+        assert sorted(chain(*blocks)) == want and all(block == sorted(block) for block in blocks), ident
+        if idef.arity == 1 and idef.table is _Lanes:
+            assert len(blocks) == min(len(want), 2), ident
+            assert [_Index([n for n, in block]) & 1 for block in blocks] == [n & 1 for n, in want[:2]], ident
+        else:
+            assert blocks == ([want] if want else []), ident
 
 
 def test_no_two_index_entry_has_a_min_index():
@@ -650,17 +625,18 @@ def test_a_failing_ordinary_entry_reports_what_a_naive_loop_does(monkeypatch):
     # sub-qq with q(3) one too large at the points with b = 3 only, so some
     # points hold at every check and others fail at some; a = 2 is given
     # twice, so its counterexamples come back twice. The fault is one
-    # perturbed term of the point, in the lanes and in the naive loop alike
+    # perturbed term of the point, in the lanes' reader and in the naive
+    # loop alike
     ident = IdentityId.SUB_QQ
+    reader = identities._reader
 
-    class Perturbed(_Lanes):
-        def __init__(self, p):
-            super().__init__(p)
-            if p.b == 3:
-                fib = self.fib
-                self.fib = lambda idx: fib(idx) + _Lane([int(k == 3) for k in idx.v])
+    def perturbed(p, kind, integral):
+        read = reader(p, kind, integral)
+        if p.b == 3 and kind is SequenceKind.FIBONACCI:
+            return lambda idx: read(idx) + _Lane([int(k == 3) for k in idx.v])
+        return read
 
-    monkeypatch.setattr(identities, "_Lanes", Perturbed)
+    monkeypatch.setattr(identities, "_reader", perturbed)
     a_values, b_values = [2, F(1, 2), 2], [3, F(-3, 2)]
     n_range, m_range = (-6, 5), (-3, 4)
     report = verify_grid(ident, a_values, b_values, n_range=n_range, m_range=m_range)
@@ -693,20 +669,38 @@ def test_a_failing_ordinary_entry_reports_what_a_naive_loop_does(monkeypatch):
 
 
 def test_an_impure_evaluator_is_refused(monkeypatch):
-    # a failed check of an entry without a gap runs again for its
-    # counterexample; a check that then holds would be counted both
-    # unexpected and passed, so verify_grid raises (python -O keeps it)
-    ident = IdentityId.CASSINI_FIB
+    # a failed check of an engine entry runs again for its counterexample;
+    # a check that then holds would be counted both unexpected and passed,
+    # so verify_grid raises (python -O keeps it)
+    ident = IdentityId.BINET_LUCAS
     runs = 0
 
     def flaky(t, n):
         nonlocal runs
-        lhs, rhs = _eval_cassini_fib(t, n)
+        lhs, rhs = _eval_binet_lucas(t, n)
         if n == 4:
             runs += 1
             if runs == 1:
                 return lhs + 1, rhs
         return lhs, rhs
+
+    monkeypatch.setitem(_CATALOG, ident, dataclasses.replace(_CATALOG[ident], evaluate=flaky))
+    with pytest.raises(AssertionError, match="binet-lucas: evaluator is not a pure read of its table"):
+        verify_grid(ident, [2], [3], n_range=(1, 9))
+    assert runs == 2
+
+
+def test_an_impure_one_index_lane_evaluator_is_refused(monkeypatch):
+    # the lane twin for a one-index entry: the failed checks of a parity
+    # block run again, on the block's failing index column, and must fail again
+    ident = IdentityId.CASSINI_FIB
+    runs = 0
+
+    def flaky(t, n):
+        nonlocal runs
+        runs += 1
+        lhs, rhs = _eval_cassini_fib(t, n)
+        return (lhs + 1 if runs == 1 else lhs), rhs
 
     monkeypatch.setitem(_CATALOG, ident, dataclasses.replace(_CATALOG[ident], evaluate=flaky))
     with pytest.raises(AssertionError, match="cassini-fib: evaluator is not a pure read of its table"):
@@ -730,6 +724,15 @@ def test_an_impure_lane_evaluator_is_refused(monkeypatch):
     with pytest.raises(AssertionError, match="sub-qq: evaluator is not a pure read of its table"):
         verify_grid(ident, [2], [3], n_range=(-4, 4))
     assert runs == 2
+
+
+def test_the_engine_entries_read_a_term_table_and_have_no_gap():
+    # verify_grid maps an engine entry per tuple and compares its sides; it
+    # reads no gap on that path
+    engines = [ident.value for ident, idef in _CATALOG.items() if idef.table is TermTable]
+    assert engines == ["det-power", "binet-fib", "binet-lucas", "matrix-form", "inverse-power"]
+    assert all(_CATALOG[IdentityId(ident)].gap is None for ident in engines)
+    assert all(idef.table in (_Lanes, TermTable) for idef in _CATALOG.values())
 
 
 def test_columns_have_no_truth_value_equality_order_or_hash():
@@ -759,14 +762,57 @@ def test_column_arithmetic_matches_elementwise_arithmetic():
         for left, right in ((m, n), (m, 3), (-2, n)):
             got, want = op(left, right), list(map(op, values(left), values(right)))
             assert got.v == want and got.span[0] <= min(want) and max(want) <= got.span[1]
-        for left, right in ((x, y), (x, 3), (-2, y), (_Unreduced(10, -4), y), (ints, y), (ints, 5)):
+        for left, right in ((x, y), (x, 3), (-2, y), (F(10, -4), y), (ints, y), (ints, 5), (ints, F(3, 4))):
             assert values(op(left, right)) == list(map(op, values(left), values(right))), (op, left, right)
+    # ** to an int k >= 0, and / by a nonzero constant
+    for lane in (x, y, ints):
+        for k in (0, 1, 2, 3):
+            assert values(lane**k) == [v**k for v in values(lane)]
+        for c in (F(-7, 3), 2, -1, F(1, 5)):
+            assert values(lane / c) == [v / c for v in values(lane)]
+        for refused in (lambda: lane / 0, lambda: lane / F(0)):
+            with pytest.raises(ZeroDivisionError):
+                refused()
+        for refused in (lambda: lane / lane, lambda: lane**-1, lambda: lane ** F(1, 2)):
+            with pytest.raises(TypeError):
+                refused()
+
+
+@settings(deadline=None)
+@given(lo=st.integers(-40, 40), width=st.integers(0, 6), k=st.integers(-9, 9))
+def test_an_index_column_reads_the_parity_its_indices_share(lo, width, k):
+    # & 1 of a column of one parity is that parity, a plain int, also after
+    # +, - and * with an int; sequences.parity and _coefficient read it so
+    a, b = F(5, 3), F(-7, 2)
+    for start in (lo, lo + 1):
+        column, bit = _Index(list(range(start, start + 2 * width + 1, 2))), start % 2
+        assert type(column & 1) is int and column & 1 == parity(column) == bit
+        for derived, want in ((column + k, bit + k), (k + column, bit + k), (column - k, bit - k),
+                              (k - column, k - bit), (column * k, bit * k), (k * column, bit * k)):
+            assert derived & 1 == want % 2, (start, k)
+        assert _coefficient(a, b, SequenceKind.FIBONACCI, column) is (b if bit else a)
+    mixed = _Index(list(range(lo, lo + width + 2)))  # two consecutive indices at least
+    for read in (lambda c: c & 1, parity, lambda c: _coefficient(a, b, SequenceKind.LUCAS, c)):
+        with pytest.raises(TypeError):
+            read(mixed)
 
 
 def test_an_evaluator_that_branches_on_its_index_raises_on_a_column():
-    # cassini-fib picks its coefficients by the parity of n
+    # cassini-fib picks its coefficients by the parity of n, which a column
+    # of mixed parity does not have; an evaluator that tests an index's value
+    # raises on a column of one parity too
+    t = _Lanes(SeqParams(2, 3))
     with pytest.raises(TypeError):
-        _eval_cassini_fib(_Table(SeqParams(2, 3)), _Index([1, 2, 3]))
+        _eval_cassini_fib(t, _Index([1, 2, 3]))
+    lhs, rhs = _sides(_eval_cassini_fib, t, (_Index([-3, 1, 5]),))
+    assert [_fraction(v) for v in _kept(lhs, repeat(True))] == [F(-2)] * 3 == [_fraction(v) for v in _kept(rhs, repeat(True))]
+
+    def branching(t, n):
+        lhs, rhs = _eval_cassini_fib(t, n)
+        return (lhs + 1 if n == 4 else lhs), rhs
+
+    with pytest.raises(TypeError):
+        branching(t, _Index([2, 4, 6]))
 
 
 #: coprime denominators that are not powers of 2, negative parameters, and
@@ -782,33 +828,43 @@ SMALL_BOX = st.integers(-7, 7).flatmap(lambda lo: st.tuples(st.just(lo), st.inte
 
 @settings(deadline=None, max_examples=60)
 @given(ab=LANE_POINTS, n_range=SMALL_BOX, m_range=SMALL_BOX)
-@example(ab=(F(7, 5), F(-11, 3)), n_range=(-5, 1), m_range=(-3, 3))
+@example(ab=(F(7, 5), F(-11, 3)), n_range=(-5, 1), m_range=(-3, 3))  # odd starts, crossing 0
 @example(ab=(F(2), F(-2)), n_range=(-7, -1), m_range=(1, 7))
+@example(ab=(F(-3, 7), F(-5)), n_range=(-4, 3), m_range=(2, 2))  # even n start
+@example(ab=(F(4, 3), F(-3)), n_range=(3, 3), m_range=(-2, -2))  # one index
+@example(ab=(F(-11, 3), F(7, 5)), n_range=(0, 0), m_range=(0, 6))
 def test_lanes_match_the_oracle_tuple_by_tuple(ab, n_range, m_range):
-    # each two-index evaluator on lanes against the same evaluator over
-    # oracle Fractions, one index tuple at a time
+    # each recurrence evaluator, and each gap, on the lanes of every block of
+    # the grid against the same function over oracle Fractions, one index
+    # tuple at a time
     a, b = ab
     oracle = _OracleTable(a, b, 2 * (13 + 13 + 1) + 1)  # thm6-*'s reach, 2(m + n + 1) + 1
-    for ident in TERM_ONLY:
+    lanes = _Lanes(SeqParams(a, b))
+    for ident in ON_LANES:
         idef = _CATALOG[ident]
-        grid = _index_tuples(idef, n_range, m_range)
-        if not grid:
-            continue
-        sides = idef.evaluate(_Lanes(SeqParams(a, b)), *map(_Index, zip(*grid)))
-        got = zip(*(map(_fraction, _kept(side, repeat(True))) for side in sides))
-        assert list(got) == [idef.evaluate(oracle, *indices) for indices in grid], ident
+        grid = _index_tuples(idef, n_range, m_range if idef.arity == 2 else None)
+        for block in _blocks(idef, grid):
+            columns = tuple(map(_Index, zip(*block)))
+            lhs, rhs = _sides(idef.evaluate, lanes, columns)
+            got = zip(*(map(_fraction, _kept(side, repeat(True))) for side in (lhs, rhs)))
+            want = [idef.evaluate(oracle, *indices) for indices in block]
+            assert list(got) == want, (ident, block)
+            if idef.gap is not None:
+                gaps = map(_fraction, _kept(idef.gap(lanes, lhs, *columns), repeat(True)))
+                assert list(gaps) == [idef.gap(oracle, side, *indices)
+                                      for (side, _), indices in zip(want, block)], (ident, block)
 
 
 def test_a_gap_entry_reports_what_a_naive_loop_does(monkeypatch):
-    # thm4-i-printed with a gap off at some tuples, so the one pass per point
-    # counts unexpected tuples among checks that hold (a = b = 2) and among
-    # those that fail; integral points, non-integral ones and a = 2 given
-    # twice, whose counterexamples come back twice
+    # thm4-i-printed with a gap off by 2 at odd n, so each point counts
+    # unexpected tuples among checks that hold (a = b = 2) and among those
+    # that fail; integral points, non-integral ones and a = 2 given twice,
+    # whose counterexamples come back twice. The naive loop runs over oracle
+    # Fractions
     ident = IdentityId.THM4_I_PRINTED
 
     def skewed(t, lhs, n):
-        documented = _gap_thm4_printed(t, lhs, n)
-        return documented + 1 if n % 3 == 0 else documented
+        return _gap_thm4_printed(t, lhs, n) + 1 - _sign(n)
 
     idef = dataclasses.replace(_CATALOG[ident], gap=skewed)
     monkeypatch.setitem(_CATALOG, ident, idef)
@@ -820,14 +876,14 @@ def test_a_gap_entry_reports_what_a_naive_loop_does(monkeypatch):
     counterexamples = []
     for a in a_values:
         for b in b_values:
-            table = _Table(SeqParams(a, b))
+            table = _OracleTable(a, b, 12)
             for n in range(n_range[0], n_range[1] + 1):
                 lhs, rhs = idef.evaluate(table, n)
                 checked += 1
                 passed += lhs == rhs
                 unexpected += lhs - rhs != skewed(table, lhs, n)
                 if lhs != rhs:
-                    counterexamples.append((F(a), F(b), (n,), _fraction(lhs), _fraction(rhs)))
+                    counterexamples.append((F(a), F(b), (n,), lhs, rhs))
     counterexamples.sort(key=lambda ce: ce[:3])
 
     assert 0 < passed < checked and 0 < unexpected < checked

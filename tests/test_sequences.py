@@ -16,7 +16,6 @@ from biperiodic import (
     preset,
     term_recurrence,
 )
-from biperiodic.identities import _Unreduced
 from biperiodic.sequences import _coefficient, _finished_term, _forward, _seeds, _term_shape, terms
 from conftest import classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
 
@@ -48,10 +47,13 @@ def oracle(a, b, kind, lo, hi):
 def test_parity_indicator():
     assert parity(4) == 0
     assert parity(7) == 1
-    # -3 - 2*floor(-3/2) = -3 - 2*(-2) = 1
+    # -3 = 2*(-2) + 1
     assert parity(-3) == 1
     assert parity(0) == 0
     assert parity(-8) == 0
+    # n & 1 is n mod 2 for every int, the far negative ones included
+    for n in [*range(-41, 42), -(2**70) - 1, -(2**70), 2**70 + 1, -(10**30) + 7]:
+        assert parity(n) == n % 2 and type(parity(n)) is int, n
 
 
 def test_params_reject_zero():
@@ -82,11 +84,10 @@ def test_seeds():
         assert term_recurrence(p, LUC, 1) == a
 
 
-#: (a, b, the same point as SeqParams): int, Fraction and unreduced values
+#: (a, b, the same point as SeqParams): int and Fraction values
 VALUE_TYPES = [
     (2, -3, SeqParams(2, -3)),
     (F(5, 3), F(-7, 2), SeqParams(F(5, 3), F(-7, 2))),
-    (_Unreduced(10, 6), _Unreduced(7, -2), SeqParams(F(5, 3), F(-7, 2))),
 ]
 
 
