@@ -55,9 +55,18 @@ be even, and V + (r+4s)*U = V + r*U (mod 4). ``sequences._finished_term``
 finishes each term from its numerator, its power of s and its divisor
 (1 or 2), and checks that division.
 
-D = 0 (equivalently ab = -4) collapses the two roots. The fibonacci
-formula divides by alpha - beta and is rejected there; the lucas formula
-has no such division and keeps working through the formal d = 0 algebra.
+D = 0 (equivalently ab = -4) collapses the two roots, and all four
+formulas still hold: none divides by alpha - beta, and at d = 0, where
+Q[X]/(X^2 - d) is the ring of dual numbers, ``_IntPair`` still computes
+the Lucas pair (V, U) of (r+2s, s^2). Proof, by the polynomial identity
+argument of ``genmatrix``'s core formula: V and U are homogeneous,
+V_h(s*P, s^2) = s^h * V_h(P, 1) and U_h(s*P, s^2) = s^(h-1) * U_h(P, 1),
+so V/s^|j| = V_|j|(ab+2, 1) and U/s^(|j|-1) = +-U_|j|(ab+2, 1). With
+r/s = ab, each formula is a polynomial in a and ab, and each term is a
+polynomial in a and b (the recurrence, run either way from seeds in
+Z[a]). The two agree wherever ab(ab+4) != 0, so their difference times
+ab(ab+4) is the zero polynomial, and the difference vanishes on the line
+too. Only ``eigen_decompose`` refuses the line: no eigenbasis exists there.
 """
 from __future__ import annotations
 
@@ -116,10 +125,6 @@ def _alpha_power(p: SeqParams, j: int) -> tuple[int, int]:
 
 
 def binet_fib(p: SeqParams, n: int) -> Rational:
-    if p.disc == 0:
-        raise DegenerateDiscriminantError(
-            "ab = -4 gives a repeated root; the fibonacci closed form divides by alpha - beta"
-        )
     j = n // 2
     v, u = _alpha_power(p, j)
     if parity(n):

@@ -11,7 +11,8 @@ Output contract:
   needs escaping: the keys are n, value, fib and lucas; the cells are ints
   and ``format_rational`` strings, made of ``-``, digits and ``/`` only.
 * Exit codes: 0 success, 1 identity-verification mismatch, 2 usage error,
-  3 domain error (singular matrix / repeated root).
+  3 domain error (``matrix --n`` below 0 where ab = -4, since G is
+  singular there).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .binet import DegenerateDiscriminantError, binet_fib, binet_lucas
+from .binet import binet_fib, binet_lucas
 from .exact import Mat2, SingularMatrixError, format_rational, parse_rational
 from .genmatrix import (
     ClosedForm,
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SingularMatrixError, DegenerateDiscriminantError) as exc:
+    except SingularMatrixError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except SystemExit as exc:  # argparse --help

@@ -123,12 +123,9 @@ times (a/b)^e for n in {0, 1}. The kernel and the finisher test no
 predicate of the line; it is decided once, where n comes in from a caller.
 ``matrix_power``, ``_from_core`` (so ``ClosedForm.materialize``) and
 ``det_power`` first call ``_refuse_negative_power``, which raises
-SingularMatrixError for n < 0 on the line. ``power_closed_form`` takes
-n >= 1 only and serves the line: its entries are still the terms.
-``term_fast`` refuses the whole line by contract, so ``term --method
-matrix`` exits 3 there, although the kernel entry it reads is the term
-there too; ``--method recurrence`` serves the line, and so does
-``--method binet`` for lucas.
+SingularMatrixError for n < 0 on the line. ``power_closed_form`` (n >= 1)
+and ``term_fast`` (every n) serve the line: they read only the kernel's
+entries, which are the terms there too (core formula).
 """
 from __future__ import annotations
 
@@ -395,13 +392,9 @@ def term_fast_counted(p: SeqParams, kind: SequenceKind, n: int) -> tuple[Rationa
     m = n+1 is used and the term is read from the trailing diagonal entry:
     t(n) = P22 / s^(|j|+e). Otherwise t(n) = a*P12 / s^(|j|+e). No Mat2 is
     built; ``sequences._finished_term`` finishes the term from the entry
-    (module docstring, lowest terms).
+    (module docstring, lowest terms). Every (a, b) and every n is served,
+    the line ab + 4 = 0 included: the core formula holds there too.
     """
-    if p.ab_plus_4 == 0:
-        raise SingularMatrixError(
-            "ab + 4 = 0: the matrix term path refuses this parameter line; "
-            "use the recurrence, or Binet for lucas"
-        )
     m = n if kind is _exposed_kind(n) else n + 1
     power, exponent, count = _kernel(p, m)
     entry = power[1] if m == n else power[2]

@@ -35,12 +35,11 @@ Catalog notes:
 * ``det-power``, ``matrix-form``, ``inverse-power``, ``binet-fib`` and
   ``binet-lucas`` cross-check the matrix and closed-form engines against
   the recurrence oracle and against each other. On the line ab = -4,
-  where ab + 4 = 0 and ab(ab + 4) = 0 alike (ab != 0), two engines refuse:
-  ``inverse-power`` needs G^-n, which does not exist there, and
-  ``binet-fib`` divides by alpha - beta = 0. Each of the two carries its
-  reason as data, ``_IdentityDef.line_reason``, and the verify grid
-  records every point on the line as an exclusion with that reason; the
-  other three check the line like any other point.
+  where ab + 4 = 0 and ab(ab + 4) = 0 alike (ab != 0), one engine
+  refuses: ``inverse-power`` needs G^-n, which does not exist there. It
+  carries its reason as data, ``_IdentityDef.line_reason``, and the
+  verify grid records every point on the line as an exclusion with that
+  reason; the other four check the line like any other point.
 
 How a check runs: an evaluator reads its terms and the constants a, b and
 ab + 4 from one table per parameter point, of the type
@@ -568,10 +567,7 @@ _CATALOG: dict[IdentityId, _IdentityDef] = {
     IdentityId.SUB_QQ: _IdentityDef(_eval_sub_qq, _SHIFTED, _SHIFTED, parity_domain=_BOTH_EVEN),
     IdentityId.SUB_LL: _IdentityDef(_eval_sub_ll, _SHIFTED, _SHIFTED, parity_domain=_BOTH_ODD),
     IdentityId.SUB_QL: _IdentityDef(_eval_sub_ql, _SHIFTED, _SHIFTED, parity_domain=_EVEN_M_ODD_N),
-    IdentityId.BINET_FIB: _IdentityDef(
-        _eval_binet_fib, (-50, 50), line_reason="ab = -4: repeated characteristic root",
-        table=TermTable,
-    ),
+    IdentityId.BINET_FIB: _IdentityDef(_eval_binet_fib, (-50, 50), table=TermTable),
     IdentityId.BINET_LUCAS: _IdentityDef(_eval_binet_lucas, (-50, 50), table=TermTable),
     IdentityId.MATRIX_FORM: _IdentityDef(_eval_matrix_form, (1, 64), min_index=1, table=TermTable),
     IdentityId.INVERSE_POWER: _IdentityDef(
@@ -593,9 +589,8 @@ def evaluate(ident: IdentityId, p: SeqParams, *indices: int):
 
     Raises ParityMismatchError outside a parity-conditional identity's
     domain and ValueError for indices outside the identity's index domain.
-    No parameter point is excluded here, so the engines' domain errors pass
-    through: binet-fib raises DegenerateDiscriminantError at ab = -4, and
-    inverse-power raises SingularMatrixError at ab + 4 = 0.
+    No parameter point is excluded here, so an engine's domain error passes
+    through: inverse-power raises SingularMatrixError at ab + 4 = 0.
     Both sides come back as Fractions (a Mat2 for the matrix identities).
     """
     idef = _CATALOG[ident]
@@ -786,7 +781,7 @@ def verify_grid(
     the range given. A one-index identity ignores ``m_range`` and reports
     it as None.
 
-    Where the entry has a ``line_reason`` (inverse-power, binet-fib), each
+    Where the entry has a ``line_reason`` (inverse-power), each
     point on the line ab + 4 = 0 is recorded as an exclusion with that
     reason, never counted or thrown.
     A point's checks run as the module docstring says. Where a failed check

@@ -17,6 +17,7 @@ from biperiodic import (
     generating_matrix,
     parity,
     roots,
+    term_fast,
     term_recurrence,
 )
 from conftest import classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
@@ -68,17 +69,22 @@ class TestBinetValues:
         for a, b in GRID:
             assert binet_lucas(SeqParams(a, b), 0) == 2
 
-    def test_degenerate_discriminant_rejected_for_fibonacci(self):
-        with pytest.raises(DegenerateDiscriminantError):
-            binet_fib(SeqParams(2, -2), 3)
+    def test_frozen_fibonacci_values_on_the_line(self):
+        # at (2, -2) the terms are +-n, so these values need no oracle
+        p = SeqParams(2, -2)
+        assert [binet_fib(p, n) for n in range(-4, 8)] == [4, -3, -2, 1, 0, 1, 2, -3, -4, 5, 6, -7]
 
     def test_lucas_works_at_degenerate_discriminant(self):
-        # ab = -4 collapses the roots but the lucas form needs no division
-        for a, b in [(F(1), F(-4)), (F(2), F(-2)), (F(-1, 2), F(8))]:
+        # ab = -4 collapses the roots, but neither closed form divides by
+        # alpha - beta, and the matrix kernel's entries are the terms there too
+        for a, b in [(F(1), F(-4)), (F(1, 2), F(-8)), (F(2), F(-2)), (F(-3, 5), F(20, 3))]:
             p = SeqParams(a, b)
             assert p.disc == 0
-            for n in range(-6, 7):
-                assert binet_lucas(p, n) == term_recurrence(p, LUC, n), (a, b, n)
+            for kind, closed_form, table in ((FIB, binet_fib, oracle_fib_table),
+                                             (LUC, binet_lucas, oracle_lucas_table)):
+                t = table(a, b, -200, 200)
+                for n in range(-200, 201):
+                    assert closed_form(p, n) == term_fast(p, kind, n) == t[n], (a, b, kind, n)
 
     def test_agrees_with_recurrence_oracle(self):
         for a, b in GRID:
@@ -105,11 +111,7 @@ class TestBinetValues:
         p = SeqParams(a, b)
         lo, hi = min(n, 0), max(n, 1)
         assert binet_lucas(p, n) == oracle_lucas_table(a, b, lo, hi)[n]
-        if p.disc == 0:
-            with pytest.raises(DegenerateDiscriminantError):
-                binet_fib(p, n)
-        else:
-            assert binet_fib(p, n) == oracle_fib_table(a, b, lo, hi)[n]
+        assert binet_fib(p, n) == oracle_fib_table(a, b, lo, hi)[n]
 
     def test_each_term_raises_alpha_to_one_power(self, monkeypatch):
         calls, counts, products = [], [], []

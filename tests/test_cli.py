@@ -64,14 +64,24 @@ class TestTerm:
         record = run_json("term", "--kind", "lucas", "--a", "1", "--b", "1", "--n", "0")
         assert record["results"] == [{"n": 0, "value": "2"}]
 
-    def test_binet_degenerate_discriminant_exits_3(self):
-        proc = run_cli("term", "--kind", "fib", "--a", "2", "--b", "-2", "--n", "4", "--method", "binet")
-        assert proc.returncode == 3
-        assert b"domain error" in proc.stderr
+    def test_binet_on_the_line_matches_recurrence(self):
+        # the documented command at (2, -2), where ab + 4 = 0
+        args = ("term", "--kind", "fib", "--a", "2", "--b", "-2", "--n", "4")
+        binet = run_json(*args, "--method", "binet")
+        recurrence = run_json(*args, "--method", "recurrence")
+        assert binet["params"].pop("method") == "binet"
+        assert recurrence["params"].pop("method") == "recurrence"
+        assert binet == recurrence
+        assert binet["results"] == [{"n": 4, "value": "-4"}]
 
-    def test_matrix_method_degenerate_exits_3(self):
-        proc = run_cli("term", "--kind", "fib", "--a", "1", "--b", "-4", "--n", "6", "--method", "matrix")
-        assert proc.returncode == 3
+    def test_matrix_method_on_the_line_matches_recurrence(self):
+        for kind in ("fib", "lucas"):
+            args = ("term", "--kind", kind, "--a", "1", "--b", "-4", "--n", "6")
+            matrix = run_json(*args, "--method", "matrix")
+            recurrence = run_json(*args, "--method", "recurrence")
+            assert matrix["params"].pop("method") == "matrix"
+            assert recurrence["params"].pop("method") == "recurrence"
+            assert matrix == recurrence, kind
 
     def test_invalid_rational_exits_2(self):
         proc = run_cli("term", "--kind", "fib", "--a", "2.5", "--b", "3", "--n", "1")
@@ -85,14 +95,16 @@ class TestTerm:
         assert proc.returncode == 2
 
     def test_all_methods_agree_over_a_range(self):
-        values = {}
-        for method in ("recurrence", "matrix", "binet"):
-            record = run_json(
-                "term", "--kind", "lucas", "--a", "2", "--b", "3",
-                "--n-range", "-6..6", "--method", method,
-            )
-            values[method] = [r["value"] for r in record["results"]]
-        assert values["recurrence"] == values["matrix"] == values["binet"]
+        # (2, -2) and (1, -4) lie on ab = -4, where G^-n and an eigenbasis do
+        # not exist; term needs neither, so every method serves the line
+        for kind, a, b in (("lucas", "2", "3"), ("fib", "2", "-2"), ("lucas", "1", "-4")):
+            outputs = []
+            for method in ("recurrence", "matrix", "binet"):
+                proc = run_cli("term", "--kind", kind, "--a", a, "--b", b, "--n-range", "-6..6",
+                               "--method", method, "--format", "csv")
+                assert proc.returncode == 0, proc.stderr.decode()
+                outputs.append(proc.stdout)
+            assert outputs[0] == outputs[1] == outputs[2], (kind, a, b)
 
     def test_csv_and_json_carry_the_same_values(self):
         args = ("term", "--kind", "fib", "--a", "1/2", "--b", "-3/2", "--n-range", "-4..8")

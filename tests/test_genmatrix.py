@@ -222,12 +222,17 @@ class TestTermFast:
                 _, count = term_fast_counted(p, kind, n)
                 assert count <= 2 * (n + 1).bit_length()
 
-    def test_degenerate_parameters_are_rejected(self):
+    def test_degenerate_parameters_are_served(self):
+        # G is singular at (1, -4), but term_fast never inverts it: negative
+        # n goes through the index reflection, and the count stays logarithmic
         p = SeqParams(1, -4)
-        with pytest.raises(SingularMatrixError):
-            term_fast(p, FIB, 5)
-        with pytest.raises(SingularMatrixError):
-            term_fast(p, LUC, -3)
+        assert term_fast(p, FIB, 5) == 5
+        assert term_fast(p, LUC, -3) == 1
+        for kind in (FIB, LUC):
+            for n in (-4095, 4095):
+                value, count = term_fast_counted(p, kind, n)
+                assert value == term_recurrence(p, kind, n), (kind, n)
+                assert count <= 2 * (abs(n) + 1).bit_length()
 
     @settings(deadline=None)
     @given(ab=pairs, n=st.integers(-60, 60))
@@ -236,11 +241,7 @@ class TestTermFast:
         p = SeqParams(a, b)
         lo, hi = min(n, 0), max(n, 1)
         for kind, table in ((FIB, oracle_fib_table), (LUC, oracle_lucas_table)):
-            if p.ab_plus_4 == 0:
-                with pytest.raises(SingularMatrixError):
-                    term_fast(p, kind, n)
-            else:
-                assert term_fast(p, kind, n) == table(a, b, lo, hi)[n]
+            assert term_fast(p, kind, n) == table(a, b, lo, hi)[n]
 
     def test_deep_terms_agree_with_binet_and_the_walk(self):
         # operands of thousands of bits, through both kernels and the negative-n
@@ -278,7 +279,7 @@ class TestTermFast:
 
 #: pairs for the lowest-terms shortcut: a's numerator shares the prime 2 with s
 #: (ab = 1/2); a's denominator divides numerators N (ab = 1/3); integer ab in
-#: {-1, -2, -3}, where terms vanish; ab = -4, where only lucas Binet runs
+#: {-1, -2, -3}, where terms vanish; ab = -4, where G is singular
 CANONICAL_PAIRS = [
     (F(2), F(1, 4)),
     (F(1, 2), F(2, 3)),
@@ -295,9 +296,7 @@ def entries(m):
 
 
 def assert_engines_canonical(p, n):
-    values = [binet_lucas(p, n)]
-    if p.ab_plus_4 != 0:
-        values += [binet_fib(p, n), term_fast(p, FIB, n), term_fast(p, LUC, n)]
+    values = [binet_lucas(p, n), binet_fib(p, n), term_fast(p, FIB, n), term_fast(p, LUC, n)]
     if n >= 1:
         cf = power_closed_form(p, n)
         values += entries(cf.core) + entries(cf.materialize())

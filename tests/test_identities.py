@@ -325,15 +325,10 @@ class TestVerifyGrid:
         assert [(e.a, e.b, e.reason) for e in report.excluded] == [(a, b, reason) for a, b in ON_THE_LINE]
         assert report.passed == report.checked == 16 * 9
 
-    def test_binet_fib_records_degenerate_exclusions(self):
-        report = verify_grid(IdentityId.BINET_FIB, *LINE_GRID, n_range=(-5, 5))
-        reason = "ab = -4: repeated characteristic root"
-        assert [(e.a, e.b, e.reason) for e in report.excluded] == [(a, b, reason) for a, b in ON_THE_LINE]
-        assert report.passed == report.checked == 16 * 11
-
     @pytest.mark.parametrize(
         "ident, indices",
-        [(IdentityId.DET_POWER, 5), (IdentityId.MATRIX_FORM, 5), (IdentityId.BINET_LUCAS, 11)],
+        [(IdentityId.DET_POWER, 5), (IdentityId.MATRIX_FORM, 5), (IdentityId.BINET_FIB, 11),
+         (IdentityId.BINET_LUCAS, 11)],
     )
     def test_engine_entries_without_a_reason_check_the_line(self, ident, indices):
         # n_range -5..5, clipped at min_index 1 for det-power and matrix-form
