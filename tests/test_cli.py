@@ -299,6 +299,100 @@ class TestTable:
         assert proc.returncode == 2
 
 
+def main_output(argv):
+    """Run ``cli.main(argv)`` in-process; return (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+#: One cheap, valid argv per command: its flags, and the same with abbreviated flags.
+COMMAND_ARGVS = {
+    "term": (["--kind", "fib", "--a", "2", "--b", "3", "--n-range", "-3..3", "--method", "binet"],
+             ["--ki", "fib", "--a", "2", "--b", "3", "--n-r", "-3..3", "--meth", "binet"]),
+    "matrix": (["--a", "2", "--b", "3", "--n", "-2", "--show", "det"],
+               ["--a", "2", "--b", "3", "--n", "-2", "--sh", "det"]),
+    "verify": (["--identity", "cassini-fib", "--a-set", "1,-2", "--b-set", "3", "--n-range", "1..4"],
+               ["--ident", "cassini-fib", "--a-s", "1,-2", "--b-s", "3", "--n", "1..4"]),
+    "table": (["--a", "2", "--b", "3", "--n-range", "-3..3", "--kinds", "fib", "--format", "csv"],
+              ["--a", "2", "--b", "3", "--n-r", "-3..3", "--ki", "fib", "--fo", "csv"]),
+}
+
+#: Each command's help line, as ``biperiodic --help`` lists it.
+COMMAND_HELP = {
+    "term": "compute sequence terms",
+    "matrix": "generating-matrix powers",
+    "verify": "grid-verify identities",
+    "table": "tabulate terms over an index range",
+}
+
+
+class TestParsing:
+    """What argparse gives every command: help, usage errors, abbreviated flags."""
+
+    def test_top_level_help_lists_the_commands(self):
+        for flag in ("--help", "-h"):
+            code, out, err = main_output([flag])
+            assert (code, err) == (0, "")
+            assert out.startswith("usage: biperiodic")
+            text = "".join(out.split())  # help lines may wrap anywhere, after a hyphen too
+            for command, line in COMMAND_HELP.items():
+                assert command in text and "".join(line.split()) in text, command
+
+    @pytest.mark.parametrize("command", COMMAND_ARGVS)
+    def test_command_help_lists_its_flags(self, command):
+        code, out, err = main_output([command, "--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: biperiodic")
+        flags = [token for token in COMMAND_ARGVS[command][0] if token.startswith("--")]
+        for flag in flags:
+            assert flag in out, flag
+
+    def test_help_runs_as_a_program(self):
+        for argv in (["--help"], ["table", "--help"]):
+            proc = run_cli(*argv)
+            assert proc.returncode == 0 and proc.stderr == b""
+            assert proc.stdout.startswith(b"usage: biperiodic")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["tabel", "--a", "2"],
+            ["--a", "2", "table"],
+            ["table", "--a", "2", "--b", "3", "--n-range", "0..3", "--method", "matrix"],
+            ["table", "--a", "2", "--b", "3", "--n-range", "0..3", "--format", "xml"],
+            ["term", "--kind", "fib", "--a", "2", "--b", "3", "--n", "5", "--method", "exact"],
+            ["matrix", "--a", "2", "--b", "3", "--n", "x"],
+            ["matrix", "--a", "2", "--b", "3"],
+            ["term", "--a", "2", "--b", "3", "--n", "5"],
+            ["table", "--a", "2", "--b", "3", "--n-range", "0..3", "extra"],
+        ],
+        ids=["no-command", "unknown-command", "flag-before-command", "other-commands-flag",
+             "bad-format", "bad-method", "non-int-n", "missing-n", "missing-kind",
+             "extra-positional"],
+    )
+    def test_usage_errors_exit_2(self, argv):
+        code, out, err = main_output(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_usage_error_as_a_program(self):
+        proc = run_cli("tabel", "--a", "2")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"error: ")
+
+    @pytest.mark.parametrize("command", COMMAND_ARGVS)
+    def test_abbreviated_flags(self, command):
+        full, short = COMMAND_ARGVS[command]
+        expected = main_output([command, *full])
+        assert expected[0] == 0 and expected[1]
+        assert main_output([command, *short]) == expected
+        joined = [f"{flag}={value}" for flag, value in zip(short[::2], short[1::2])]
+        assert main_output([command, *joined]) == expected
+
+
 #: Points of the differential test below: integral and fractional terms, both signs.
 ROW_POINTS = [("2", "3"), ("1/2", "-3"), ("5/3", "-2/3"), ("-1", "1"), ("-3/2", "1/2")]
 
