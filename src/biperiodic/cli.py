@@ -284,12 +284,12 @@ def cmd_verify(args) -> tuple[str, int]:
             raise UsageError(
                 f"unknown identity {args.identity!r}; expected 'all' or one of: {known}"
             ) from None
-    a_vals = _parse_rational_set(args.a_set) if args.a_set else STANDARD_VALUES
-    b_vals = _parse_rational_set(args.b_set) if args.b_set else STANDARD_VALUES
+    a_vals = STANDARD_VALUES if args.a_set is None else _parse_rational_set(args.a_set)
+    b_vals = STANDARD_VALUES if args.b_set is None else _parse_rational_set(args.b_set)
     if any(v == 0 for v in a_vals + b_vals):
         raise UsageError("sequence parameters must be nonzero")
-    n_override = _parse_range(args.n_range) if args.n_range else None
-    m_override = _parse_range(args.m_range) if args.m_range else None
+    n_override = None if args.n_range is None else _parse_range(args.n_range)
+    m_override = None if args.m_range is None else _parse_range(args.m_range)
 
     reports = []
     for ident in idents:

@@ -191,6 +191,15 @@ class TestVerify:
         proc = run_cli("verify", "--identity", "no-such-identity")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("flag", ["--a-set", "--b-set", "--n-range", "--m-range"])
+    def test_empty_flag_value_exits_2(self, flag):
+        # an empty value is refused like "--a-set ,", not read as the default
+        argv = ["verify", "--identity", "thm6-i", "--a-set", "1", "--b-set", "1"]
+        for empty in ([f"{flag}="], [flag, ""]):
+            code, out, err = main_output(argv + empty)
+            assert (code, out) == (2, ""), empty
+            assert err.startswith("error: "), empty
+
     def test_unexpected_outcome_exits_1(self, monkeypatch):
         # an evaluator off by one disagrees with its documented value at
         # every point, for an identity that holds and for each erratum entry
