@@ -122,46 +122,6 @@ def _emit_rows(args, params: dict, columns: dict) -> str:
     return _emit_json(record, columns)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="biperiodic", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    term = sub.add_parser("term", help="compute sequence terms")
-    term.add_argument("--kind", choices=("fib", "lucas"), required=True)
-    term.add_argument("--a", required=True)
-    term.add_argument("--b", required=True)
-    term.add_argument("--n", type=int)
-    term.add_argument("--n-range", dest="n_range")
-    term.add_argument(
-        "--method", choices=("recurrence", "matrix", "binet"), default="recurrence"
-    )
-    term.add_argument("--format", choices=("json", "csv"), default="json")
-
-    matrix = sub.add_parser("matrix", help="generating-matrix powers")
-    matrix.add_argument("--a", required=True)
-    matrix.add_argument("--b", required=True)
-    matrix.add_argument("--n", type=int, required=True)
-    matrix.add_argument(
-        "--show", choices=("entries", "closed-form", "det", "all"), default="entries"
-    )
-
-    verify = sub.add_parser("verify", help="grid-verify identities")
-    verify.add_argument("--identity", default="all")
-    verify.add_argument("--a-set", dest="a_set")
-    verify.add_argument("--b-set", dest="b_set")
-    verify.add_argument("--n-range", dest="n_range")
-    verify.add_argument("--m-range", dest="m_range")
-
-    table = sub.add_parser("table", help="tabulate terms over an index range")
-    table.add_argument("--a", required=True)
-    table.add_argument("--b", required=True)
-    table.add_argument("--n-range", dest="n_range", required=True)
-    table.add_argument("--kinds", default="fib,lucas")
-    table.add_argument("--format", choices=("json", "csv"), default="json")
-
-    return parser
-
-
 def _term_values(p: SeqParams, kind: SequenceKind, method: str, lo: int, hi: int):
     """t(lo..hi) by one method; the recurrence walks forward once for the whole range."""
     if method == "recurrence":
@@ -339,12 +299,50 @@ def cmd_table(args) -> tuple[str, int]:
     return _emit_rows(args, params, columns), 0
 
 
+_AB_FLAGS = {"--a": {"required": True}, "--b": {"required": True}}
+_FORMAT_FLAG = {"--format": {"choices": ("json", "csv"), "default": "json"}}
+
+#: Each command: its handler, its help line and its flags, as add_argument keywords.
 _COMMANDS = {
-    "term": cmd_term,
-    "matrix": cmd_matrix,
-    "verify": cmd_verify,
-    "table": cmd_table,
+    "term": (cmd_term, "compute sequence terms", {
+        "--kind": {"choices": ("fib", "lucas"), "required": True},
+        **_AB_FLAGS,
+        "--n": {"type": int},
+        "--n-range": {},
+        "--method": {"choices": ("recurrence", "matrix", "binet"), "default": "recurrence"},
+        **_FORMAT_FLAG,
+    }),
+    "matrix": (cmd_matrix, "generating-matrix powers", {
+        **_AB_FLAGS,
+        "--n": {"type": int, "required": True},
+        "--show": {"choices": ("entries", "closed-form", "det", "all"), "default": "entries"},
+    }),
+    "verify": (cmd_verify, "grid-verify identities", {
+        "--identity": {"default": "all"},
+        "--a-set": {},
+        "--b-set": {},
+        "--n-range": {},
+        "--m-range": {},
+    }),
+    "table": (cmd_table, "tabulate terms over an index range", {
+        **_AB_FLAGS,
+        "--n-range": {"required": True},
+        "--kinds": {"default": "fib,lucas"},
+        **_FORMAT_FLAG,
+    }),
 }
+
+
+def build_parser(command) -> argparse.ArgumentParser:
+    """The parser of one call: every command name, and the flags of ``command`` only."""
+    parser = _Parser(prog="biperiodic", description=__doc__.splitlines()[0])
+    listing = "; ".join(f"{name}: {line}" for name, (_, line, _) in _COMMANDS.items())
+    parser.add_argument("command", choices=_COMMANDS, help=listing)
+    flags = _COMMANDS[command][2] if command in _COMMANDS else {}
+    for flag, kwargs in flags.items():
+        parser.add_argument(flag, **kwargs)
+    return parser
+
 
 def _absorb_flag_values(argv: list[str]) -> list[str]:
     """Merge "--flag -value" into "--flag=-value" before parsing.
@@ -366,12 +364,10 @@ def _absorb_flag_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
+    argv = _absorb_flag_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_absorb_flag_values(list(argv)))
-        output, code = _COMMANDS[args.command](args)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        output, code = _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -316,10 +317,12 @@ def main_output(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-#: One cheap, valid argv per command: its flags, and the same with abbreviated flags.
+#: One cheap, valid argv per command, flags spelled out, and the same with abbreviated flags.
 COMMAND_ARGVS = {
-    "term": (["--kind", "fib", "--a", "2", "--b", "3", "--n-range", "-3..3", "--method", "binet"],
-             ["--ki", "fib", "--a", "2", "--b", "3", "--n-r", "-3..3", "--meth", "binet"]),
+    "term": (["--kind", "fib", "--a", "2", "--b", "3", "--n-range", "-3..3", "--method", "binet",
+              "--format", "csv"],
+             ["--ki", "fib", "--a", "2", "--b", "3", "--n-r", "-3..3", "--meth", "binet",
+              "--fo", "csv"]),
     "matrix": (["--a", "2", "--b", "3", "--n", "-2", "--show", "det"],
                ["--a", "2", "--b", "3", "--n", "-2", "--sh", "det"]),
     "verify": (["--identity", "cassini-fib", "--a-set", "1,-2", "--b-set", "3", "--n-range", "1..4"],
@@ -400,6 +403,14 @@ class TestParsing:
         assert main_output([command, *short]) == expected
         joined = [f"{flag}={value}" for flag, value in zip(short[::2], short[1::2])]
         assert main_output([command, *joined]) == expected
+
+    @pytest.mark.parametrize("command, most", [("term", 9), ("matrix", 6), ("verify", 7),
+                                               ("table", 7)])
+    def test_one_parser_with_the_commands_flags_only(self, monkeypatch, command, most):
+        # the command positional, -h and the command's own flags: no other command's
+        argv = [command, *COMMAND_ARGVS[command][0]]
+        assert call_counted(monkeypatch, argparse.ArgumentParser, "__init__", argv) == 1
+        assert call_counted(monkeypatch, argparse.ArgumentParser, "add_argument", argv) <= most
 
 
 #: Points of the differential test below: integral and fractional terms, both signs.
