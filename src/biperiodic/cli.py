@@ -9,7 +9,8 @@ Output contract:
 * term and table map one ``str.format`` template per row over columns of
   cells, indented in JSON as ``json.dumps(indent=2)`` indents them. No cell
   needs escaping: the keys are n, value, fib and lucas; the cells are ints
-  and ``format_rational`` strings, made of ``-``, digits and ``/`` only.
+  and ``num/den`` strings (``exact._format_pair``, straight from the walk's
+  integer pairs for the recurrence), made of ``-``, digits and ``/`` only.
 * Exit codes: 0 success, 1 identity-verification mismatch, 2 usage error,
   3 domain error (``matrix --n`` below 0 where ab = -4, since G is
   singular there).
@@ -20,9 +21,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import starmap
 
 from .binet import binet_fib, binet_lucas
-from .exact import Mat2, SingularMatrixError, format_rational, parse_rational
+from .exact import Mat2, SingularMatrixError, _format_pair, format_rational, parse_rational
 from .genmatrix import (
     ClosedForm,
     det_power,
@@ -39,7 +41,7 @@ from .identities import (
     report_matches_expectation,
     verify_grid,
 )
-from .sequences import SeqParams, SequenceKind, terms
+from .sequences import SeqParams, SequenceKind, term_pairs
 
 SCHEMA_VERSION = "1"
 MAX_COUNTEREXAMPLES_SHOWN = 25
@@ -122,14 +124,14 @@ def _emit_rows(args, params: dict, columns: dict) -> str:
     return _emit_json(record, columns)
 
 
-def _term_values(p: SeqParams, kind: SequenceKind, method: str, lo: int, hi: int):
-    """t(lo..hi) by one method; the recurrence walks forward once for the whole range."""
+def _term_cells(p: SeqParams, kind: SequenceKind, method: str, lo: int, hi: int) -> list[str]:
+    """The cells of t(lo..hi): from the pairs of one forward walk, or one Fraction per index."""
     if method == "recurrence":
-        return terms(p, kind, lo, hi)
+        return list(starmap(_format_pair, term_pairs(p, kind, lo, hi)))
     if method == "matrix":
-        return [term_fast(p, kind, n) for n in range(lo, hi + 1)]
+        return [format_rational(term_fast(p, kind, n)) for n in range(lo, hi + 1)]
     closed_form = binet_fib if kind is SequenceKind.FIBONACCI else binet_lucas
-    return [closed_form(p, n) for n in range(lo, hi + 1)]
+    return [format_rational(closed_form(p, n)) for n in range(lo, hi + 1)]
 
 
 def cmd_term(args) -> tuple[str, int]:
@@ -142,8 +144,8 @@ def cmd_term(args) -> tuple[str, int]:
     else:
         lo, hi = _parse_range(args.n_range)
         range_echo = f"{lo}..{hi}"
-    values = _term_values(p, SequenceKind(args.kind), args.method, lo, hi)
-    columns = {"n": range(lo, hi + 1), "value": list(map(format_rational, values))}
+    cells = _term_cells(p, SequenceKind(args.kind), args.method, lo, hi)
+    columns = {"n": range(lo, hi + 1), "value": cells}
     params = {
         "kind": args.kind,
         "a": format_rational(p.a),
@@ -289,7 +291,7 @@ def cmd_table(args) -> tuple[str, int]:
             kinds.append(item)
     columns = {"n": range(lo, hi + 1)}
     for kind in kinds:
-        columns[kind] = list(map(format_rational, terms(p, SequenceKind(kind), lo, hi)))
+        columns[kind] = _term_cells(p, SequenceKind(kind), "recurrence", lo, hi)
     params = {
         "a": format_rational(p.a),
         "b": format_rational(p.b),
@@ -365,8 +367,13 @@ def _absorb_flag_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _absorb_flag_values(sys.argv[1:] if argv is None else argv)
+    first = argv[0] if argv else ""
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        help_flag = first == "-h" or (len(first) > 2 and "--help".startswith(first))
+        if first.startswith("-") and not help_flag:
+            flag = first.partition("=")[0]
+            raise UsageError(f"the command ({', '.join(_COMMANDS)}) must come before {flag!r}")
+        args = build_parser(first).parse_args(argv)
         output, code = _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

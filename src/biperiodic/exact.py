@@ -5,7 +5,7 @@ Every value in this package is built from these three layers:
 * ``Rational`` -- arbitrary-precision fractions. This is the stdlib
   ``fractions.Fraction``, which already guarantees the canonical form we
   rely on everywhere: positive denominator, lowest terms, zero as 0/1.
-  ``_lowest_terms`` builds sequence terms in that form without renormalizing.
+  ``_product_pair`` builds sequence terms in that form, as integer pairs.
 * ``QuadExt`` -- elements u + v*sqrt(d) of a quadratic extension of the
   rationals. The radical is purely formal: no square root is ever taken,
   so negative and non-square d work the same as positive square d.
@@ -58,11 +58,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: _RationalLike) -> str:
-    """Canonical string form: ``num/den`` with ``/den`` omitted when den is 1."""
+    """Canonical string form: ``_format_pair`` of x's numerator and denominator."""
     x = _rational(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _format_pair(x.numerator, x.denominator)
+
+
+def _format_pair(num: int, den: int) -> str:
+    """The cell rule for a pair in lowest terms: ``num/den``, ``/den`` omitted when den is 1."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _rational(x) -> Fraction:
@@ -81,39 +84,41 @@ def _rational(x) -> Fraction:
 def _lowest_terms(a: Fraction, eps: int, num: int, den: int) -> Fraction:
     """a**eps * num/den in lowest terms, for eps in {0, 1}, den > 0 and gcd(num, den) = 1.
 
-    Every term of the package's fast paths is finished here, den a power
-    of s where ab = r/s: ``sequences._finished_term`` for both O(log n)
-    engines, and ``sequences.terms`` and ``TermTable`` for the recurrence
-    walk; each hands over a num prime to den. The matrix core's (2,1) entry
-    (b/a)*t(m) = b*N/s^k is finished here too, with b in the place of a,
-    which the lemma below allows for any nonzero rational. With a = p/q
-    in lowest terms, gcd(p*num, q*den) = gcd(num, q) * gcd(p, den): a prime
-    dividing p divides neither q nor, if it divides den, num, so its share
-    of the gcd is its share of gcd(p, den); a prime of q likewise; any other
-    prime divides at most one of num and den. So the only gcds taken are
-    against p and q, and the result is canonical without a final
-    normalization.
+    The pair comes from ``_product_pair`` and becomes a Fraction as in
+    ``_slots``, with no further gcd. ``sequences._finished_term`` finishes
+    the terms of both O(log n) engines here, and ``TermTable`` those of the
+    recurrence walk, den a power of s where ab = r/s; the matrix core's
+    (2,1) entry (b/a)*t(m) = b*N/s^k too, with b in the place of a.
     """
     if eps:
-        return _product(a.numerator, a.denominator, num, den)
-    # Fraction(num, den) would take a gcd of the whole operands again
+        num, den = _product_pair(a.numerator, a.denominator, num, den)
+    # inline, not through _slots: the catalog's TermTable finishes every term here
     x = object.__new__(Fraction)
     x._numerator, x._denominator = num, den
     return x
 
 
-def _product(p: int, q: int, num: int, den: int) -> Fraction:
-    """(p/q) * (num/den) in lowest terms, for two fractions in lowest terms with q, den > 0.
+def _product_pair(p: int, q: int, num: int, den: int) -> tuple[int, int]:
+    """(p/q) * (num/den) as a lowest-terms pair, for two fractions in lowest terms with q, den > 0.
 
-    The lemma of ``_lowest_terms``: the only gcds taken are gcd(p, den)
-    and gcd(num, q), so a big operand meets only the other fraction's
-    small one when one fraction is small. ``genmatrix`` finishes each
-    entry of G^n here.
+    Every term a * N/s^k of the fast paths, N prime to s, and every entry
+    of G^n is finished here. The lemma: gcd(p*num, q*den) =
+    gcd(num, q) * gcd(p, den). A prime dividing p divides neither q nor, if
+    it divides den, num, so its share of the gcd is its share of
+    gcd(p, den); a prime of q likewise; any other prime divides at most one
+    of num and den. So the only gcds taken are against p and q, a big
+    operand meets only the other fraction's small one when one fraction is
+    small, and the result is canonical without a final normalization.
     """
     g, h = gcd(p, den), gcd(num, q)
+    return (p // g) * (num // h), (q // h) * (den // g)
+
+
+def _slots(num: int, den: int) -> Fraction:
+    """num/den, a pair already in lowest terms with den > 0, as a Fraction built with no gcd."""
     # Fraction(num, den) would take a gcd of the whole operands again
     x = object.__new__(Fraction)
-    x._numerator, x._denominator = (p // g) * (num // h), (q // h) * (den // g)
+    x._numerator, x._denominator = num, den
     return x
 
 

@@ -98,7 +98,7 @@ both cases. Then, entry by entry,
 
 since (a/b)^e * Q^j / s^x = (a/b)^e * s^|j| * R^|j| / s^(|j|+e). The
 finisher takes this product without ``Fraction`` arithmetic, in two steps
-of the lemma of ``exact._lowest_terms``: gcd(X*x, Y*y) = gcd(x, Y) *
+of the lemma of ``exact._product_pair``: gcd(X*x, Y*y) = gcd(x, Y) *
 gcd(X, y) for X/Y and x/y in lowest terms. First Z * R^|j|, with
 R = rn/rd in lowest terms: gcd(Z * rn^|j|, rd^|j|) = gcd(Z, rd^|j|), taken
 one rd at a time, since gcd(Z, rd^h) = g * gcd(Z/g, rd^(h-1)) for
@@ -133,7 +133,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Literal
 
-from .exact import Mat2, Rational, SingularMatrixError, _lowest_terms, _power, _product
+from .exact import Mat2, Rational, SingularMatrixError, _lowest_terms, _power, _product_pair, _slots
 from .sequences import SeqParams, SequenceKind, _checked_triple, _finished_term, parity
 
 
@@ -226,7 +226,7 @@ def _scaled(p: SeqParams, n: int, zs) -> Mat2:
     """G^n from Z = (Z11, Z12, Z21, Z22), the core of G^n times s^(|j|+e)/(1, a, b, 1).
 
     G^n = c * (a/(b*s))^e * Z * R^|j| entry by entry, for n = 2j + e and
-    c = (1, a, b, 1); ``exact._product`` multiplies by the small factor
+    c = (1, a, b, 1); ``exact._product_pair`` multiplies by the small factor
     c * (a/(b*s))^e (module docstring, prefactor).
     """
     j, e = divmod(n, 2)
@@ -239,17 +239,11 @@ def _scaled(p: SeqParams, n: int, zs) -> Mat2:
     rn_j, rd_j = rn**big, rd**big
     pa, qa = p.a.numerator, p.a.denominator
     if e:
-        # u = a/(b*s), a*u and b*u = a/s, each in lowest terms by exact._product's lemma
+        # u = a/(b*s), a*u and b*u = a/s, each in lowest terms
         alpha, beta = p.a_over_b.numerator, p.a_over_b.denominator
         g = gcd(alpha, s)
         un, ud = alpha // g, beta * (s // g)
-        g, h, k = gcd(pa, ud), gcd(un, qa), gcd(pa, s)
-        factors = (
-            (un, ud),
-            ((pa // g) * (un // h), (qa // h) * (ud // g)),
-            (pa // k, qa * (s // k)),
-            (un, ud),
-        )
+        factors = ((un, ud), _product_pair(pa, qa, un, ud), _product_pair(pa, qa, 1, s), (un, ud))
     else:
         factors = ((1, 1), (pa, qa), (p.b.numerator, p.b.denominator), (1, 1))
     entries, last = [], None
@@ -257,7 +251,7 @@ def _scaled(p: SeqParams, n: int, zs) -> Mat2:
         if z != last:  # Z21 = Z12 in a core of G^n: one product by R^|j| serves both
             last = z
             num, den = _times_power(z, rd, big, rn_j, rd_j)
-        entries.append(_product(fn, fd, num, den))
+        entries.append(_slots(*_product_pair(fn, fd, num, den)))
     return Mat2(*entries)
 
 

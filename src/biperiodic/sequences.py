@@ -52,11 +52,13 @@ term comes out as a^eps * N/s^k with gcd(N, s) = 1, the (eps, k) of
 per index, carries s^k along and takes no gcd. Every negative index is
 read from it by the sign rule, ``_NEGATED_PARITY``, so the fast path
 never steps backward.
-``TermTable`` and ``terms`` finish each term they keep with
-``exact._lowest_terms``, which takes gcds against a's numerator and
-denominator only; ``TermTable`` keeps each term of one parameter pair once
-and reads it in O(1), and ``terms`` walks once to the far end of an index
-range and keeps only the terms inside it. The identity catalog's engine
+``TermTable`` finishes each term it keeps with ``exact._lowest_terms``,
+and ``term_pairs`` as an integer pair (num, den) with its lemma
+``exact._product_pair``: gcds against a's numerator and denominator only.
+``TermTable`` keeps each term of one parameter pair once and reads it in
+O(1). ``term_pairs`` walks once to the far end of an index range and keeps
+only the terms inside it; the CLI formats its pairs straight to cells, and
+``terms`` wraps them in Fractions with no gcd. The identity catalog's engine
 entries read ``TermTable``; its recurrence entries build their own values
 from the same triples (see ``identities``).
 
@@ -71,9 +73,9 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import islice, starmap
 
-from .exact import Rational, _lowest_terms, _rational
+from .exact import Rational, _lowest_terms, _product_pair, _rational, _slots
 
 
 class SequenceKind(enum.Enum):
@@ -236,25 +238,30 @@ def _finished_term(p: SeqParams, kind: SequenceKind, n: int, num: int, x: int, c
     return _lowest_terms(p.a, eps, quotient, p.ab.denominator**k)
 
 
-def terms(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:
-    """t(lo), ..., t(hi) from one forward walk to max(|lo|, |hi|).
+def term_pairs(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[tuple[int, int]]:
+    """t(lo), ..., t(hi) as pairs (num, den) in lowest terms, den > 0, from one forward walk.
 
-    Only the terms inside the range are kept, so a far range costs its
-    walk but no memory beyond its own width.
+    The walk runs to max(|lo|, |hi|). Only the terms inside the range are
+    kept, so a far range costs its walk but no memory beyond its own width.
     """
     if lo > hi:
         raise ValueError(f"empty index range {lo}..{hi}")
     below, above = [], []  # t(min(hi, -1)) down to t(lo); t(max(lo, 0)) up to t(hi)
-    negated = _NEGATED_PARITY[kind]
+    negated, a = _NEGATED_PARITY[kind], p.a
     for k, (eps, num, den) in enumerate(islice(_forward(p, kind), max(-lo, hi) + 1)):
         inside, mirrored = lo <= k <= hi, k and lo <= -k <= hi
         if inside or mirrored:
-            t = _lowest_terms(p.a, eps, num, den)
+            t = _product_pair(a.numerator, a.denominator, num, den) if eps else (num, den)
             if inside:
                 above.append(t)
             if mirrored:
-                below.append(-t if k & 1 == negated else t)
+                below.append((-t[0], t[1]) if k & 1 == negated else t)
     return below[::-1] + above
+
+
+def terms(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:
+    """t(lo), ..., t(hi): the pairs of ``term_pairs`` as Fractions, with no further gcd."""
+    return list(starmap(_slots, term_pairs(p, kind, lo, hi)))
 
 
 class _Walk(dict):

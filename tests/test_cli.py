@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biperiodic import IdentityId, cli, genmatrix, identities, sequences
-from conftest import oracle_fib_table, oracle_lucas_table
+from biperiodic import IdentityId, SeqParams, SequenceKind, cli, format_rational, genmatrix, identities, sequences
+from conftest import oracle_fib_table, oracle_lucas_table, pairs
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -308,6 +308,22 @@ class TestTable:
         proc = run_cli("table", "--a", "1", "--b", "1", "--n-range", "0..3", "--kinds", "fib,weird")
         assert proc.returncode == 2
 
+    def test_cells_make_no_object_per_row(self, monkeypatch):
+        # the cells come from the walk's int pairs: format_rational formats a and b,
+        # and no Fraction is built per row (3.12+ negates through _from_coprime_ints)
+        counted = [(cli, "format_rational"), (Fraction, "__new__")]
+        if hasattr(Fraction, "_from_coprime_ints"):
+            counted.append((Fraction, "_from_coprime_ints"))
+        counts = {
+            n_range: [
+                call_counted(monkeypatch, owner, name,
+                             ["table", "--a", "5/3", "--b", "-4/3", "--n-range", n_range])
+                for owner, name in counted
+            ]
+            for n_range in ("-2..2", "-200..199")
+        }
+        assert counts["-2..2"] == counts["-200..199"]
+
 
 def main_output(argv):
     """Run ``cli.main(argv)`` in-process; return (exit code, stdout, stderr)."""
@@ -368,27 +384,30 @@ class TestParsing:
             assert proc.stdout.startswith(b"usage: biperiodic")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            [],
-            ["tabel", "--a", "2"],
-            ["--a", "2", "table"],
-            ["table", "--a", "2", "--b", "3", "--n-range", "0..3", "--method", "matrix"],
-            ["table", "--a", "2", "--b", "3", "--n-range", "0..3", "--format", "xml"],
-            ["term", "--kind", "fib", "--a", "2", "--b", "3", "--n", "5", "--method", "exact"],
-            ["matrix", "--a", "2", "--b", "3", "--n", "x"],
-            ["matrix", "--a", "2", "--b", "3"],
-            ["term", "--a", "2", "--b", "3", "--n", "5"],
-            ["table", "--a", "2", "--b", "3", "--n-range", "0..3", "extra"],
+            ([], None),
+            (["tabel", "--a", "2"], None),
+            (["--a", "2", "table"], "the command (term, matrix, verify, table) must come before '--a'"),
+            (["--a=2", "table"], "the command (term, matrix, verify, table) must come before '--a'"),
+            (["table", "--a", "2", "--b", "3", "--n-range", "0..3", "--method", "matrix"], None),
+            (["table", "--a", "2", "--b", "3", "--n-range", "0..3", "--format", "xml"], None),
+            (["term", "--kind", "fib", "--a", "2", "--b", "3", "--n", "5", "--method", "exact"], None),
+            (["matrix", "--a", "2", "--b", "3", "--n", "x"], None),
+            (["matrix", "--a", "2", "--b", "3"], None),
+            (["term", "--a", "2", "--b", "3", "--n", "5"], None),
+            (["table", "--a", "2", "--b", "3", "--n-range", "0..3", "extra"], None),
         ],
-        ids=["no-command", "unknown-command", "flag-before-command", "other-commands-flag",
-             "bad-format", "bad-method", "non-int-n", "missing-n", "missing-kind",
-             "extra-positional"],
+        ids=["no-command", "unknown-command", "flag-before-command", "joined-flag-before-command",
+             "other-commands-flag", "bad-format", "bad-method", "non-int-n", "missing-n",
+             "missing-kind", "extra-positional"],
     )
-    def test_usage_errors_exit_2(self, argv):
+    def test_usage_errors_exit_2(self, argv, message):
         code, out, err = main_output(argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        if message is not None:
+            assert err == f"error: {message}\n"
 
     def test_usage_error_as_a_program(self):
         proc = run_cli("tabel", "--a", "2")
@@ -474,6 +493,61 @@ def test_rows_render_as_json_dumps_and_csv_writer_would(command):
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
     assert out.getvalue() == expected
+
+
+@st.composite
+def index_ranges(draw):
+    """lo..hi wholly below 0, wholly above 0, across 0, or a single index."""
+    shape = draw(st.sampled_from(("below", "above", "across", "single")))
+    if shape == "single":
+        lo = draw(st.integers(-40, 40))
+        return lo, lo
+    if shape == "across":
+        return draw(st.integers(-30, -1)), draw(st.integers(1, 30))
+    width = draw(st.integers(1, 30))
+    if shape == "below":
+        hi = draw(st.integers(-40, -1))
+        return hi - width, hi
+    lo = draw(st.integers(1, 40))
+    return lo, lo + width
+
+
+def output_columns(out: str, fmt: str) -> dict:
+    """Column name -> its cells as text, from a term or table output."""
+    if fmt == "json":
+        rows = json.loads(out)["results"]
+        return {name: [str(row[name]) for row in rows] for name in rows[0]}
+    header, *lines = [line.split(",") for line in out.splitlines()]
+    return dict(zip(header, map(list, zip(*lines))))
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    # random points with either sign of a, points on ab = -4, and (2, 1/4),
+    # where a = 2 shares the prime 2 with s = 2
+    point=st.one_of(pairs, st.just((Fraction(2), Fraction(1, 4)))),
+    index_range=index_ranges(),
+    fmt=st.sampled_from(("json", "csv")),
+)
+def test_walk_cells_are_format_rational_of_the_oracle(point, index_range, fmt):
+    (a, b), (lo, hi) = point, index_range
+    oracles = {"fib": oracle_fib_table(a, b, lo, hi), "lucas": oracle_lucas_table(a, b, lo, hi)}
+    expected = {kind: [format_rational(t[n]) for n in range(lo, hi + 1)] for kind, t in oracles.items()}
+    point_flags = ["--a", format_rational(a), "--b", format_rational(b), "--n-range", f"{lo}..{hi}"]
+    code, out, _ = main_output(["table", *point_flags, "--format", fmt])
+    assert code == 0
+    table = output_columns(out, fmt)
+    assert table["n"] == [str(n) for n in range(lo, hi + 1)]
+    assert {kind: table[kind] for kind in oracles} == expected
+    for kind in oracles:
+        code, out, _ = main_output(["term", "--kind", kind, *point_flags, "--method", "recurrence",
+                                    "--format", fmt])
+        assert code == 0
+        assert output_columns(out, fmt)["value"] == expected[kind]
+        # the pairs reach the cells with no Fraction to normalize them
+        for num, den in sequences.term_pairs(SeqParams(a, b), SequenceKind(kind), lo, hi):
+            assert type(num) is type(den) is int
+            assert den > 0 and math.gcd(num, den) == 1, (num, den)
 
 
 def test_byte_determinism_of_cheap_commands():

@@ -16,7 +16,15 @@ from biperiodic import (
     preset,
     term_recurrence,
 )
-from biperiodic.sequences import _coefficient, _finished_term, _forward, _seeds, _term_shape, terms
+from biperiodic.sequences import (
+    _coefficient,
+    _finished_term,
+    _forward,
+    _seeds,
+    _term_shape,
+    term_pairs,
+    terms,
+)
 from conftest import classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
 
 FIB = SequenceKind.FIBONACCI
@@ -237,6 +245,11 @@ def assert_canonical(x):
     assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1, x
 
 
+def assert_canonical_pair(pair):
+    num, den = pair
+    assert type(num) is type(den) is int and den > 0 and gcd(num, den) == 1, pair
+
+
 class TestWalkCanonicalForm:
     @settings(deadline=None)
     @given(ab=st.sampled_from(WALK_POINTS), lo=st.integers(-60, 0), width=st.integers(0, 60))
@@ -246,6 +259,8 @@ class TestWalkCanonicalForm:
         for kind in (FIB, LUC):
             for x in terms(p, kind, lo, lo + width):
                 assert_canonical(x)
+            for pair in term_pairs(p, kind, lo, lo + width):
+                assert_canonical_pair(pair)
             for n in range(lo, lo + width + 1):
                 assert_canonical(table.term(kind, n))
 
@@ -256,6 +271,8 @@ class TestWalkCanonicalForm:
                 for lo, hi in ((-2001, -1998), (1998, 2001)):
                     for x in terms(p, kind, lo, hi):
                         assert_canonical(x)
+                    for pair in term_pairs(p, kind, lo, hi):
+                        assert_canonical_pair(pair)
 
 
 @pytest.mark.parametrize("a, b", WALK_POINTS)
