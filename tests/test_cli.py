@@ -295,9 +295,10 @@ class TestTable:
 
     def test_abbreviated_flag_takes_a_negative_range(self):
         full = run_cli("table", "--a", "2", "--b", "3", "--n-range", "-3..3")
-        short = run_cli("table", "--a", "2", "--b", "3", "--n-r", "-3..3")
-        assert full.returncode == short.returncode == 0, short.stderr.decode()
-        assert short.stdout == full.stdout
+        for short_flag in (["--n-r", "-3..3"], ["--n-r=-3..3"]):
+            short = run_cli("table", "--a", "2", "--b", "3", *short_flag)
+            assert full.returncode == short.returncode == 0, short.stderr.decode()
+            assert short.stdout == full.stdout
 
     def test_each_kind_is_walked_once(self, monkeypatch):
         # one forward walk to 200 per kind, not one walk per row
@@ -356,6 +357,11 @@ COMMAND_HELP = {
 }
 
 
+#: A valid table request, to which the usage-error rows below append.
+TABLE = ["table", "--a", "2", "--b", "3", "--n-range", "0..3"]
+FORMAT_XML = "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')"
+
+
 class TestParsing:
     """What argparse gives every command: help, usage errors, abbreviated flags."""
 
@@ -386,28 +392,46 @@ class TestParsing:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            ([], None),
-            (["tabel", "--a", "2"], None),
+            ([], "the following arguments are required: command"),
+            (["tabel", "--a", "2"],
+             "argument command: invalid choice: 'tabel' (choose from 'term', 'matrix', 'verify', 'table')"),
             (["--a", "2", "table"], "the command (term, matrix, verify, table) must come before '--a'"),
             (["--a=2", "table"], "the command (term, matrix, verify, table) must come before '--a'"),
-            (["table", "--a", "2", "--b", "3", "--n-range", "0..3", "--method", "matrix"], None),
-            (["table", "--a", "2", "--b", "3", "--n-range", "0..3", "--format", "xml"], None),
-            (["term", "--kind", "fib", "--a", "2", "--b", "3", "--n", "5", "--method", "exact"], None),
-            (["matrix", "--a", "2", "--b", "3", "--n", "x"], None),
-            (["matrix", "--a", "2", "--b", "3"], None),
-            (["term", "--a", "2", "--b", "3", "--n", "5"], None),
-            (["table", "--a", "2", "--b", "3", "--n-range", "0..3", "extra"], None),
+            ([*TABLE, "--method", "matrix"], "unrecognized arguments: --method matrix"),
+            ([*TABLE, "--format", "xml"], FORMAT_XML),
+            (["term", "--kind", "fib", "--a", "2", "--b", "3", "--n", "5", "--method", "exact"],
+             "argument --method: invalid choice: 'exact' (choose from 'recurrence', 'matrix', 'binet')"),
+            (["matrix", "--a", "2", "--b", "3", "--n", "x"], "argument --n: invalid int value: 'x'"),
+            (["matrix", "--a", "2", "--b", "3"], "the following arguments are required: --n"),
+            (["term", "--a", "2", "--b", "3", "--n", "5"], "the following arguments are required: --kind"),
+            ([*TABLE, "extra"], "unrecognized arguments: extra"),
+            (["table"], "the following arguments are required: --a, --b, --n-range"),
+            ([*TABLE, "--kinds"], "argument --kinds: expected one argument"),
+            (["table", "--a", "--b", "3"], "argument --a: expected one argument"),
+            ([*TABLE, "--method=matrix"], "unrecognized arguments: --method=matrix"),
+            ([*TABLE, "-5"], "unrecognized arguments: -5"),
+            ([*TABLE, "--", "extra"], "unrecognized arguments: -- extra"),
+            (["table", "--format", "xml", "--help"], FORMAT_XML),
         ],
         ids=["no-command", "unknown-command", "flag-before-command", "joined-flag-before-command",
              "other-commands-flag", "bad-format", "bad-method", "non-int-n", "missing-n",
-             "missing-kind", "extra-positional"],
+             "missing-kind", "extra-positional", "missing-required", "missing-last-value",
+             "flag-as-value", "joined-other-commands-flag", "stray-negative", "after-separator",
+             "bad-value-before-help"],
     )
     def test_usage_errors_exit_2(self, argv, message):
+        assert main_output(argv) == (2, "", f"error: {message}\n")
+
+    def test_the_last_of_a_repeated_flag_wins(self):
+        assert main_output([*TABLE, "--format", "csv", "--format", "json"]) == main_output(TABLE)
+
+    @pytest.mark.parametrize("argv", [["table", "--a", "2", "--help"],
+                                      ["verify", "--identity", "nope", "--he"],
+                                      ["table", "-h", "--method", "matrix"]])
+    def test_help_comes_before_missing_and_unknown_flags(self, argv):
         code, out, err = main_output(argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-        if message is not None:
-            assert err == f"error: {message}\n"
+        assert (code, out, err) == main_output([argv[0], "--help"])
+        assert code == 0 and out.startswith("usage: biperiodic")
 
     def test_usage_error_as_a_program(self):
         proc = run_cli("tabel", "--a", "2")
