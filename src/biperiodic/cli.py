@@ -14,14 +14,18 @@ Output contract:
 * Exit codes: 0 success, 1 identity-verification mismatch, 2 usage error,
   3 domain error (``matrix --n`` below 0 where ab = -4, since G is
   singular there).
+
+Arguments are read by ``_parse`` straight from the ``_COMMANDS`` table,
+under argparse's rules and with its error texts. argparse itself is
+imported only to render ``-h``/``--help``, from the same table.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
 from itertools import starmap
+from types import SimpleNamespace
 
 from .binet import binet_fib, binet_lucas
 from .exact import Mat2, SingularMatrixError, _format_pair, format_rational, parse_rational
@@ -49,11 +53,6 @@ MAX_COUNTEREXAMPLES_SHOWN = 25
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 def _parse_rational_arg(text: str) -> Fraction:
@@ -305,6 +304,7 @@ _AB_FLAGS = {"--a": {"required": True}, "--b": {"required": True}}
 _FORMAT_FLAG = {"--format": {"choices": ("json", "csv"), "default": "json"}}
 
 #: Each command: its handler, its help line and its flags, as add_argument keywords.
+#: ``_parse`` reads required, choices, default and type, the only keys in use.
 _COMMANDS = {
     "term": (cmd_term, "compute sequence terms", {
         "--kind": {"choices": ("fib", "lucas"), "required": True},
@@ -335,9 +335,11 @@ _COMMANDS = {
 }
 
 
-def build_parser(command) -> argparse.ArgumentParser:
-    """The parser of one call: every command name, and the flags of ``command`` only."""
-    parser = _Parser(prog="biperiodic", description=__doc__.splitlines()[0])
+def build_parser(command):
+    """The help parser of one call: every command name, and the flags of ``command`` only."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="biperiodic", description=__doc__.splitlines()[0])
     listing = "; ".join(f"{name}: {line}" for name, (_, line, _) in _COMMANDS.items())
     parser.add_argument("command", choices=_COMMANDS, help=listing)
     flags = _COMMANDS[command][2] if command in _COMMANDS else {}
@@ -346,34 +348,83 @@ def build_parser(command) -> argparse.ArgumentParser:
     return parser
 
 
-def _absorb_flag_values(argv: list[str]) -> list[str]:
-    """Merge "--flag -value" into "--flag=-value" before parsing.
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The values of ``argv``'s command and flags, read from ``_COMMANDS``; None for help.
 
-    Every long option but --help takes a value, so a token with a single
-    leading dash after a bare long option is its value (a negative
-    rational, a range like -3..3), never an option string. Abbreviated
-    flags merge too.
+    The command comes first. A flag matches exactly, else as the one flag
+    it is a prefix of, and takes "--flag value" or "--flag=value". Every
+    flag but --help takes a value, so a value may start with one dash (a
+    negative rational, a range like -3..3). The last of a repeated flag
+    wins. Errors are argparse's, in its order: a bad or missing value where
+    it stands, then the missing required flags, then unrecognized arguments.
     """
-    merged = []
-    for token in argv:
-        prev = merged[-1] if merged else ""
-        single_dash = token.startswith("-") and not token.startswith("--")
-        if single_dash and prev.startswith("--") and "=" not in prev:
-            merged[-1] = f"{prev}={token}"
-        else:
-            merged.append(token)
-    return merged
+    first = argv[0] if argv else ""
+    if first == "-h" or (len(first) > 2 and "--help".startswith(first)):
+        return None
+    if first.startswith("-"):
+        flag = first.partition("=")[0]
+        raise UsageError(f"the command ({', '.join(_COMMANDS)}) must come before {flag!r}")
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    if first not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise UsageError(f"argument command: invalid choice: {first!r} (choose from {choices})")
+    flags = _COMMANDS[first][2]
+    names = ("--help", *flags)
+    values, extras = {}, []
+    tokens = iter(argv[1:])
+    if argv[1:2] == ["--"]:  # argparse's command positional takes a "--" right after it
+        extras, tokens = argv[2:], iter(())
+    for token in tokens:
+        if token == "-h":
+            return None
+        if token == "--":  # what follows is positional
+            extras += [token, *tokens]
+            break
+        name, joined, value = token.partition("=")
+        matches = [name] if name in names else [f for f in names if f.startswith(name)]
+        if not token.startswith("--") or not matches:
+            extras.append(token)
+            continue
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        flag = matches[0]
+        if flag == "--help":
+            if joined:
+                raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+            return None
+        if not joined:
+            value = next(tokens, "--")  # no token left is a missing value, as a flag is
+            if value.startswith("--"):
+                raise UsageError(f"argument {flag}: expected one argument")
+        spec = flags[flag]
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                raise UsageError(
+                    f"argument {flag}: invalid {spec['type'].__name__} value: {value!r}"
+                ) from None
+        if value not in spec.get("choices", (value,)):
+            choices = ", ".join(map(repr, spec["choices"]))
+            raise UsageError(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+        values[flag] = value
+    missing = [f for f, spec in flags.items() if spec.get("required") and f not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    dests = {f[2:].replace("-", "_"): values.get(f, spec.get("default")) for f, spec in flags.items()}
+    return SimpleNamespace(command=first, **dests)
 
 
 def main(argv=None) -> int:
-    argv = _absorb_flag_values(sys.argv[1:] if argv is None else argv)
-    first = argv[0] if argv else ""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        help_flag = first == "-h" or (len(first) > 2 and "--help".startswith(first))
-        if first.startswith("-") and not help_flag:
-            flag = first.partition("=")[0]
-            raise UsageError(f"the command ({', '.join(_COMMANDS)}) must come before {flag!r}")
-        args = build_parser(first).parse_args(argv)
+        args = _parse(argv)
+        if args is None:
+            build_parser(argv[0]).print_help()
+            return 0
         output, code = _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -381,8 +432,6 @@ def main(argv=None) -> int:
     except SingularMatrixError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
     sys.stdout.write(output)
     return code
 

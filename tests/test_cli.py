@@ -363,7 +363,7 @@ FORMAT_XML = "argument --format: invalid choice: 'xml' (choose from 'json', 'csv
 
 
 class TestParsing:
-    """What argparse gives every command: help, usage errors, abbreviated flags."""
+    """argparse's rules for every command: help, usage errors, abbreviated flags."""
 
     def test_top_level_help_lists_the_commands(self):
         for flag in ("--help", "-h"):
@@ -447,13 +447,88 @@ class TestParsing:
         joined = [f"{flag}={value}" for flag, value in zip(short[::2], short[1::2])]
         assert main_output([command, *joined]) == expected
 
-    @pytest.mark.parametrize("command, most", [("term", 9), ("matrix", 6), ("verify", 7),
-                                               ("table", 7)])
-    def test_one_parser_with_the_commands_flags_only(self, monkeypatch, command, most):
-        # the command positional, -h and the command's own flags: no other command's
+    @pytest.mark.parametrize("command", COMMAND_ARGVS)
+    def test_only_help_builds_a_parser(self, monkeypatch, command):
+        # a request is read from the command table; argparse renders help only
         argv = [command, *COMMAND_ARGVS[command][0]]
-        assert call_counted(monkeypatch, argparse.ArgumentParser, "__init__", argv) == 1
-        assert call_counted(monkeypatch, argparse.ArgumentParser, "add_argument", argv) <= most
+        for name in ("__init__", "add_argument"):
+            assert call_counted(monkeypatch, argparse.ArgumentParser, name, argv) == 0
+        help_argv = [command, "--help"]
+        assert call_counted(monkeypatch, argparse.ArgumentParser, "__init__", help_argv) == 1
+
+    @pytest.mark.parametrize("argv, imported", [(["table", *COMMAND_ARGVS["table"][0]], False),
+                                                (["table", "--help"], True)])
+    def test_argparse_is_imported_for_help_only(self, argv, imported):
+        script = ("import contextlib, io, sys\n"
+                  "from biperiodic import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    assert cli.main(sys.argv[1:]) == 0\n"
+                  "print('argparse' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env, cwd=ROOT)
+        assert (proc.returncode, proc.stdout.decode()) == (0, f"{imported}\n"), proc.stderr.decode()
+
+
+def argparse_reading(argv):
+    """What argparse makes of ``argv`` under ``cli.build_parser``: the values, its error or "help"."""
+    parser = cli.build_parser(argv[0])
+
+    def error(message):
+        raise cli.UsageError(message)
+
+    parser.error = error
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except cli.UsageError as exc:
+        return str(exc)
+    except SystemExit:
+        return "help"
+
+
+def parse_reading(argv):
+    try:
+        args = cli._parse(argv)
+    except cli.UsageError as exc:
+        return str(exc)
+    return "help" if args is None else vars(args)
+
+
+#: Values for the flags below: good and bad choices, ints, ranges, and "-3",
+#: a dash value that argparse also reads as a value after a bare flag.
+FLAG_VALUES = ["fib", "lucas", "csv", "xml", "binet", "det", "all", "2", "x", "", "0..3", "-3"]
+#: Tokens that stand alone: help, unknown flags and stray arguments.
+LONE_TOKENS = ["-h", "--help", "--he", "--he=1", "--zzz", "--method=matrix", "extra", "-x", "-5"]
+
+
+@st.composite
+def flag_argvs(draw):
+    """A command and flags of it, whole or abbreviated, joined to a value or apart, and strays."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = list(cli._COMMANDS[command][2])
+    argv = [command]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 3)) == 0:
+            argv.append(draw(st.sampled_from(LONE_TOKENS)))
+            continue
+        flag = draw(st.sampled_from(flags))
+        flag = flag[:draw(st.integers(3, len(flag)))]
+        value = draw(st.sampled_from(FLAG_VALUES))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(deadline=None, max_examples=400)
+@given(flag_argvs())
+def test_parse_reads_argv_as_argparse_does(argv):
+    # argparse, kept as the reference, on inputs where no value after a bare
+    # flag starts with a dash it would take for an option
+    assert parse_reading(argv) == argparse_reading(argv)
+
+
+def test_the_command_table_uses_only_the_keys_parse_reads():
+    keys = {key for _, _, flags in cli._COMMANDS.values() for spec in flags.values() for key in spec}
+    assert keys <= {"required", "choices", "default", "type"}
 
 
 #: Points of the differential test below: integral and fractional terms, both signs.
