@@ -351,12 +351,11 @@ def build_parser(command):
 def _parse(argv: list[str]) -> SimpleNamespace | None:
     """The values of ``argv``'s command and flags, read from ``_COMMANDS``; None for help.
 
-    The command comes first. A flag matches exactly, else as the one flag
-    it is a prefix of, and takes "--flag value" or "--flag=value". Every
-    flag but --help takes a value, so a value may start with one dash (a
-    negative rational, a range like -3..3). The last of a repeated flag
-    wins. Errors are argparse's, in its order: a bad or missing value where
-    it stands, then the missing required flags, then unrecognized arguments.
+    The command comes first. A flag matches exactly, else as the one flag it
+    is a prefix of, and takes "--flag value" or "--flag=value"; every flag but
+    --help takes a value, so a value may start with one dash (-1/2, -3..3).
+    The last of a repeated flag wins. Errors are argparse's, in its order: a
+    bad or missing value where it stands, missing flags, unrecognized ones.
     """
     first = argv[0] if argv else ""
     if first == "-h" or (len(first) > 2 and "--help".startswith(first)):
@@ -398,13 +397,12 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             if value.startswith("--"):
                 raise UsageError(f"argument {flag}: expected one argument")
         spec = flags[flag]
-        if "type" in spec:
-            try:
-                value = spec["type"](value)
-            except ValueError:
-                raise UsageError(
-                    f"argument {flag}: invalid {spec['type'].__name__} value: {value!r}"
-                ) from None
+        convert = spec.get("type", str)
+        try:
+            value = convert(value)
+        except ValueError:
+            message = f"invalid {convert.__name__} value: {value!r}"
+            raise UsageError(f"argument {flag}: {message}") from None
         if value not in spec.get("choices", (value,)):
             choices = ", ".join(map(repr, spec["choices"]))
             raise UsageError(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
@@ -414,7 +412,8 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     if extras:
         raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
-    dests = {f[2:].replace("-", "_"): values.get(f, spec.get("default")) for f, spec in flags.items()}
+    dests = {f[2:].replace("-", "_"): values.get(f, spec.get("default"))
+             for f, spec in flags.items()}
     return SimpleNamespace(command=first, **dests)
 
 

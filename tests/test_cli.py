@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -22,15 +23,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def run_cli(*args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "biperiodic", *args],
-        capture_output=True,
-        env=env,
-        cwd=ROOT,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, cwd=ROOT)
+
+
+def run_cli(*args):
+    return run_python("-m", "biperiodic", *args)
 
 
 def call_counted(monkeypatch, module, name, argv):
@@ -464,8 +464,7 @@ class TestParsing:
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
                   "    assert cli.main(sys.argv[1:]) == 0\n"
                   "print('argparse' in sys.modules)\n")
-        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env, cwd=ROOT)
+        proc = run_python("-c", script, *argv)
         assert (proc.returncode, proc.stdout.decode()) == (0, f"{imported}\n"), proc.stderr.decode()
 
 
@@ -492,6 +491,17 @@ def parse_reading(argv):
     except cli.UsageError as exc:
         return str(exc)
     return "help" if args is None else vars(args)
+
+
+def unquoted_choices(reading):
+    """``reading`` with the choices of an invalid-choice error unquoted.
+
+    argparse quotes the choices it lists on 3.10-3.13.0 but not on later 3.13
+    releases; ``_parse`` quotes them on every version.
+    """
+    if isinstance(reading, str):
+        return re.sub(r"\(choose from .*\)$", lambda m: m[0].replace("'", ""), reading)
+    return reading
 
 
 #: Values for the flags below: good and bad choices, ints, ranges, and "-3",
@@ -523,7 +533,7 @@ def flag_argvs(draw):
 def test_parse_reads_argv_as_argparse_does(argv):
     # argparse, kept as the reference, on inputs where no value after a bare
     # flag starts with a dash it would take for an option
-    assert parse_reading(argv) == argparse_reading(argv)
+    assert unquoted_choices(parse_reading(argv)) == unquoted_choices(argparse_reading(argv))
 
 
 def test_the_command_table_uses_only_the_keys_parse_reads():
