@@ -357,14 +357,14 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     The last of a repeated flag wins. Errors are argparse's, in its order: a
     bad or missing value where it stands, missing flags, unrecognized ones.
     """
-    first = argv[0] if argv else ""
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    first = argv[0]
     if first == "-h" or (len(first) > 2 and "--help".startswith(first)):
         return None
     if first.startswith("-"):
         flag = first.partition("=")[0]
         raise UsageError(f"the command ({', '.join(_COMMANDS)}) must come before {flag!r}")
-    if not argv:
-        raise UsageError("the following arguments are required: command")
     if first not in _COMMANDS:
         choices = ", ".join(map(repr, _COMMANDS))
         raise UsageError(f"argument command: invalid choice: {first!r} (choose from {choices})")
@@ -393,7 +393,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
                 raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
             return None
         if not joined:
-            value = next(tokens, "--")  # no token left is a missing value, as a flag is
+            value = next(tokens, "--")  # none left: missing, as when a flag follows
             if value.startswith("--"):
                 raise UsageError(f"argument {flag}: expected one argument")
         spec = flags[flag]
