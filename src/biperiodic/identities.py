@@ -70,10 +70,13 @@ ab + 4 from one table per parameter point, of the type
 * The five engine entries (``det-power``, ``matrix-form``,
   ``inverse-power``, ``binet-*``) read a ``sequences.TermTable`` at one
   index tuple per call: an engine's ``Fraction`` or ``Mat2`` against the
-  walk's terms in lowest terms.
+  walk's terms in lowest terms. ``_sides`` maps such an evaluator over the
+  index columns in one C loop, and hands its two sides back as tuples.
 
-A lane value becomes a ``Fraction`` only at the boundary: when the public
-``evaluate`` returns it (it runs a recurrence entry on lanes too, as a
+``_sides`` is the one place that knows the two calling conventions;
+``_held`` compares, and ``_kept`` keeps, a side of either kind. A lane
+value becomes a ``Fraction`` only at the boundary: when the public
+``evaluate`` returns it (it runs every entry through ``_sides`` too, as a
 grid of one tuple), and when a side of a counterexample that
 ``verify_grid`` built is first read. matrix-form hands its walk core to
 ``genmatrix`` as (numerator, denominator) pairs, which
@@ -83,26 +86,25 @@ each.
 How a grid runs: a point pays for its evaluators and little else, and
 runs no Python loop step per check. A two-index grid is built from its
 four parity sub-boxes, and ``_IdentityDef.refusal``, the one domain
-check, is asked once per sub-box (``_index_tuples``). At each point:
+check, is asked once per sub-box (``_index_tuples``). Every entry runs
+through one loop over the blocks of the grid (``_blocks``): a one-index
+grid is cut into its two parity classes, and a two-index grid is one
+block, as its evaluators read no parity. At each point, for each block:
 
-* a recurrence entry is called once per block of the grid (``_blocks``):
-  a one-index grid is cut into its two parity classes, and a two-index
-  grid is one block, as its evaluators read no parity. The flags
-  lhs == rhs come from the block's two lanes in one C map. Where one is
-  false, the entry runs again on the block's failing index columns alone,
-  whose checks must fail again. An erratum entry's ``gap`` is lane
-  arithmetic too (thm6-vi-printed's 2 * lhs, thm4-i-printed's
-  (-1)^n * (b - a) * q(n)^2), held against lhs - rhs in one more C map.
-* an engine entry is mapped over the grid in one C loop
-  (``itertools.starmap``), keeping one flag per check; a failed check
-  alone runs again for its counterexample, and must fail again.
+* ``_sides`` gives the block's two sides, and the flags lhs == rhs come
+  from them in one C map.
+* Where one is false, the entry runs again on the block's failing index
+  columns alone, whose checks must fail again.
+* An erratum entry's ``gap`` is lane arithmetic too (thm6-vi-printed's
+  2 * lhs, thm4-i-printed's (-1)^n * (b - a) * q(n)^2), held against
+  lhs - rhs in one more C map. No engine entry has a gap.
 
 A counterexample is built in C loops too, holding each side as the check
 computed it; the side becomes a ``Fraction`` when first read
 (``_FromRow``). So ``verify``, which prints at most 25 counterexamples
 per identity and counts the rest, normalizes at most 50 sides, not two
-per failed check. The failed checks of a point's two parity blocks are
-merged into index order first.
+per failed check. The failed blocks of every visit of a point are merged
+into index order once, by one stable sort.
 """
 from __future__ import annotations
 
@@ -111,8 +113,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
-from itertools import chain, compress, count, repeat, starmap
-from operator import add, and_, attrgetter, eq, itemgetter, mul, not_, sub
+from itertools import chain, compress, count, repeat
+from operator import add, and_, eq, itemgetter, mul, not_, sub
 from typing import Callable, NamedTuple, Optional
 
 from . import binet as _binet
@@ -303,22 +305,35 @@ class _Lane(_Column):
         return self * Fraction(1, other)  # ZeroDivisionError where other is 0
 
 
-def _held(x: _Lane, y: _Lane) -> list[bool]:
-    """x[i] == y[i] for each i: n1 * d2 == n2 * d1."""
+def _held(x, y) -> list[bool]:
+    """x[i] == y[i] for each i of two sides of ``_sides``: on lanes n1 * d2 == n2 * d1."""
+    if type(x) is tuple:
+        return list(map(eq, x, y))
     return list(map(eq, *_cross(x, y)[:2]))
 
 
-def _sides(evaluate, table, columns) -> list[_Lane]:
-    """``evaluate``'s (lhs, rhs) on index columns, as lanes: a constant side is broadcast."""
+def _sides(evaluate, table, columns) -> list:
+    """``evaluate``'s (lhs, rhs) on index columns: the one home of the calling convention.
+
+    A recurrence entry (a ``_Lanes`` table) is called once on the columns,
+    and its sides come back as lanes, a constant side broadcast. An engine
+    entry (a ``TermTable``) is called once per index tuple, in one C map,
+    and its sides come back as two tuples of its values.
+    """
+    if type(table) is TermTable:
+        return list(zip(*map(partial(evaluate, table), *(column.v for column in columns))))
     size = len(columns[0].v)
     return [side if type(side) is _Lane else _constant(side, size) for side in evaluate(table, *columns)]
 
 
-def _kept(lane: _Lane, flags) -> list:
-    """The lane's values where ``flags`` is true, as a check computed them: ints or ``_Pair``s."""
-    if lane.d is None:
-        return list(compress(lane.n, flags))
-    return list(map(_Pair, zip(compress(lane.n, flags), compress(lane.d, flags))))
+def _kept(side, flags) -> list:
+    """A side's values where ``flags`` is true, as a check computed them: ints or
+    ``_Pair``s of a lane, an engine's values of a tuple."""
+    if type(side) is tuple:
+        return list(compress(side, flags))
+    if side.d is None:
+        return list(compress(side.n, flags))
+    return list(map(_Pair, zip(compress(side.n, flags), compress(side.d, flags))))
 
 
 class _Lanes:
@@ -485,9 +500,6 @@ class _ParityDomain(NamedTuple):
     classes: frozenset[tuple[int, int]]
     desc: str
 
-    def ok(self, m: int, n: int) -> bool:
-        return (m & 1, n & 1) in self.classes
-
 
 _BOTH_EVEN = _ParityDomain(frozenset({(0, 0)}), "m and n even")
 _BOTH_ODD = _ParityDomain(frozenset({(1, 1)}), "m and n odd")
@@ -598,11 +610,9 @@ def evaluate(ident: IdentityId, p: SeqParams, *indices: int):
     if refusal is not None:
         error, message, *args = refusal
         raise error(message.format(ident.value, *args))
-    if idef.table is _Lanes:  # on the lane path, as a grid of one tuple
-        sides = _sides(idef.evaluate, _Lanes(p), tuple(map(_Index, zip(indices))))
-        lhs, rhs = (_kept(side, (True,))[0] for side in sides)
-    else:
-        lhs, rhs = idef.evaluate(idef.table(p), *indices)
+    # as a grid of one tuple
+    sides = _sides(idef.evaluate, idef.table(p), tuple(map(_Index, zip(indices))))
+    lhs, rhs = (_kept(side, (True,))[0] for side in sides)
     return _fraction(lhs), _fraction(rhs)
 
 
@@ -677,8 +687,10 @@ def _unread_counterexamples(a, b, failures) -> list[Counterexample]:
     """The ``Counterexample``s at (a, b) of ``failures``, in index order, built in C loops.
 
     ``failures`` holds the (indices, lhs, rhs) lists of the failed checks of
-    each block of a point, each in index order; the two blocks of a
-    one-index grid are merged. Each counterexample holds its row for
+    each failed block of every visit of the point, each in index order.
+    They are merged into index order by a stable sort, so the visits of a
+    point given twice interleave, in visit order on a tie. Each
+    counterexample holds its row for
     ``_FromRow``; ``object.__setattr__`` passes the frozen dataclass's
     ``__setattr__`` by, as its generated ``__init__`` does.
     """
@@ -755,12 +767,11 @@ def _index_tuples(idef: _IdentityDef, n_range, m_range) -> list[tuple[int, ...]]
 def _blocks(idef: _IdentityDef, grid: list) -> list[list[tuple[int, ...]]]:
     """The nonempty blocks of ``grid`` that ``idef.evaluate`` is called on, each in index order.
 
-    A one-index grid on lanes, consecutive n, is cut into its two parity
-    classes, so ``sequences.parity`` reads one int from each column. Any
-    other grid is one block: a two-index evaluator reads no parity, and an
-    engine entry is called per tuple.
+    A one-index grid, consecutive n, is cut into its two parity classes, so
+    ``sequences.parity`` reads one int from each column. A two-index grid
+    is one block: a two-index evaluator reads no parity.
     """
-    if idef.arity == 1 and idef.table is _Lanes:
+    if idef.arity == 1:
         return [block for block in (grid[::2], grid[1::2]) if block]
     return [grid] if grid else []
 
@@ -813,11 +824,10 @@ def verify_grid(
 
     evaluator, gap, line_reason = idef.evaluate, idef.gap, idef.line_reason
     blocks = _blocks(idef, _index_tuples(idef, n_range, m_range))
-    on_lanes = idef.table is _Lanes
-    columns = [tuple(map(_Index, zip(*block))) for block in blocks] if on_lanes else ()
+    columns = [tuple(map(_Index, zip(*block))) for block in blocks]
     size = sum(map(len, blocks))
     checked = passed = unexpected = 0
-    found: dict[tuple, list[list[Counterexample]]] = {}  # (a, b) -> one list per visit
+    found: dict[tuple, list] = {}  # (a, b) -> the failed checks of each failed block of every visit
     excluded: list[ExcludedPoint] = []
     for a in a_vals:
         for b in b_vals:
@@ -825,53 +835,27 @@ def verify_grid(
             if line_reason is not None and p.ab_plus_4 == 0:
                 excluded.append(ExcludedPoint(a, b, line_reason))
                 continue
-            if not blocks:  # nothing to check, and no sides to unzip below
-                continue
             table = idef.table(p)
             checked += size
-            failures = []  # per block: the (indices, lhs, rhs) lists of its failed checks
-            if on_lanes:
-                for block, idx in zip(blocks, columns):
-                    # the block's checks in one evaluator call, its arithmetic C maps over lanes
-                    lhs, rhs = _sides(evaluator, table, idx)
-                    flags = _held(lhs, rhs)
-                    passed += flags.count(True)
-                    as_documented = flags if gap is None else _held(lhs - rhs, gap(table, lhs, *idx))
-                    unexpected += as_documented.count(False)
-                    if all(flags):
-                        continue
-                    failed = list(map(not_, flags))
-                    if gap is None:  # a failed check runs again, and must fail again
-                        again = _sides(evaluator, table, [_Index(list(compress(c.v, failed))) for c in idx])
-                        if any(_held(*again)):
-                            raise AssertionError(f"{ident.value}: evaluator is not a pure read of its table")
-                    failures.append((list(compress(block, failed)), _kept(lhs, failed), _kept(rhs, failed)))
-            else:
-                # the point's checks in one C loop, keeping only the flags
-                (grid,) = blocks
-                fill = partial(evaluator, table)
-                flags = list(starmap(eq, starmap(fill, grid)))
-                held = flags.count(True)
-                passed += held
-                if held == len(grid):
+            for block, idx in zip(blocks, columns):
+                lhs, rhs = _sides(evaluator, table, idx)
+                flags = _held(lhs, rhs)
+                passed += flags.count(True)
+                as_documented = flags if gap is None else _held(lhs - rhs, gap(table, lhs, *idx))
+                unexpected += as_documented.count(False)
+                if all(flags):
                     continue
-                unexpected += len(grid) - held
-                # a failed check runs again for its counterexample, and must fail again
-                failing = list(compress(grid, map(not_, flags)))
-                lhs, rhs = zip(*starmap(fill, failing))
-                if any(map(eq, lhs, rhs)):
-                    raise AssertionError(f"{ident.value}: evaluator is not a pure read of its table")
-                failures.append((failing, lhs, rhs))
-            if failures:
-                found.setdefault((a, b), []).append(_unread_counterexamples(a, b, failures))
-    # sorted by (a, b, indices): a grid is in index order already, and the
-    # visits of a point given twice interleave by indices, in visit order on a tie
+                failed = list(map(not_, flags))
+                if gap is None:  # a failed check runs again, and must fail again
+                    again = _sides(evaluator, table, [_Index(list(compress(c.v, failed))) for c in idx])
+                    if any(_held(*again)):
+                        raise AssertionError(f"{ident.value}: evaluator is not a pure read of its table")
+                found.setdefault((a, b), []).append(
+                    (list(compress(block, failed)), _kept(lhs, failed), _kept(rhs, failed)))
+    # sorted by (a, b, indices): each point's blocks are merged into index order
     counterexamples: list[Counterexample] = []
     for point in sorted(found):
-        visits = found[point]
-        if len(visits) > 1:
-            visits = [sorted(chain(*visits), key=attrgetter("indices"))]
-        counterexamples += visits[0]
+        counterexamples += _unread_counterexamples(*point, found[point])
     excluded.sort(key=lambda ex: (ex.a, ex.b))
     return IdentityReport(
         identity=ident,

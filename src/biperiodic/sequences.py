@@ -57,10 +57,9 @@ and ``term_pairs`` as an integer pair (num, den) with its lemma
 ``exact._product_pair``: gcds against a's numerator and denominator only.
 ``TermTable`` keeps each term of one parameter pair once and reads it in
 O(1). ``term_pairs`` walks once to the far end of an index range and keeps
-only the terms inside it; the CLI formats its pairs straight to cells, and
-``terms`` wraps them in Fractions with no gcd. The identity catalog's engine
-entries read ``TermTable``; its recurrence entries build their own values
-from the same triples (see ``identities``).
+only the terms inside it; the CLI formats its pairs straight to cells. The
+identity catalog's engine entries read ``TermTable``; its recurrence
+entries build their own values from the same triples (see ``identities``).
 
 ``_coefficient`` and ``_seeds`` take the values a and b, not a
 ``SeqParams``, and hand them back untouched. ``_coefficient`` reads its
@@ -70,12 +69,12 @@ whose indices share one parity (``identities._Index``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import islice, starmap
+from functools import cached_property, partial
+from itertools import islice
 
-from .exact import Rational, _lowest_terms, _product_pair, _rational, _slots
+from .exact import Rational, _lowest_terms, _product_pair, _rational
 
 
 class SequenceKind(enum.Enum):
@@ -90,34 +89,40 @@ class SeqParams:
     ``ab``, ``ab_plus_4``, ``disc`` = ab*(ab+4) = (ab)^2 + 4ab, the
     radicand of the characteristic roots, ``a_over_b`` and ``det_g`` =
     (a/b)^2 * (ab+4), the determinant of the generating matrix, are
-    computed once per instance. Equality, hashing and repr use (a, b) only.
+    computed on first read, once per instance: a ``table`` request reads
+    ``ab`` only. Equality, hashing and repr use (a, b) only.
     """
 
     a: Rational
     b: Rational
-    ab: Rational = field(init=False, repr=False, compare=False)
-    ab_plus_4: Rational = field(init=False, repr=False, compare=False)
-    disc: Rational = field(init=False, repr=False, compare=False)
-    a_over_b: Rational = field(init=False, repr=False, compare=False)
-    det_g: Rational = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = _rational(self.a), _rational(self.b)
         if a == 0 or b == 0:
             raise ValueError("sequence parameters a and b must both be nonzero")
-        ab, ratio = a * b, a / b
-        ab_plus_4 = ab + 4
-        derived = {
-            "a": a,
-            "b": b,
-            "ab": ab,
-            "ab_plus_4": ab_plus_4,
-            "disc": ab * ab_plus_4,
-            "a_over_b": ratio,
-            "det_g": ratio * ratio * ab_plus_4,
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    # cached_property stores into the instance __dict__, past the frozen __setattr__
+    @cached_property
+    def ab(self) -> Rational:
+        return self.a * self.b
+
+    @cached_property
+    def ab_plus_4(self) -> Rational:
+        return self.ab + 4
+
+    @cached_property
+    def disc(self) -> Rational:
+        return self.ab * self.ab_plus_4
+
+    @cached_property
+    def a_over_b(self) -> Rational:
+        return self.a / self.b
+
+    @cached_property
+    def det_g(self) -> Rational:
+        return self.a_over_b * self.a_over_b * self.ab_plus_4
 
 
 def parity(n: int) -> int:
@@ -257,11 +262,6 @@ def term_pairs(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[tuple
             if mirrored:
                 below.append((-t[0], t[1]) if k & 1 == negated else t)
     return below[::-1] + above
-
-
-def terms(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:
-    """t(lo), ..., t(hi): the pairs of ``term_pairs`` as Fractions, with no further gcd."""
-    return list(starmap(_slots, term_pairs(p, kind, lo, hi)))
 
 
 class _Walk(dict):

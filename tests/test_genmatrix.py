@@ -27,7 +27,7 @@ from biperiodic import (
 from biperiodic import genmatrix
 from biperiodic.exact import _power
 from biperiodic.genmatrix import _Ladder
-from biperiodic.sequences import _finished_term, terms
+from biperiodic.sequences import _finished_term, term_pairs
 from conftest import brute_mat_pow, classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
 
 FIB = SequenceKind.FIBONACCI
@@ -253,7 +253,8 @@ class TestTermFast:
         for a, b in grid:
             p = SeqParams(a, b)
             walked = {
-                kind: dict(zip(range(-2003, 2004), terms(p, kind, -2003, 2003))) for kind in (FIB, LUC)
+                kind: {n: F(*pair) for n, pair in zip(range(-2003, 2004), term_pairs(p, kind, -2003, 2003))}
+                for kind in (FIB, LUC)
             }
             for kind, closed_form in ((FIB, binet_fib), (LUC, binet_lucas)):
                 for n in indices:

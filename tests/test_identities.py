@@ -29,7 +29,7 @@ from biperiodic import (
     verify_default,
     verify_grid,
 )
-from biperiodic import identities
+from biperiodic import binet, identities
 from biperiodic.cli import MAX_COUNTEREXAMPLES_SHOWN
 from biperiodic.identities import (
     _CATALOG,
@@ -429,7 +429,7 @@ def _naive_report(ident, a_values, b_values, n_range, m_range):
     else:
         grid = [(m, n) for m in range(m_range[0], m_range[1] + 1)
                 for n in range(n_range[0], n_range[1] + 1)
-                if idef.parity_domain is None or idef.parity_domain.ok(m, n)]
+                if idef.parity_domain is None or (m & 1, n & 1) in idef.parity_domain.classes]
     assert list(_index_tuples(idef, n_range, m_range)) == grid
     checked = passed = unexpected = 0
     counterexamples = []
@@ -591,8 +591,8 @@ BOX = st.integers(-12, 12).flatmap(lambda lo: st.tuples(st.just(lo), st.integers
 def test_index_tuples_are_the_box_filtered_by_refusal(n_range, m_range):
     # the grid asks refusal once per parity sub-box; it must keep exactly
     # the tuples that asking it of every tuple keeps, in the same order.
-    # Its blocks hold those tuples, each in order: a one-index grid on lanes
-    # as its parity classes, whose columns each read one parity, any other
+    # Its blocks hold those tuples, each in order: every one-index grid as
+    # its parity classes, whose columns each read one parity, a two-index
     # grid whole
     for ident, idef in _CATALOG.items():
         spans = (n_range,) if idef.arity == 1 else (m_range, n_range)
@@ -602,7 +602,7 @@ def test_index_tuples_are_the_box_filtered_by_refusal(n_range, m_range):
         assert got == want, ident
         blocks = _blocks(idef, got)
         assert sorted(chain(*blocks)) == want and all(block == sorted(block) for block in blocks), ident
-        if idef.arity == 1 and idef.table is _Lanes:
+        if idef.arity == 1:
             assert len(blocks) == min(len(want), 2), ident
             assert [_Index([n for n, in block]) & 1 for block in blocks] == [n & 1 for n, in want[:2]], ident
         else:
@@ -622,7 +622,6 @@ def test_a_failing_ordinary_entry_reports_what_a_naive_loop_does(monkeypatch):
     # twice, so its counterexamples come back twice. The fault is one
     # perturbed term of the point, in the lanes' reader and in the naive
     # loop alike
-    ident = IdentityId.SUB_QQ
     reader = identities._reader
 
     def perturbed(p, kind, integral):
@@ -631,23 +630,39 @@ def test_a_failing_ordinary_entry_reports_what_a_naive_loop_does(monkeypatch):
             return lambda idx: read(idx) + _Lane([int(k == 3) for k in idx.v])
         return read
 
+    def perturbed_oracle(a, b):
+        table = _OracleTable(a, b, 12)
+        if b == 3:
+            table.fib.__self__[3] += 1  # the oracle dict behind fib
+        return table
+
     monkeypatch.setattr(identities, "_reader", perturbed)
+    _assert_report_is_naive(IdentityId.SUB_QQ, perturbed_oracle, (-6, 5), (-3, 4))
+
+    # the engine twin: binet-fib with the Binet engine one too large at
+    # n = 3 and n = 4, one index of each parity block, at the points with
+    # b = 3 only. The naive loop runs the same evaluator per tuple
+    binet_fib = binet.binet_fib
+    monkeypatch.setattr(binet, "binet_fib", lambda p, n: binet_fib(p, n) + int(p.b == 3 and n in (3, 4)))
+    _assert_report_is_naive(IdentityId.BINET_FIB, lambda a, b: _OracleTable(a, b, 12), (-6, 5), None)
+
+
+def _assert_report_is_naive(ident, oracle, n_range, m_range):
+    """verify_grid's report of ident equals a naive loop's over the tables ``oracle(a, b)``."""
     a_values, b_values = [2, F(1, 2), 2], [3, F(-3, 2)]
-    n_range, m_range = (-6, 5), (-3, 4)
     report = verify_grid(ident, a_values, b_values, n_range=n_range, m_range=m_range)
 
     idef = _CATALOG[ident]
-    grid = [(m, n) for m in range(m_range[0], m_range[1] + 1)
-            for n in range(n_range[0], n_range[1] + 1) if idef.refusal((m, n)) is None]
+    spans = (n_range,) if m_range is None else (m_range, n_range)
+    grid = [indices for indices in product(*(range(lo, hi + 1) for lo, hi in spans))
+            if idef.refusal(indices) is None]
     checked = passed = unexpected = 0
     counterexamples = []
     for a in a_values:
         for b in b_values:
-            table = _OracleTable(a, b, 12)
-            if b == 3:
-                table.fib.__self__[3] += 1  # the oracle dict behind fib
+            table = oracle(a, b)
             for indices in grid:
-                lhs, rhs = _eval_sub_qq(table, *indices)
+                lhs, rhs = idef.evaluate(table, *indices)
                 checked += 1
                 if lhs == rhs:
                     passed += 1
@@ -722,8 +737,7 @@ def test_an_impure_lane_evaluator_is_refused(monkeypatch):
 
 
 def test_the_engine_entries_read_a_term_table_and_have_no_gap():
-    # verify_grid maps an engine entry per tuple and compares its sides; it
-    # reads no gap on that path
+    # a gap is lane arithmetic, so no entry that reads a TermTable has one
     engines = [ident.value for ident, idef in _CATALOG.items() if idef.table is TermTable]
     assert engines == ["det-power", "binet-fib", "binet-lucas", "matrix-form", "inverse-power"]
     assert all(_CATALOG[IdentityId(ident)].gap is None for ident in engines)

@@ -23,7 +23,6 @@ from biperiodic.sequences import (
     _seeds,
     _term_shape,
     term_pairs,
-    terms,
 )
 from conftest import classical_fib, classical_lucas, oracle_fib_table, oracle_lucas_table, pairs
 
@@ -199,12 +198,12 @@ def test_terms_match_oracle_tables(shape, data):
     p = SeqParams(a, b)
     for kind in (FIB, LUC):
         expected = oracle(a, b, kind, lo, hi)
-        assert terms(p, kind, lo, hi) == [expected[n] for n in range(lo, hi + 1)]
+        assert [F(*pair) for pair in term_pairs(p, kind, lo, hi)] == [expected[n] for n in range(lo, hi + 1)]
 
 
 def test_terms_rejects_an_empty_range():
     with pytest.raises(ValueError):
-        terms(SeqParams(2, 3), FIB, 1, 0)
+        term_pairs(SeqParams(2, 3), FIB, 1, 0)
 
 
 @settings(deadline=None)
@@ -227,7 +226,7 @@ def test_walk_matches_term_recurrence_across_zero(ab, lo, hi):
     table = TermTable(p)
     for kind in (FIB, LUC):
         expected = [term_recurrence(p, kind, n) for n in range(lo, hi + 1)]
-        assert terms(p, kind, lo, hi) == expected, kind
+        assert [F(*pair) for pair in term_pairs(p, kind, lo, hi)] == expected, kind
         assert [table.term(kind, n) for n in range(lo, hi + 1)] == expected, kind
 
 
@@ -257,8 +256,6 @@ class TestWalkCanonicalForm:
         p = SeqParams(*ab)
         table = TermTable(p)
         for kind in (FIB, LUC):
-            for x in terms(p, kind, lo, lo + width):
-                assert_canonical(x)
             for pair in term_pairs(p, kind, lo, lo + width):
                 assert_canonical_pair(pair)
             for n in range(lo, lo + width + 1):
@@ -269,8 +266,6 @@ class TestWalkCanonicalForm:
             p = SeqParams(*ab)
             for kind in (FIB, LUC):
                 for lo, hi in ((-2001, -1998), (1998, 2001)):
-                    for x in terms(p, kind, lo, hi):
-                        assert_canonical(x)
                     for pair in term_pairs(p, kind, lo, hi):
                         assert_canonical_pair(pair)
 
