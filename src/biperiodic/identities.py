@@ -50,17 +50,19 @@ ab + 4 from one table per parameter point, of the type
   index columns (``_Index``): a term read is a ``_Lane`` of numerators and
   denominators whose +, -, *, ** and / are C maps. The terms come from the
   integer walk of ``sequences``, which hands over each term t(n) as
-  a^eps * N/s^k with ab = r/s in lowest terms and gcd(N, s) = 1. Where
-  s = den a = 1, a lane holds plain ints. Elsewhere each value keeps its
-  own denominator, because the identities are not homogeneous in index
-  weight: at even m and n, add-qq sets q(m+n), over s^((m+n-2)/2), against
-  q(m)*q(n-1), over s^((m+n-4)/2). No operation reduces a value: a product
-  multiplies numerators and denominators, a sum cross-multiplies (or adds
-  numerators over a shared denominator), and n1/d1 == n2/d2 is
-  n1*d2 == n2*d1. So a check takes no gcd, and the evaluators keep the
-  formulas they would have over ``Fraction``s. a, b and ab + 4 are the
-  point's ``Fraction``s, which a lane broadcasts; ``cassini-lucas``
-  divides its lane by a.
+  a^eps * N/s^k with ab = r/s in lowest terms and gcd(N, s) = 1. The walk
+  is laid out as lists, t(0..K) then t(-K..-1), so that the list index n
+  is t(n), and a read is one gather from them: the column's
+  ``itemgetter``. Where s = den a = 1, a lane holds plain ints. Elsewhere
+  each value keeps its own denominator, because the identities are not
+  homogeneous in index weight: at even m and n, add-qq sets q(m+n), over
+  s^((m+n-2)/2), against q(m)*q(n-1), over s^((m+n-4)/2). No operation
+  reduces a value: a product multiplies numerators and denominators, a sum
+  cross-multiplies (or adds numerators over a shared denominator), and
+  n1/d1 == n2/d2 is n1*d2 == n2*d1. So a check takes no gcd, and the
+  evaluators keep the formulas they would have over ``Fraction``s. a, b
+  and ab + 4 are the point's ``Fraction``s, which a lane broadcasts;
+  ``cassini-lucas`` divides its lane by a.
 * A column has no truth value, equality or order, so an evaluator that
   branched on an index would raise there. It may read only a column's
   parity: ``sequences.parity`` of a column whose indices share one parity
@@ -83,13 +85,17 @@ grid of one tuple), and when a side of a counterexample that
 ``genmatrix._from_core`` reads back to integers, one checked division
 each.
 
-How a grid runs: a point pays for its evaluators and little else, and
-runs no Python loop step per check. A two-index grid is built from its
-four parity sub-boxes, and ``_IdentityDef.refusal``, the one domain
-check, is asked once per sub-box (``_index_tuples``). Every entry runs
-through one loop over the blocks of the grid (``_blocks``): a one-index
-grid is cut into its two parity classes, and a two-index grid is one
-block, as its evaluators read no parity. At each point, for each block:
+How a grid runs: a point pays for its own terms and checks, and runs no
+Python loop step per check. A two-index grid is built from its four
+parity sub-boxes, and ``_IdentityDef.refusal``, the one domain check, is
+asked once per sub-box (``_index_tuples``). Every entry runs through one
+loop over the blocks of the grid (``_blocks``): a one-index grid is cut
+into its two parity classes, and a two-index grid is one block, as its
+evaluators read no parity. The blocks' index columns are built once per
+grid and keep what is derived from them (the columns an evaluator forms
+with +, - and *, their parity and gather), so index arithmetic runs at
+the first point only; nothing outlives the grid. At each point, for each
+block:
 
 * ``_sides`` gives the block's two sides, and the flags lhs == rhs come
   from them in one C map.
@@ -113,14 +119,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, cycle, islice, repeat
 from operator import add, and_, eq, itemgetter, mul, not_, sub
 from typing import Callable, NamedTuple, Optional
 
 from . import binet as _binet
 from . import genmatrix as _gm
+from . import sequences as _sequences
 from .exact import Mat2, _rational
-from .sequences import SeqParams, SequenceKind, TermTable, _coefficient, _Walk, parity
+from .sequences import _NEGATED_PARITY, SeqParams, SequenceKind, TermTable, _coefficient, parity
 
 _FIB, _LUCAS = SequenceKind.FIBONACCI, SequenceKind.LUCAS
 
@@ -208,28 +215,37 @@ class _Column:
 
 def _index_op(op, reflected=False):
     def apply(self, other):
+        # a column is keyed by its id, which the entry keeps from being reused by holding the column
+        key = (op, reflected, other) if type(other) is int else (op, reflected, None, id(other))
+        if key in self.derived:
+            return self.derived[key][0]
         if type(other) is int:
             other = _Index(repeat(other), (other, other))
         elif type(other) is not _Index:
             return NotImplemented
         x, y = (other, self) if reflected else (self, other)
         corners = [op(i, j) for i in x.span for j in y.span]  # +, - and * take their extremes there
-        return _Index(list(map(op, x.v, y.v)), (min(corners), max(corners)))
+        column = _Index(list(map(op, x.v, y.v)), (min(corners), max(corners)))
+        self.derived[key] = column, other
+        return column
     return apply
 
 
 class _Index(_Column):
     """A column of int indices ``v`` within ``span`` = (lo, hi); +, - and * map in C.
 
+    ``derived`` keeps the columns it yields under +, - and *, its parity and
+    its gather, so a grid maps ``2 * (m + n + 1)`` once, not once per point.
+
     ``& 1`` is the parity the indices share, a plain int, which is how
     ``sequences.parity`` reads a column; on a column of mixed parity it
     raises TypeError.
     """
 
-    __slots__ = ("v", "span")
+    __slots__ = ("v", "span", "derived")
 
     def __init__(self, v, span=None):
-        self.v, self.span = v, span or (min(v), max(v))
+        self.v, self.span, self.derived = v, span or (min(v), max(v)), {}
 
     __add__ = __radd__ = _index_op(add)
     __mul__ = __rmul__ = _index_op(mul)
@@ -238,10 +254,12 @@ class _Index(_Column):
     def __and__(self, other):
         if other != 1:
             return NotImplemented
-        bits = set(map(and_, self.v, repeat(1)))
-        if len(bits) != 1:
-            raise TypeError("_Index: a column of mixed parity has no parity")
-        return bits.pop()
+        if and_ not in self.derived:
+            bits = set(map(and_, self.v, repeat(1)))
+            if len(bits) != 1:
+                raise TypeError("_Index: a column of mixed parity has no parity")
+            self.derived[and_] = bits.pop()
+        return self.derived[and_]
 
 
 def _times(x: Optional[list], y: Optional[list]) -> Optional[list]:
@@ -309,7 +327,9 @@ def _held(x, y) -> list[bool]:
     """x[i] == y[i] for each i of two sides of ``_sides``: on lanes n1 * d2 == n2 * d1."""
     if type(x) is tuple:
         return list(map(eq, x, y))
-    return list(map(eq, *_cross(x, y)[:2]))
+    if x.d == y.d:
+        return list(map(eq, x.n, y.n))
+    return list(map(eq, _times(x.n, y.d), _times(y.n, x.d)))
 
 
 def _sides(evaluate, table, columns) -> list:
@@ -339,11 +359,10 @@ def _kept(side, flags) -> list:
 class _Lanes:
     """One parameter point as a recurrence entry reads it: the terms, as lanes, and the constants.
 
-    ``a``, ``b`` and ``ab_plus_4`` are the point's ``Fraction``s. One walk
-    per kind stores the numerator num(a)^eps * N of each term
-    t(n) = a^eps * N/s^k, signed by the sign rule for n < 0. Its
-    denominator den(a)^eps * s^k depends on |n| only, and is stored under n
-    and -n. So a read is two C maps over the index column, and one where
+    ``a``, ``b`` and ``ab_plus_4`` are the point's ``Fraction``s. ``fib``
+    and ``lucas`` are ``_reader``s, one walk per kind laid out as lists.
+    A read is a gather from the numerators and one from the denominators
+    with the column's ``itemgetter``, and only the first where
     s = den a = 1, whose lanes have ``d`` None.
     """
 
@@ -354,19 +373,33 @@ class _Lanes:
 
 
 def _reader(p: SeqParams, kind: SequenceKind, integral: bool):
-    nums, dens, walked, denominators = (1, p.a.numerator), (1, p.a.denominator), count(), {}
+    """``read(idx)``: the lane of t(i) for each index i of the column ``idx``, one gather.
 
-    def numerator(eps, n, power):  # called for |n| = 0, 1, 2, ... in turn
-        if not integral:
-            k = next(walked)
-            denominators[k] = denominators[-k] = dens[eps] * power
-        return nums[eps] * n
-
-    get = _Walk(p, kind, numerator).__getitem__
+    The numerators num(a)^eps * N of the walk's terms a^eps * N/s^k are laid
+    out as one list, t(0..K) then t(-K..-1) signed by ``_NEGATED_PARITY``, so
+    the list index n is t(n); at a non-integral point the denominators
+    den(a)^eps * s^k, which depend on |n| only, are a second list. A column
+    reaching past K extends the walk with ``islice`` and lays both out again.
+    """
+    walk, negated = _sequences._forward(p, kind), _NEGATED_PARITY[kind]
+    nums, dens = (1, p.a.numerator), (1, p.a.denominator)
+    numerators, denominators, laid = [], [], [[], []]  # t(0..K); laid out with t(-K..-1)
 
     def read(idx: _Index) -> _Lane:
-        get(max(idx.span[1], -idx.span[0]))  # the walk extends once, storing each denominator read
-        return _Lane(list(map(get, idx.v)), None if integral else list(map(denominators.__getitem__, idx.v)))
+        reach = max(idx.span[1], -idx.span[0])
+        if reach >= len(numerators):
+            eps, n, power = zip(*islice(walk, reach + 1 - len(numerators)))
+            numerators.extend(map(mul, map(nums.__getitem__, eps), n))
+            signs = (-1, 1) if reach & 1 == negated else (1, -1)  # of t(-reach), t(1 - reach), ...
+            laid[0] = numerators + list(map(mul, numerators[:0:-1], cycle(signs)))
+            if not integral:
+                denominators.extend(map(mul, map(dens.__getitem__, eps), power))
+                laid[1] = denominators + denominators[:0:-1]
+        get = idx.derived.get(itemgetter)
+        if get is None:  # itemgetter of one item returns it bare, not in a tuple
+            v = idx.v
+            get = idx.derived[itemgetter] = itemgetter(*v) if len(v) > 1 else lambda seq: (seq[v[0]],)
+        return _Lane(get(laid[0]), None if integral else get(laid[1]))
     return read
 
 

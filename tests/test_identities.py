@@ -647,6 +647,60 @@ def test_a_failing_ordinary_entry_reports_what_a_naive_loop_does(monkeypatch):
     _assert_report_is_naive(IdentityId.BINET_FIB, lambda a, b: _OracleTable(a, b, 12), (-6, 5), None)
 
 
+def test_a_single_failing_check_runs_again_on_a_gather_of_one(monkeypatch):
+    # cassini-fib with q(5) one too large at every point: the odd block fails
+    # at n = 5 alone and runs again on a column of one index, whose gather
+    # must still return a tuple (itemgetter of one item returns the bare
+    # item); the even block fails at n = 4 and n = 6
+    reader, sizes = identities._reader, []
+
+    def perturbed(p, kind, integral):
+        read = reader(p, kind, integral)
+        if kind is not SequenceKind.FIBONACCI:
+            return read
+
+        def read_perturbed(idx):
+            sizes.append(len(idx.v))
+            return read(idx) + _Lane([int(k == 5) for k in idx.v])
+        return read_perturbed
+
+    def perturbed_oracle(a, b):
+        table = _OracleTable(a, b, 12)
+        table.fib.__self__[5] += 1
+        return table
+
+    monkeypatch.setattr(identities, "_reader", perturbed)
+    _assert_report_is_naive(IdentityId.CASSINI_FIB, perturbed_oracle, (-6, 8), None)
+    assert 1 in sizes
+
+
+def test_a_grid_derives_its_index_columns_once(monkeypatch):
+    # thm6-i derives 2 * (m + n + 1) and its other index columns at the
+    # first point of a grid and reads them back at the others, so a grid of
+    # 6 points builds as many columns as a grid of 1; a second call builds
+    # its own, so nothing is kept between calls
+    init, built = _Index.__init__, 0
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(_Index, "__init__", counted)
+
+    def columns_built(*grids):
+        nonlocal built
+        built = 0
+        for a_values, b_values in grids:
+            report = verify_grid(IdentityId.THM6_I, a_values, b_values, n_range=(-3, 5))
+            assert report.passed == report.checked == len(a_values) * len(b_values) * 81
+        return built
+
+    one, six = ([2], [3]), ([2, F(1, 2), F(-3, 2)], [3, F(-7, 5)])
+    assert columns_built(one) == columns_built(six) > 0
+    assert columns_built(six, six) == 2 * columns_built(six)
+
+
 def _assert_report_is_naive(ident, oracle, n_range, m_range):
     """verify_grid's report of ident equals a naive loop's over the tables ``oracle(a, b)``."""
     a_values, b_values = [2, F(1, 2), 2], [3, F(-3, 2)]
@@ -754,7 +808,9 @@ def test_columns_have_no_truth_value_equality_order_or_hash():
 
 def test_column_arithmetic_matches_elementwise_arithmetic():
     # +, - and * with a column or a constant on either side, against int and
-    # Fraction arithmetic one element at a time; a span bounds its column
+    # Fraction arithmetic one element at a time; a span bounds its column.
+    # An index column keeps what it derives: m - 3 and 3 - m are two
+    # columns, and m op n is read back the second time
     def values(x, size=4):
         if type(x) is _Index:
             return x.v
@@ -768,7 +824,7 @@ def test_column_arithmetic_matches_elementwise_arithmetic():
     y = _Lane([v.numerator for v in ys], [v.denominator for v in ys])
     ints = _Lane([4, -3, 0, 2])
     for op in (add, sub, mul):
-        for left, right in ((m, n), (m, 3), (-2, n)):
+        for left, right in ((m, n), (m, 3), (3, m), (-2, n), (m, n)):
             got, want = op(left, right), list(map(op, values(left), values(right)))
             assert got.v == want and got.span[0] <= min(want) and max(want) <= got.span[1]
         for left, right in ((x, y), (x, 3), (-2, y), (F(10, -4), y), (ints, y), (ints, 5), (ints, F(3, 4))):
