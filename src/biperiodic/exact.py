@@ -84,7 +84,7 @@ def _rational(x) -> Fraction:
 def _lowest_terms(a: Fraction, eps: int, num: int, den: int) -> Fraction:
     """a**eps * num/den in lowest terms, for eps in {0, 1}, den > 0 and gcd(num, den) = 1.
 
-    The pair comes from ``_product_pair`` and becomes a Fraction as in
+    The pair comes from ``_product_pair`` and becomes a Fraction through
     ``_slots``, with no further gcd. ``sequences._finished_term`` finishes
     the terms of both O(log n) engines here, and ``TermTable`` those of the
     recurrence walk, den a power of s where ab = r/s; the matrix core's
@@ -92,10 +92,7 @@ def _lowest_terms(a: Fraction, eps: int, num: int, den: int) -> Fraction:
     """
     if eps:
         num, den = _product_pair(a.numerator, a.denominator, num, den)
-    # inline, not through _slots: the catalog's TermTable finishes every term here
-    x = object.__new__(Fraction)
-    x._numerator, x._denominator = num, den
-    return x
+    return _slots(num, den)
 
 
 def _product_pair(p: int, q: int, num: int, den: int) -> tuple[int, int]:

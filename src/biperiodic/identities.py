@@ -41,49 +41,46 @@ Catalog notes:
   verify grid records every point on the line as an exclusion with that
   reason; the other four check the line like any other point.
 
-How a check runs: an evaluator reads its terms and the constants a, b and
-ab + 4 from one table per parameter point, of the type
-``_IdentityDef.table`` names.
+How a check runs: every evaluator is called the same way, once per block
+of the grid, with the point's ``_Lanes`` and the block's index columns
+(``_Index``). ``_Lanes`` holds the point, its constants a, b and ab + 4 as
+``Fraction``s, and its terms: a term read is a ``_Lane`` of numerators and
+denominators whose +, -, *, ** and / are C maps.
 
-* The 16 recurrence entries (``cassini-*``, ``thm4-i-printed``,
-  ``thm6-*``, ``add-*``, ``sub-*``) read a ``_Lanes``, and are called with
-  index columns (``_Index``): a term read is a ``_Lane`` of numerators and
-  denominators whose +, -, *, ** and / are C maps. The terms come from the
-  integer walk of ``sequences``, which hands over each term t(n) as
-  a^eps * N/s^k with ab = r/s in lowest terms and gcd(N, s) = 1. The walk
-  is laid out as lists, t(0..K) then t(-K..-1), so that the list index n
-  is t(n), and a read is one gather from them: the column's
-  ``itemgetter``. Where s = den a = 1, a lane holds plain ints. Elsewhere
-  each value keeps its own denominator, because the identities are not
-  homogeneous in index weight: at even m and n, add-qq sets q(m+n), over
-  s^((m+n-2)/2), against q(m)*q(n-1), over s^((m+n-4)/2). No operation
-  reduces a value: a product multiplies numerators and denominators, a sum
-  cross-multiplies (or adds numerators over a shared denominator), and
-  n1/d1 == n2/d2 is n1*d2 == n2*d1. So a check takes no gcd, and the
-  evaluators keep the formulas they would have over ``Fraction``s. a, b
-  and ab + 4 are the point's ``Fraction``s, which a lane broadcasts;
-  ``cassini-lucas`` divides its lane by a.
+* The terms come from the integer walk of ``sequences``, which hands over
+  each term t(n) as a^eps * N/s^k with ab = r/s in lowest terms and
+  gcd(N, s) = 1. The walk is laid out as lists, t(0..K) then t(-K..-1),
+  so that the list index n is t(n), and a read is one gather from them:
+  the column's ``itemgetter``. Where s = den a = 1, a lane holds plain
+  ints. Elsewhere each value keeps its own denominator, because the
+  identities are not homogeneous in index weight: at even m and n, add-qq
+  sets q(m+n), over s^((m+n-2)/2), against q(m)*q(n-1), over
+  s^((m+n-4)/2). No operation reduces a value: a product multiplies
+  numerators and denominators, a sum cross-multiplies (or adds numerators
+  over a shared denominator), and n1/d1 == n2/d2 is n1*d2 == n2*d1. So a
+  check takes no gcd, and the evaluators keep the formulas they would have
+  over ``Fraction``s. A constant broadcasts; ``cassini-lucas`` divides its
+  lane by a.
 * A column has no truth value, equality or order, so an evaluator that
-  branched on an index would raise there. It may read only a column's
-  parity: ``sequences.parity`` of a column whose indices share one parity
-  is that int, so every coefficient c(n) still comes from
+  branched on an index would raise there. It may read a column's parity:
+  ``sequences.parity`` of a column whose indices share one parity is that
+  int, so every coefficient c(n) still comes from
   ``sequences._coefficient``, the one home of that alternation, and a
   column of mixed parity raises.
 * The five engine entries (``det-power``, ``matrix-form``,
-  ``inverse-power``, ``binet-*``) read a ``sequences.TermTable`` at one
-  index tuple per call: an engine's ``Fraction`` or ``Mat2`` against the
-  walk's terms in lowest terms. ``_sides`` maps such an evaluator over the
-  index columns in one C loop, and hands its two sides back as tuples.
+  ``inverse-power``, ``binet-*``) also map an engine over the indices,
+  which they read through ``_ints``, the one read of a column's values.
+  ``binet-*`` hand the engine's ``Fraction``s back as a lane, against the
+  walk's lane. The matrix entries return one ``Mat2`` (det-power one
+  ``Fraction``) per index in a tuple; matrix-form hands its walk core to
+  ``genmatrix._from_core`` as unreduced (numerator, denominator) pairs,
+  which it reads back to integers, one checked division each.
 
-``_sides`` is the one place that knows the two calling conventions;
-``_held`` compares, and ``_kept`` keeps, a side of either kind. A lane
-value becomes a ``Fraction`` only at the boundary: when the public
+``_held`` compares, and ``_kept`` keeps, a side that is a lane or a tuple.
+A lane value becomes a ``Fraction`` only at the boundary: when the public
 ``evaluate`` returns it (it runs every entry through ``_sides`` too, as a
 grid of one tuple), and when a side of a counterexample that
-``verify_grid`` built is first read. matrix-form hands its walk core to
-``genmatrix`` as (numerator, denominator) pairs, which
-``genmatrix._from_core`` reads back to integers, one checked division
-each.
+``verify_grid`` built is first read.
 
 How a grid runs: a point pays for its own terms and checks, and runs no
 Python loop step per check. A two-index grid is built from its four
@@ -117,7 +114,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, compress, cycle, islice, repeat
 from operator import add, and_, eq, itemgetter, mul, not_, sub
@@ -127,7 +124,8 @@ from . import binet as _binet
 from . import genmatrix as _gm
 from . import sequences as _sequences
 from .exact import Mat2, _rational
-from .sequences import _NEGATED_PARITY, SeqParams, SequenceKind, TermTable, _coefficient, parity
+from .sequences import _NEGATED_PARITY, SeqParams, SequenceKind, _coefficient, parity
+from .sequences import TermTable  # noqa: F401 -- perfbench/layertrace.py times identities.TermTable.term
 
 _FIB, _LUCAS = SequenceKind.FIBONACCI, SequenceKind.LUCAS
 
@@ -298,6 +296,8 @@ def _lane_op(op, reflected=False):
 class _Lane(_Column):
     """Rationals n[i]/d[i], never reduced, d[i] of either sign; ``d`` is None where every d[i] is 1.
 
+    n[i] is an int, or an engine's ``Fraction`` over a ``d`` of None.
+
     +, - and * with a lane or an int or Fraction constant, ** to an int
     k >= 0 and / by a nonzero constant map in C.
     """
@@ -324,7 +324,7 @@ class _Lane(_Column):
 
 
 def _held(x, y) -> list[bool]:
-    """x[i] == y[i] for each i of two sides of ``_sides``: on lanes n1 * d2 == n2 * d1."""
+    """x[i] == y[i] for each i of two sides of ``_sides``: on lanes n1 * d2 == n2 * d1, else on tuples."""
     if type(x) is tuple:
         return list(map(eq, x, y))
     if x.d == y.d:
@@ -332,23 +332,20 @@ def _held(x, y) -> list[bool]:
     return list(map(eq, _times(x.n, y.d), _times(y.n, x.d)))
 
 
-def _sides(evaluate, table, columns) -> list:
+def _sides(evaluate, t: "_Lanes", columns) -> list:
     """``evaluate``'s (lhs, rhs) on index columns: the one home of the calling convention.
 
-    A recurrence entry (a ``_Lanes`` table) is called once on the columns,
-    and its sides come back as lanes, a constant side broadcast. An engine
-    entry (a ``TermTable``) is called once per index tuple, in one C map,
-    and its sides come back as two tuples of its values.
+    Every entry is called once on the columns. A side comes back as a lane,
+    a constant ``Fraction`` broadcast to one, or a tuple of one ``Mat2`` or
+    ``Fraction`` per index.
     """
-    if type(table) is TermTable:
-        return list(zip(*map(partial(evaluate, table), *(column.v for column in columns))))
-    size = len(columns[0].v)
-    return [side if type(side) is _Lane else _constant(side, size) for side in evaluate(table, *columns)]
+    return [_constant(side, len(columns[0].v)) if type(side) is Fraction else side
+            for side in evaluate(t, *columns)]
 
 
 def _kept(side, flags) -> list:
-    """A side's values where ``flags`` is true, as a check computed them: ints or
-    ``_Pair``s of a lane, an engine's values of a tuple."""
+    """A side's values where ``flags`` is true, as a check computed them: the values
+    of a lane (``_Pair``s where its ``d`` is not None) or of a tuple."""
     if type(side) is tuple:
         return list(compress(side, flags))
     if side.d is None:
@@ -357,17 +354,18 @@ def _kept(side, flags) -> list:
 
 
 class _Lanes:
-    """One parameter point as a recurrence entry reads it: the terms, as lanes, and the constants.
+    """One parameter point as every entry reads it: the terms, as lanes, and the constants.
 
-    ``a``, ``b`` and ``ab_plus_4`` are the point's ``Fraction``s. ``fib``
-    and ``lucas`` are ``_reader``s, one walk per kind laid out as lists.
-    A read is a gather from the numerators and one from the denominators
-    with the column's ``itemgetter``, and only the first where
-    s = den a = 1, whose lanes have ``d`` None.
+    ``params`` is the point, the engines' argument, and ``a``, ``b`` and
+    ``ab_plus_4`` are its ``Fraction``s. ``fib`` and ``lucas`` are
+    ``_reader``s, one walk per kind laid out as lists. A read is a gather
+    from the numerators and one from the denominators with the column's
+    ``itemgetter``, and only the first where s = den a = 1, whose lanes
+    have ``d`` None.
     """
 
     def __init__(self, p: SeqParams):
-        self.a, self.b, self.ab_plus_4 = p.a, p.b, p.ab_plus_4
+        self.params, self.a, self.b, self.ab_plus_4 = p, p.a, p.b, p.ab_plus_4
         integral = p.ab.denominator == p.a.denominator == 1
         self.fib, self.lucas = (_reader(p, kind, integral) for kind in (_FIB, _LUCAS))
 
@@ -427,29 +425,36 @@ def _gap_thm4_printed(t: _Lanes, lhs, n: int):
     return _sign(n) * (t.b - t.a) * t.fib(n) ** 2
 
 
-def _eval_det_power(t: TermTable, n: int):
-    return _gm.matrix_power(t.params, n).det(), _gm.det_power(t.params, n)
+def _ints(column: _Index) -> list[int]:
+    """The indices of ``column``: the one read of a column's values, by the engine entries alone."""
+    return column.v
 
 
-def _eval_matrix_form(t: TermTable, n: int):
+def _eval_det_power(t: _Lanes, n: _Index):
+    p, ns = t.params, _ints(n)
+    return tuple(_gm.matrix_power(p, k).det() for k in ns), tuple(map(_gm.det_power, repeat(p), ns))
+
+
+def _eval_matrix_form(t: _Lanes, n: _Index):
     # the core comes from the walk, so binary exponentiation is checked against it
-    p, read = t.params, t.fib if _gm._exposed_kind(n) is _FIB else t.lucas
-    below, (mn, md), above = ((x.numerator, x.denominator) for x in map(read, (n - 1, n, n + 1)))
-    a, b = p.a, p.b
-    side = (b.numerator * a.denominator * mn, b.denominator * a.numerator * md)  # (b/a) * t(n)
-    return _gm._from_core(p, n, (above, (mn, md), side, below)), _gm.matrix_power(p, n)
+    p, ns, read = t.params, _ints(n), t.fib if _gm._exposed_kind(n) is _FIB else t.lucas
+    mid = read(n)
+    core = (read(n + 1), mid, mid * (t.b / t.a), read(n - 1))  # e21 = (b/a) * t(n)
+    pairs = zip(*(zip(x.n, x.d or repeat(1)) for x in core))  # unreduced, as _from_core takes them
+    return tuple(map(_gm._from_core, repeat(p), ns, pairs)), tuple(map(_gm.matrix_power, repeat(p), ns))
 
 
-def _eval_inverse_power(t: TermTable, n: int):
-    return _gm.matrix_power(t.params, n) * _gm.matrix_power(t.params, -n), Mat2.identity()
+def _eval_inverse_power(t: _Lanes, n: _Index):
+    p, ns = t.params, _ints(n)
+    return tuple(_gm.matrix_power(p, k) * _gm.matrix_power(p, -k) for k in ns), (Mat2.identity(),) * len(ns)
 
 
-def _eval_binet_fib(t: TermTable, n: int):
-    return _binet.binet_fib(t.params, n), t.fib(n)
+def _eval_binet_fib(t: _Lanes, n: _Index):
+    return _Lane(list(map(_binet.binet_fib, repeat(t.params), _ints(n)))), t.fib(n)
 
 
-def _eval_binet_lucas(t: TermTable, n: int):
-    return _binet.binet_lucas(t.params, n), t.lucas(n)
+def _eval_binet_lucas(t: _Lanes, n: _Index):
+    return _Lane(list(map(_binet.binet_lucas, repeat(t.params), _ints(n)))), t.lucas(n)
 
 
 def _eval_thm6_i(t: _Lanes, m: int, n: int):
@@ -554,10 +559,6 @@ class _IdentityDef:
     expected: Expectation = Expectation.HOLDS
     #: documented exact lhs - rhs as gap(table, lhs, *indices), on lanes; None: lhs == rhs
     gap: Optional[Callable] = None
-    #: what ``evaluate`` reads at a point: ``_Lanes`` for a recurrence entry,
-    #: called on index columns, or ``TermTable`` for an engine entry, called
-    #: on one index tuple at a time
-    table: type = _Lanes
 
     # cached: the verify grid's per-tuple domain check reads it
     @cached_property
@@ -595,7 +596,7 @@ _CATALOG: dict[IdentityId, _IdentityDef] = {
         _eval_thm4_printed, (1, 200),
         expected=Expectation.FAILS_AT_ODD_INDEX, gap=_gap_thm4_printed,
     ),
-    IdentityId.DET_POWER: _IdentityDef(_eval_det_power, (1, 32), min_index=1, table=TermTable),
+    IdentityId.DET_POWER: _IdentityDef(_eval_det_power, (1, 32), min_index=1),
     IdentityId.THM6_I: _IdentityDef(_eval_thm6_i, _DOUBLED, _DOUBLED),
     IdentityId.THM6_II: _IdentityDef(_eval_thm6_ii, _DOUBLED, _DOUBLED),
     IdentityId.THM6_III: _IdentityDef(_eval_thm6_iii, _DOUBLED, _DOUBLED),
@@ -612,12 +613,11 @@ _CATALOG: dict[IdentityId, _IdentityDef] = {
     IdentityId.SUB_QQ: _IdentityDef(_eval_sub_qq, _SHIFTED, _SHIFTED, parity_domain=_BOTH_EVEN),
     IdentityId.SUB_LL: _IdentityDef(_eval_sub_ll, _SHIFTED, _SHIFTED, parity_domain=_BOTH_ODD),
     IdentityId.SUB_QL: _IdentityDef(_eval_sub_ql, _SHIFTED, _SHIFTED, parity_domain=_EVEN_M_ODD_N),
-    IdentityId.BINET_FIB: _IdentityDef(_eval_binet_fib, (-50, 50), table=TermTable),
-    IdentityId.BINET_LUCAS: _IdentityDef(_eval_binet_lucas, (-50, 50), table=TermTable),
-    IdentityId.MATRIX_FORM: _IdentityDef(_eval_matrix_form, (1, 64), min_index=1, table=TermTable),
+    IdentityId.BINET_FIB: _IdentityDef(_eval_binet_fib, (-50, 50)),
+    IdentityId.BINET_LUCAS: _IdentityDef(_eval_binet_lucas, (-50, 50)),
+    IdentityId.MATRIX_FORM: _IdentityDef(_eval_matrix_form, (1, 64), min_index=1),
     IdentityId.INVERSE_POWER: _IdentityDef(
         _eval_inverse_power, (-16, 16), line_reason="ab + 4 = 0: generating matrix is singular",
-        table=TermTable,
     ),
 }
 
@@ -644,7 +644,7 @@ def evaluate(ident: IdentityId, p: SeqParams, *indices: int):
         error, message, *args = refusal
         raise error(message.format(ident.value, *args))
     # as a grid of one tuple
-    sides = _sides(idef.evaluate, idef.table(p), tuple(map(_Index, zip(indices))))
+    sides = _sides(idef.evaluate, _Lanes(p), tuple(map(_Index, zip(indices))))
     lhs, rhs = (_kept(side, (True,))[0] for side in sides)
     return _fraction(lhs), _fraction(rhs)
 
@@ -868,7 +868,7 @@ def verify_grid(
             if line_reason is not None and p.ab_plus_4 == 0:
                 excluded.append(ExcludedPoint(a, b, line_reason))
                 continue
-            table = idef.table(p)
+            table = _Lanes(p)
             checked += size
             for block, idx in zip(blocks, columns):
                 lhs, rhs = _sides(evaluator, table, idx)

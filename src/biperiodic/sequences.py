@@ -52,14 +52,14 @@ term comes out as a^eps * N/s^k with gcd(N, s) = 1, the (eps, k) of
 per index, carries s^k along and takes no gcd. Every negative index is
 read from it by the sign rule, ``_NEGATED_PARITY``, so the fast path
 never steps backward.
-``TermTable`` finishes each term it keeps with ``exact._lowest_terms``,
-and ``term_pairs`` as an integer pair (num, den) with its lemma
-``exact._product_pair``: gcds against a's numerator and denominator only.
+``term_pairs`` finishes each term it keeps as an integer pair (num, den)
+with the lemma ``exact._product_pair``, ``TermTable`` as a ``Fraction``
+with ``exact._lowest_terms``: gcds against a's numerator and denominator
+only. ``term_pairs`` walks once to the far end of an index range and keeps
+only the terms inside it; the CLI formats its pairs straight to cells.
 ``TermTable`` keeps each term of one parameter pair once and reads it in
-O(1). ``term_pairs`` walks once to the far end of an index range and keeps
-only the terms inside it; the CLI formats its pairs straight to cells. The
-identity catalog's engine entries read ``TermTable``; its recurrence
-entries build their own values from the same triples (see ``identities``).
+O(1); no module of the package reads it. The identity catalog builds its
+values from the same triples, unreduced (see ``identities``).
 
 ``_coefficient`` and ``_seeds`` take the values a and b, not a
 ``SeqParams``, and hand them back untouched. ``_coefficient`` reads its

@@ -19,7 +19,6 @@ from biperiodic import (
     ParityMismatchError,
     SeqParams,
     SequenceKind,
-    TermTable,
     addition_eval,
     cassini_fib,
     cassini_lucas,
@@ -29,7 +28,7 @@ from biperiodic import (
     verify_default,
     verify_grid,
 )
-from biperiodic import binet, identities
+from biperiodic import binet, genmatrix, identities
 from biperiodic.cli import MAX_COUNTEREXAMPLES_SHOWN
 from biperiodic.identities import (
     _CATALOG,
@@ -42,6 +41,7 @@ from biperiodic.identities import (
     _gap_thm4_printed,
     _Index,
     _index_tuples,
+    _ints,
     _kept,
     _Lane,
     _Lanes,
@@ -57,26 +57,6 @@ GENERIC_PAIRS = [(F(2), F(3)), (F(5, 3), F(-7, 2)), (F(-1), F(1, 2))]
 #: a 4 x 5 grid with four points on the line ab = -4, ON_THE_LINE in (a, b) order
 LINE_GRID = ([1, 2, F(-1, 2), 4], [-4, -2, 8, -1, 3])
 ON_THE_LINE = [(F(-1, 2), 8), (1, -4), (2, -2), (4, -1)]
-
-
-class TestTermTable:
-    def test_agrees_with_recurrence(self):
-        # checked against the conftest tables, which share no code with the
-        # package: the walker and term_recurrence share _coefficient
-        for a, b in GENERIC_PAIRS + [(F(1), F(-4))]:
-            table = TermTable(SeqParams(a, b))
-            fib = oracle_fib_table(a, b, -40, 40)
-            luc = oracle_lucas_table(a, b, -40, 40)
-            for n in range(-40, 41):
-                assert table.fib(n) == fib[n], (a, b, n)
-                assert table.term(SequenceKind.LUCAS, n) == luc[n], (a, b, n)
-
-    def test_random_access_order_does_not_matter(self):
-        p = SeqParams(F(1, 2), F(-3, 2))
-        table = TermTable(p)
-        values = [table.fib(n) for n in (17, -9, 3, -30, 0, 25)]
-        fresh = TermTable(p)
-        assert values == [fresh.fib(n) for n in (17, -9, 3, -30, 0, 25)]
 
 
 class TestCassini:
@@ -284,8 +264,6 @@ class TestVerifyGrid:
     def test_matrix_form_does_not_use_the_fast_term_path(self, monkeypatch):
         # the closed form's core comes from the walk, so binary
         # exponentiation is checked against an independent engine
-        from biperiodic import genmatrix
-
         def refuse(*args):
             raise AssertionError("term_fast called")
 
@@ -409,15 +387,53 @@ WINDOW_REACH = 4
 SMALL_WINDOW = st.tuples(st.integers(-WINDOW_REACH, 0), st.integers(0, WINDOW_REACH))
 
 
+#: the five entries that map an engine over their indices; the other 16 run on lanes alone
+ENGINES = [IdentityId.DET_POWER, IdentityId.BINET_FIB, IdentityId.BINET_LUCAS,
+           IdentityId.MATRIX_FORM, IdentityId.INVERSE_POWER]
+
+
 class _OracleTable:
-    """A catalog table built from the conftest oracle dicts: plain Fractions throughout."""
+    """A catalog table built from the conftest oracle dicts: plain Fractions throughout.
+
+    ``terms`` holds the fibonacci and the lucas dict. A term is read at an
+    int index, as a lane entry's formula is run one tuple at a time, or at
+    an index column, as an engine entry reads it: the column through
+    ``_ints``, as on ``_Lanes``, and the terms as a lane of the oracle's
+    numerators and denominators.
+    """
 
     def __init__(self, a, b, reach):
-        fib = oracle_fib_table(a, b, -reach, reach)
-        luc = oracle_lucas_table(a, b, -reach, reach)
+        self.terms = oracle_fib_table(a, b, -reach, reach), oracle_lucas_table(a, b, -reach, reach)
         self.params = SeqParams(a, b)
         self.a, self.b, self.ab_plus_4 = F(a), F(b), F(a) * F(b) + 4
-        self.fib, self.lucas = fib.__getitem__, luc.__getitem__
+
+    def fib(self, n):
+        return self._read(self.terms[0], n)
+
+    def lucas(self, n):
+        return self._read(self.terms[1], n)
+
+    @staticmethod
+    def _read(terms, n):
+        if type(n) is int:
+            return terms[n]
+        values = [terms[k] for k in _ints(n)]
+        return _Lane([v.numerator for v in values], [v.denominator for v in values])
+
+
+def _oracle_sides(ident, table, indices):
+    """ident's (lhs, rhs) at one index tuple over an oracle table, each a Fraction or a Mat2.
+
+    A lane entry's formula runs on the int indices. An engine entry runs on
+    columns of one index each, and its sides of one value are read back by
+    hand: a tuple's item, or a lane's n/d.
+    """
+    evaluate = _CATALOG[ident].evaluate
+    if ident not in ENGINES:
+        return evaluate(table, *indices)
+    sides = evaluate(table, *map(_Index, zip(indices)))
+    return tuple(side[0] if type(side) is tuple else F(side.n[0], side.d[0] if side.d else 1)
+                 for side in sides)
 
 
 def _naive_report(ident, a_values, b_values, n_range, m_range):
@@ -439,7 +455,7 @@ def _naive_report(ident, a_values, b_values, n_range, m_range):
                 continue
             table = _OracleTable(a, b, 4 * (WINDOW_REACH + 1))
             for indices in grid:
-                lhs, rhs = idef.evaluate(table, *indices)
+                lhs, rhs = _oracle_sides(ident, table, indices)
                 checked += 1
                 passed += lhs == rhs
                 if lhs != rhs:
@@ -516,7 +532,7 @@ def test_cassini_checks_build_fractions_per_point_not_per_check(monkeypatch):
 #: the 13 recurrence-based entries that read only terms and ab + 4, never a or b
 TERM_ONLY = [ident for ident in IdentityId if ident.value.startswith(("thm6-", "add-", "sub-"))]
 #: the 16 recurrence-based entries: TERM_ONLY, cassini-* and thm4-i-printed, all on lanes
-ON_LANES = [ident for ident in IdentityId if _CATALOG[ident].table is _Lanes]
+ON_LANES = [ident for ident in IdentityId if ident not in ENGINES]
 
 
 def test_recurrence_checks_build_fractions_and_lanes_per_point_not_per_check(monkeypatch):
@@ -633,18 +649,25 @@ def test_a_failing_ordinary_entry_reports_what_a_naive_loop_does(monkeypatch):
     def perturbed_oracle(a, b):
         table = _OracleTable(a, b, 12)
         if b == 3:
-            table.fib.__self__[3] += 1  # the oracle dict behind fib
+            table.terms[0][3] += 1  # the oracle dict behind fib
         return table
 
     monkeypatch.setattr(identities, "_reader", perturbed)
     _assert_report_is_naive(IdentityId.SUB_QQ, perturbed_oracle, (-6, 5), (-3, 4))
+    monkeypatch.undo()  # binet-fib reads the same walk
 
     # the engine twin: binet-fib with the Binet engine one too large at
     # n = 3 and n = 4, one index of each parity block, at the points with
-    # b = 3 only. The naive loop runs the same evaluator per tuple
+    # b = 3 only. The naive loop runs the same evaluator per tuple, on
+    # columns of one index over the oracle's terms
     binet_fib = binet.binet_fib
     monkeypatch.setattr(binet, "binet_fib", lambda p, n: binet_fib(p, n) + int(p.b == 3 and n in (3, 4)))
     _assert_report_is_naive(IdentityId.BINET_FIB, lambda a, b: _OracleTable(a, b, 12), (-6, 5), None)
+
+    # and a twin whose sides are tuples, not lanes: det-power, its rhs one too large likewise
+    det_power = genmatrix.det_power
+    monkeypatch.setattr(genmatrix, "det_power", lambda p, n: det_power(p, n) + int(p.b == 3 and n in (3, 4)))
+    _assert_report_is_naive(IdentityId.DET_POWER, lambda a, b: _OracleTable(a, b, 12), (-6, 5), None)
 
 
 def test_a_single_failing_check_runs_again_on_a_gather_of_one(monkeypatch):
@@ -666,7 +689,7 @@ def test_a_single_failing_check_runs_again_on_a_gather_of_one(monkeypatch):
 
     def perturbed_oracle(a, b):
         table = _OracleTable(a, b, 12)
-        table.fib.__self__[5] += 1
+        table.terms[0][5] += 1
         return table
 
     monkeypatch.setattr(identities, "_reader", perturbed)
@@ -716,7 +739,7 @@ def _assert_report_is_naive(ident, oracle, n_range, m_range):
         for b in b_values:
             table = oracle(a, b)
             for indices in grid:
-                lhs, rhs = idef.evaluate(table, *indices)
+                lhs, rhs = _oracle_sides(ident, table, indices)
                 checked += 1
                 if lhs == rhs:
                     passed += 1
@@ -741,12 +764,9 @@ def test_an_impure_evaluator_is_refused(monkeypatch):
 
     def flaky(t, n):
         nonlocal runs
+        runs += 1
         lhs, rhs = _eval_binet_lucas(t, n)
-        if n == 4:
-            runs += 1
-            if runs == 1:
-                return lhs + 1, rhs
-        return lhs, rhs
+        return (lhs + 1 if runs == 1 else lhs), rhs
 
     monkeypatch.setitem(_CATALOG, ident, dataclasses.replace(_CATALOG[ident], evaluate=flaky))
     with pytest.raises(AssertionError, match="binet-lucas: evaluator is not a pure read of its table"):
@@ -790,12 +810,45 @@ def test_an_impure_lane_evaluator_is_refused(monkeypatch):
     assert runs == 2
 
 
-def test_the_engine_entries_read_a_term_table_and_have_no_gap():
-    # a gap is lane arithmetic, so no entry that reads a TermTable has one
-    engines = [ident.value for ident, idef in _CATALOG.items() if idef.table is TermTable]
-    assert engines == ["det-power", "binet-fib", "binet-lucas", "matrix-form", "inverse-power"]
-    assert all(_CATALOG[IdentityId(ident)].gap is None for ident in engines)
-    assert all(idef.table in (_Lanes, TermTable) for idef in _CATALOG.values())
+def test_exactly_the_engine_entries_read_index_values_and_none_has_a_gap(monkeypatch):
+    # _ints is the one read of a column's values: the five engine entries
+    # call it to map their engine over the indices, and no evaluator or gap
+    # reads a column's .v itself. A gap is lane arithmetic, and no engine
+    # entry has one
+    read, callers = _ints, set()
+
+    def recorded(column):
+        callers.add(ident)
+        return read(column)
+
+    monkeypatch.setattr(identities, "_ints", recorded)
+    for ident in IdentityId:
+        report = verify_grid(ident, [2, F(1, 2)], [3], n_range=(1, 4))
+        assert report_matches_expectation(report), ident
+    assert [ident for ident in IdentityId if ident in callers] == ENGINES
+    assert all(_CATALOG[ident].gap is None for ident in ENGINES)
+    for idef in _CATALOG.values():
+        assert all("v" not in f.__code__.co_names for f in (idef.evaluate, idef.gap) if f), idef
+
+
+#: (a, b) where a = 2 shares the prime 2 with s = 2 (ab = 1/2), so the walk's
+#: pairs a * F_j/s^j are unreduced; on the line ab = -4; at a generic
+#: fraction; and with a negative a
+ENGINE_POINTS = [(F(2), F(1, 4)), (F(1, 2), F(-8)), (F(5, 3), F(-4, 3)), (F(-3, 2), F(1, 2))]
+
+
+@pytest.mark.parametrize("a, b", ENGINE_POINTS)
+@pytest.mark.parametrize(
+    "ident", [IdentityId.MATRIX_FORM, IdentityId.BINET_FIB, IdentityId.BINET_LUCAS],
+    ids=lambda ident: ident.value,
+)
+def test_engine_entries_hold_on_the_walks_lanes(ident, a, b):
+    # matrix-form hands the walk's lanes, unreduced, to genmatrix._from_core,
+    # and binet-* compare their Fractions with them, over the default range
+    n_range, _ = DEFAULT_RANGES[ident]
+    report = verify_grid(ident, [a], [b], n_range=n_range)
+    assert report.passed == report.checked == n_range[1] - n_range[0] + 1
+    assert report.excluded == ()
 
 
 def test_columns_have_no_truth_value_equality_order_or_hash():

@@ -208,12 +208,16 @@ def test_terms_rejects_an_empty_range():
 
 @settings(deadline=None)
 @given(ab=pairs, reads=st.lists(st.tuples(st.sampled_from([FIB, LUC]), indices), max_size=40))
+@example(ab=(F(1), F(-4)), reads=[(FIB, 17), (LUC, -9), (FIB, 3), (FIB, -30), (LUC, 0), (FIB, 25),
+                                  (LUC, 40), (FIB, -40), (LUC, -40), (FIB, 17)])  # ab + 4 = 0, s = 1
 def test_term_table_reads_in_any_order_match_oracle_tables(ab, reads):
+    # the oracle tables share no code with the package: the walk and
+    # term_recurrence share _coefficient. fib and lucas read what term reads
     a, b = ab
     table = TermTable(SeqParams(a, b))
     expected = {kind: oracle(a, b, kind, -40, 40) for kind in (FIB, LUC)}
     for kind, n in reads:
-        assert table.term(kind, n) == expected[kind][n], (kind, n)
+        assert table.term(kind, n) == getattr(table, kind.value)(n) == expected[kind][n], (kind, n)
 
 
 @settings(deadline=None)
