@@ -70,8 +70,8 @@ too. Only ``eigen_decompose`` refuses the line: no eigenbasis exists there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import Mat2, QuadExt, Rational, _power
 from .genmatrix import generating_matrix
@@ -82,8 +82,7 @@ class DegenerateDiscriminantError(ValueError):
     """Operation requires distinct characteristic roots (ab != -4)."""
 
 
-@dataclass(frozen=True)
-class RootPair:
+class RootPair(NamedTuple):
     alpha: QuadExt
     beta: QuadExt
 
@@ -141,8 +140,7 @@ def binet_lucas(p: SeqParams, n: int) -> Rational:
     return _finished_term(p, SequenceKind.LUCAS, n, v, abs(j), 1)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Eigenvalues and eigenvector matrix of the generating matrix, over Q(sqrt(D))."""
 
     lambda1: QuadExt

@@ -18,6 +18,11 @@ Output contract:
 Arguments are read by ``_parse`` straight from the ``_COMMANDS`` table,
 under argparse's rules and with its error texts. argparse itself is
 imported only to render ``-h``/``--help``, from the same table.
+
+A handler imports the engines it runs when it runs: ``genmatrix`` for
+``matrix`` and ``term --method matrix``, ``binet`` for ``--method binet``,
+the ``identities`` catalog for ``verify``. So a ``table`` process loads
+``exact`` and ``sequences`` only.
 """
 from __future__ import annotations
 
@@ -26,26 +31,14 @@ import sys
 from fractions import Fraction
 from itertools import starmap
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
-from .binet import binet_fib, binet_lucas
 from .exact import Mat2, SingularMatrixError, _format_pair, format_rational, parse_rational
-from .genmatrix import (
-    ClosedForm,
-    det_power,
-    matrix_power,
-    power_closed_form,
-    term_fast,
-)
-from .identities import (
-    DEFAULT_RANGES,
-    STANDARD_VALUES,
-    IdentityId,
-    IdentityReport,
-    expectation,
-    report_matches_expectation,
-    verify_grid,
-)
 from .sequences import SeqParams, SequenceKind, term_pairs
+
+if TYPE_CHECKING:
+    from .genmatrix import ClosedForm
+    from .identities import IdentityReport
 
 SCHEMA_VERSION = "1"
 MAX_COUNTEREXAMPLES_SHOWN = 25
@@ -128,7 +121,11 @@ def _term_cells(p: SeqParams, kind: SequenceKind, method: str, lo: int, hi: int)
     if method == "recurrence":
         return list(starmap(_format_pair, term_pairs(p, kind, lo, hi)))
     if method == "matrix":
+        from .genmatrix import term_fast
+
         return [format_rational(term_fast(p, kind, n)) for n in range(lo, hi + 1)]
+    from .binet import binet_fib, binet_lucas
+
     closed_form = binet_fib if kind is SequenceKind.FIBONACCI else binet_lucas
     return [format_rational(closed_form(p, n)) for n in range(lo, hi + 1)]
 
@@ -174,6 +171,8 @@ def _closed_form_json(cf: ClosedForm):
 
 
 def cmd_matrix(args) -> tuple[str, int]:
+    from .genmatrix import det_power, matrix_power, power_closed_form
+
     p = _params(args)
     n, show = args.n, args.show
     if show == "closed-form" and n < 1:
@@ -202,6 +201,8 @@ def cmd_matrix(args) -> tuple[str, int]:
 
 
 def _report_json(report: IdentityReport):
+    from .identities import expectation, report_matches_expectation
+
     shown = report.counterexamples[:MAX_COUNTEREXAMPLES_SHOWN]
     return {
         "identity": report.identity.value,
@@ -235,6 +236,14 @@ def _report_json(report: IdentityReport):
 
 
 def cmd_verify(args) -> tuple[str, int]:
+    from .identities import (
+        DEFAULT_RANGES,
+        STANDARD_VALUES,
+        IdentityId,
+        report_matches_expectation,
+        verify_grid,
+    )
+
     if args.identity == "all":
         idents = list(IdentityId)
     else:

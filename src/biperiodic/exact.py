@@ -16,9 +16,9 @@ All values are immutable; all operations are pure functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 from typing import Union
 
 Rational = Fraction
@@ -123,22 +123,80 @@ def _coerce_scalar(x):
     return x if isinstance(x, QuadExt) else _rational(x)
 
 
-@dataclass(frozen=True)
-class QuadExt:
+class _Frozen:
+    """Base of the immutable value types: compared, hashed, printed and copied by ``_fields``.
+
+    A subclass stores each field once, in ``__init__``, by
+    ``object.__setattr__`` (``identities.Counterexample``: into its
+    ``__dict__``); assigning or deleting any attribute raises
+    AttributeError. A copy or pickle is rebuilt through the constructor
+    from the fields (``__reduce__``), so it never meets the refusing
+    ``__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()  # two or more, so that attrgetter reads a tuple
+
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls._fields))  # the fields' tuple, read in one C call
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class _lazy:
+    """An attribute computed by ``derive(instance)`` on its first read, and stored then.
+
+    It is stored in the instance ``__dict__``, past a refusing
+    ``__setattr__``. This non-data descriptor is shadowed by that entry, so
+    every later read is a plain attribute read (``functools.cached_property``
+    without its lock, which costs each first read on 3.11).
+    """
+
+    def __init__(self, derive):
+        self.derive = derive
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.derive(instance)
+        return value
+
+
+class QuadExt(_Frozen):
     """u + v*sqrt(d) with exact rational coordinates.
 
     Two elements may be combined only when their ``d`` fields agree;
     rationals (int/Fraction) are lifted into the operand's extension.
     """
 
-    u: Fraction
-    v: Fraction
-    d: Fraction
+    __slots__ = _fields = ("u", "v", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", _rational(self.u))
-        object.__setattr__(self, "v", _rational(self.v))
-        object.__setattr__(self, "d", _rational(self.d))
+    def __init__(self, u, v, d):
+        object.__setattr__(self, "u", _rational(u))
+        object.__setattr__(self, "v", _rational(v))
+        object.__setattr__(self, "d", _rational(d))
 
     def __repr__(self) -> str:
         return f"QuadExt({self.u!s}, {self.v!s}, d={self.d!s})"
@@ -241,22 +299,19 @@ class QuadExt:
         return self.u
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(_Frozen):
     """Row-major 2x2 matrix over any exact scalar (Rational or QuadExt)."""
 
-    e11: object
-    e12: object
-    e21: object
-    e22: object
+    __slots__ = _fields = ("e11", "e12", "e21", "e22")
 
-    def __post_init__(self):
-        if type(self.e11) is type(self.e12) is type(self.e21) is type(self.e22) is Fraction:
-            return  # nothing to coerce: the engines' results are Fractions already
-        object.__setattr__(self, "e11", _coerce_scalar(self.e11))
-        object.__setattr__(self, "e12", _coerce_scalar(self.e12))
-        object.__setattr__(self, "e21", _coerce_scalar(self.e21))
-        object.__setattr__(self, "e22", _coerce_scalar(self.e22))
+    def __init__(self, e11, e12, e21, e22):
+        # the engines' results are Fractions already, with nothing to coerce
+        if not (type(e11) is type(e12) is type(e21) is type(e22) is Fraction):
+            e11, e12, e21, e22 = map(_coerce_scalar, (e11, e12, e21, e22))
+        object.__setattr__(self, "e11", e11)
+        object.__setattr__(self, "e12", e12)
+        object.__setattr__(self, "e21", e21)
+        object.__setattr__(self, "e22", e22)
 
     @classmethod
     def identity(cls) -> "Mat2":

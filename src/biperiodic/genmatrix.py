@@ -129,9 +129,8 @@ entries, which are the terms there too (core formula).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .exact import Mat2, Rational, SingularMatrixError, _lowest_terms, _power, _product_pair, _slots
 from .sequences import SeqParams, SequenceKind, _checked_triple, _finished_term, parity
@@ -296,8 +295,7 @@ def _exposed_kind(n: int) -> SequenceKind:
     return SequenceKind.FIBONACCI if parity(n) == 0 else SequenceKind.LUCAS
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     """Factored form of G^n: scale exponents plus a core of sequence terms."""
 
     params: SeqParams

@@ -104,7 +104,7 @@ block:
 
 A counterexample is built in C loops too, holding each side as the check
 computed it; the side becomes a ``Fraction`` when first read
-(``_FromRow``). So ``verify``, which prints at most 25 counterexamples
+(``Counterexample``). So ``verify``, which prints at most 25 counterexamples
 per identity and counts the rest, normalizes at most 50 sides, not two
 per failed check. The failed blocks of every visit of a point are merged
 into index order once, by one stable sort.
@@ -113,8 +113,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from itertools import chain, compress, cycle, islice, repeat
 from operator import add, and_, eq, itemgetter, mul, not_, sub
@@ -123,7 +121,7 @@ from typing import Callable, NamedTuple, Optional
 from . import binet as _binet
 from . import genmatrix as _gm
 from . import sequences as _sequences
-from .exact import Mat2, _rational
+from .exact import Mat2, _Frozen, _lazy, _rational
 from .sequences import _NEGATED_PARITY, SeqParams, SequenceKind, _coefficient, parity
 from .sequences import TermTable  # noqa: F401 -- perfbench/layertrace.py times identities.TermTable.term
 
@@ -545,8 +543,7 @@ _OPPOSITE = _ParityDomain(frozenset({(0, 1), (1, 0)}), "m and n of opposite pari
 _EVEN_M_ODD_N = _ParityDomain(frozenset({(0, 1)}), "m even and n odd")
 
 
-@dataclass(frozen=True)
-class _IdentityDef:
+class _IdentityDef(NamedTuple):
     evaluate: Callable
     #: default index ranges, both ends inclusive; m_range is None for one index
     n_range: tuple[int, int]
@@ -560,8 +557,7 @@ class _IdentityDef:
     #: documented exact lhs - rhs as gap(table, lhs, *indices), on lanes; None: lhs == rhs
     gap: Optional[Callable] = None
 
-    # cached: the verify grid's per-tuple domain check reads it
-    @cached_property
+    @property
     def arity(self) -> int:
         return 1 if self.m_range is None else 2
 
@@ -673,47 +669,29 @@ def subtraction_eval(p: SeqParams, ident: IdentityId, m: int, n: int):
     return evaluate(ident, p, m, n)
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    a: Fraction
-    b: Fraction
-    indices: tuple[int, ...]
-    lhs: object
-    rhs: object
-
-    def __getstate__(self):
-        # a copy or pickle holds the normalized fields, never a raw side
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+def _side(position: int) -> _lazy:
+    """Field ``position`` of a ``Counterexample`` that ``verify_grid`` built, normalized on first read."""
+    return _lazy(lambda ce: _fraction(ce._row[position]))
 
 
-class _FromRow:
-    """A field of a ``Counterexample`` that ``verify_grid`` built, filled on first read.
+class Counterexample(_Frozen):
+    """A failed check: the point (a, b), the indices, and the two sides (Fractions, or Mat2s).
 
-    Such an instance holds only ``_row``, the tuple (a, b, indices, lhs,
-    rhs) with each side as the check computed it: an int or a ``_Pair`` of
-    a lane, or an engine's ``Fraction`` or ``Mat2``. The first read of a field takes it from the row
-    through ``_fraction``, which normalizes a side and passes any other
-    value as it is, and caches it in the instance ``__dict__``, as
-    ``functools.cached_property`` does. An instance dict entry shadows this
-    non-data descriptor, so later reads, and every read of an instance
-    built through the constructor, are plain attribute reads.
+    One that ``verify_grid`` built holds only ``_row``, the tuple (a, b,
+    indices, lhs, rhs) with each side as the check computed it: an int or a
+    ``_Pair`` of a lane, or an engine's ``Fraction`` or ``Mat2``. The first
+    read of a field takes it from the row through ``_fraction``, which
+    normalizes a side and passes any other value as it is (``_side``). A
+    copy or pickle is built through the constructor from the fields, so it
+    holds the normalized sides, never a raw one.
     """
 
-    def __init__(self, name: str, position: int):
-        self.name, self.position = name, position
+    _fields = ("a", "b", "indices", "lhs", "rhs")
+    a, b, indices, lhs, rhs = map(_side, range(len(_fields)))
 
-    def __get__(self, ce, owner=None):
-        if ce is None:
-            return self
-        cache = ce.__dict__
-        value = cache[self.name] = _fraction(cache["_row"][self.position])
-        return value
-
-
-# attached after @dataclass, which thus sees five plain fields without defaults
-for _position, _name in enumerate(Counterexample.__dataclass_fields__):
-    setattr(Counterexample, _name, _FromRow(_name, _position))
-del _position, _name
+    def __init__(self, a: Fraction, b: Fraction, indices: tuple[int, ...], lhs, rhs):
+        # into the instance __dict__, where each entry shadows its _side
+        vars(self).update(a=a, b=b, indices=indices, lhs=lhs, rhs=rhs)
 
 
 def _unread_counterexamples(a, b, failures) -> list[Counterexample]:
@@ -723,9 +701,9 @@ def _unread_counterexamples(a, b, failures) -> list[Counterexample]:
     each failed block of every visit of the point, each in index order.
     They are merged into index order by a stable sort, so the visits of a
     point given twice interleave, in visit order on a tie. Each
-    counterexample holds its row for
-    ``_FromRow``; ``object.__setattr__`` passes the frozen dataclass's
-    ``__setattr__`` by, as its generated ``__init__`` does.
+    counterexample holds its row for ``_side``, stored into its
+    ``__dict__`` by ``object.__setattr__``, past ``Counterexample``'s
+    refusing ``__setattr__``.
     """
     if len(failures) == 1:
         rows = zip(repeat(a), repeat(b), *failures[0])
@@ -737,15 +715,13 @@ def _unread_counterexamples(a, b, failures) -> list[Counterexample]:
     return built
 
 
-@dataclass(frozen=True)
-class ExcludedPoint:
+class ExcludedPoint(NamedTuple):
     a: Fraction
     b: Fraction
     reason: str
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity: IdentityId
     a_values: tuple[Fraction, ...]
     b_values: tuple[Fraction, ...]
@@ -755,8 +731,8 @@ class IdentityReport:
     passed: int
     #: points where lhs - rhs is not the documented value
     unexpected: int
-    counterexamples: tuple[Counterexample, ...] = field(default=())
-    excluded: tuple[ExcludedPoint, ...] = field(default=())
+    counterexamples: tuple[Counterexample, ...] = ()
+    excluded: tuple[ExcludedPoint, ...] = ()
 
     @property
     def failed(self) -> int:

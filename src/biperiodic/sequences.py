@@ -69,12 +69,11 @@ whose indices share one parity (``identities._Index``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import islice
 
-from .exact import Rational, _lowest_terms, _product_pair, _rational
+from .exact import Rational, _Frozen, _lazy, _lowest_terms, _product_pair, _rational
 
 
 class SequenceKind(enum.Enum):
@@ -82,45 +81,43 @@ class SequenceKind(enum.Enum):
     LUCAS = "lucas"
 
 
-@dataclass(frozen=True)
-class SeqParams:
+class SeqParams(_Frozen):
     """Validated nonzero parameter pair (a, b) with derived constants.
 
     ``ab``, ``ab_plus_4``, ``disc`` = ab*(ab+4) = (ab)^2 + 4ab, the
     radicand of the characteristic roots, ``a_over_b`` and ``det_g`` =
     (a/b)^2 * (ab+4), the determinant of the generating matrix, are
-    computed on first read, once per instance: a ``table`` request reads
-    ``ab`` only. Equality, hashing and repr use (a, b) only.
+    computed on first read, once per instance (``exact._lazy``): a
+    ``table`` request reads ``ab`` only. Equality, hashing and repr use
+    (a, b) only.
     """
 
-    a: Rational
-    b: Rational
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        a, b = _rational(self.a), _rational(self.b)
+    def __init__(self, a, b):
+        a, b = _rational(a), _rational(b)
         if a == 0 or b == 0:
             raise ValueError("sequence parameters a and b must both be nonzero")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    # cached_property stores into the instance __dict__, past the frozen __setattr__
-    @cached_property
+    @_lazy
     def ab(self) -> Rational:
         return self.a * self.b
 
-    @cached_property
+    @_lazy
     def ab_plus_4(self) -> Rational:
         return self.ab + 4
 
-    @cached_property
+    @_lazy
     def disc(self) -> Rational:
         return self.ab * self.ab_plus_4
 
-    @cached_property
+    @_lazy
     def a_over_b(self) -> Rational:
         return self.a / self.b
 
-    @cached_property
+    @_lazy
     def det_g(self) -> Rational:
         return self.a_over_b * self.a_over_b * self.ab_plus_4
 

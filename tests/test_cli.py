@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -216,7 +215,7 @@ class TestVerify:
                 return lhs + 1, rhs
 
             with monkeypatch.context() as patch:
-                patch.setitem(identities._CATALOG, ident, replace(idef, evaluate=off_by_one))
+                patch.setitem(identities._CATALOG, ident, idef._replace(evaluate=off_by_one))
                 out = io.StringIO()
                 argv = ["verify", "--identity", ident.value, "--a-set", "2", "--b-set", "3"]
                 with contextlib.redirect_stdout(out):

@@ -1,11 +1,10 @@
 import copy
-import dataclasses
 import math
 import pickle
 from collections import Counter
 from fractions import Fraction as F
 from itertools import chain, product, repeat
-from operator import add, mul, sub
+from operator import add, attrgetter, mul, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -768,7 +767,7 @@ def test_an_impure_evaluator_is_refused(monkeypatch):
         lhs, rhs = _eval_binet_lucas(t, n)
         return (lhs + 1 if runs == 1 else lhs), rhs
 
-    monkeypatch.setitem(_CATALOG, ident, dataclasses.replace(_CATALOG[ident], evaluate=flaky))
+    monkeypatch.setitem(_CATALOG, ident, _CATALOG[ident]._replace(evaluate=flaky))
     with pytest.raises(AssertionError, match="binet-lucas: evaluator is not a pure read of its table"):
         verify_grid(ident, [2], [3], n_range=(1, 9))
     assert runs == 2
@@ -786,7 +785,7 @@ def test_an_impure_one_index_lane_evaluator_is_refused(monkeypatch):
         lhs, rhs = _eval_cassini_fib(t, n)
         return (lhs + 1 if runs == 1 else lhs), rhs
 
-    monkeypatch.setitem(_CATALOG, ident, dataclasses.replace(_CATALOG[ident], evaluate=flaky))
+    monkeypatch.setitem(_CATALOG, ident, _CATALOG[ident]._replace(evaluate=flaky))
     with pytest.raises(AssertionError, match="cassini-fib: evaluator is not a pure read of its table"):
         verify_grid(ident, [2], [3], n_range=(1, 9))
     assert runs == 2
@@ -804,7 +803,7 @@ def test_an_impure_lane_evaluator_is_refused(monkeypatch):
         lhs, rhs = _eval_sub_qq(t, m, n)
         return (lhs + 1 if runs == 1 else lhs), rhs
 
-    monkeypatch.setitem(_CATALOG, ident, dataclasses.replace(_CATALOG[ident], evaluate=flaky))
+    monkeypatch.setitem(_CATALOG, ident, _CATALOG[ident]._replace(evaluate=flaky))
     with pytest.raises(AssertionError, match="sub-qq: evaluator is not a pure read of its table"):
         verify_grid(ident, [2], [3], n_range=(-4, 4))
     assert runs == 2
@@ -984,7 +983,7 @@ def test_a_gap_entry_reports_what_a_naive_loop_does(monkeypatch):
     def skewed(t, lhs, n):
         return _gap_thm4_printed(t, lhs, n) + 1 - _sign(n)
 
-    idef = dataclasses.replace(_CATALOG[ident], gap=skewed)
+    idef = _CATALOG[ident]._replace(gap=skewed)
     monkeypatch.setitem(_CATALOG, ident, idef)
     a_values, b_values = [2, F(1, 2), 2], [2, F(-3, 2), 3]
     n_range = (-5, 8)
@@ -1068,7 +1067,8 @@ def test_counterexamples_behave_as_if_built_eagerly(ident, a_values, b_values, n
     assert list(fresh()) == eager
     assert [hash(ce) for ce in fresh()] == [hash(ce) for ce in eager]
     assert [repr(ce) for ce in fresh()] == [repr(ce) for ce in eager]
-    assert [dataclasses.astuple(ce) for ce in fresh()] == [dataclasses.astuple(ce) for ce in eager]
+    fields = attrgetter("a", "b", "indices", "lhs", "rhs")
+    assert [fields(ce) for ce in fresh()] == [fields(ce) for ce in eager]
     for got in ([copy.copy(ce) for ce in fresh()], pickle.loads(pickle.dumps(fresh()))):
         assert list(got) == eager
         assert [vars(ce) for ce in got] == [vars(ce) for ce in eager]
