@@ -44,23 +44,26 @@ Catalog notes:
 How a check runs: every evaluator is called the same way, once per block
 of the grid, with the point's ``_Lanes`` and the block's index columns
 (``_Index``). ``_Lanes`` holds the point, its constants a, b and ab + 4 as
-``Fraction``s, and its terms: a term read is a ``_Lane`` of numerators and
-denominators whose +, -, *, ** and / are C maps.
+``Fraction``s, and its terms: a term read is a ``_Lane``, numerators over
+one shared int denominator, whose +, -, *, ** and / are C maps.
 
 * The terms come from the integer walk of ``sequences``, which hands over
   each term t(n) as a^eps * N/s^k with ab = r/s in lowest terms and
   gcd(N, s) = 1. The walk is laid out as lists, t(0..K) then t(-K..-1),
-  so that the list index n is t(n), and a read is one gather from them:
-  the column's ``itemgetter``. Where s = den a = 1, a lane holds plain
-  ints. Elsewhere each value keeps its own denominator, because the
-  identities are not homogeneous in index weight: at even m and n, add-qq
+  so that the list index n is t(n). A column within the span (lo, hi)
+  reads the window t(lo..hi) over den(a) * s^K, K the largest k in the
+  span (1 where s = den a = 1), cut once per point, of which only the
+  column's parity is scaled where the column knows it; a read is one
+  gather, the column's ``itemgetter`` shifted by lo. So operands grow by
+  the spread of k within a span, not by the depth of the walk. The
+  identities are not homogeneous in index weight (at even m and n, add-qq
   sets q(m+n), over s^((m+n-2)/2), against q(m)*q(n-1), over
-  s^((m+n-4)/2). No operation reduces a value: a product multiplies
-  numerators and denominators, a sum cross-multiplies (or adds numerators
-  over a shared denominator), and n1/d1 == n2/d2 is n1*d2 == n2*d1. So a
+  s^((m+n-4)/2)), and no operation reduces a value: a product multiplies
+  numerators and denominators, and a sum, or ==, scales the numerators by
+  the cofactors of one gcd of the two denominators where they differ. So a
   check takes no gcd, and the evaluators keep the formulas they would have
-  over ``Fraction``s. A constant broadcasts; ``cassini-lucas`` divides its
-  lane by a.
+  over ``Fraction``s. A constant factor is one scalar map;
+  ``cassini-lucas`` divides its lane by a.
 * A column has no truth value, equality or order, so an evaluator that
   branched on an index would raise there. It may read a column's parity:
   ``sequences.parity`` of a column whose indices share one parity is that
@@ -70,11 +73,12 @@ denominators whose +, -, *, ** and / are C maps.
 * The five engine entries (``det-power``, ``matrix-form``,
   ``inverse-power``, ``binet-*``) also map an engine over the indices,
   which they read through ``_ints``, the one read of a column's values.
-  ``binet-*`` hand the engine's ``Fraction``s back as a lane, against the
-  walk's lane. The matrix entries return one ``Mat2`` (det-power one
-  ``Fraction``) per index in a tuple; matrix-form hands its walk core to
-  ``genmatrix._from_core`` as unreduced (numerator, denominator) pairs,
-  which it reads back to integers, one checked division each.
+  They return one value per index in a tuple: ``binet-*`` the engine's
+  ``Fraction``s p/q, held against the walk's lane n/d as p * d == n * q
+  on integers, det-power ``Fraction``s and the matrix entries ``Mat2``s.
+  matrix-form hands its walk core to ``genmatrix._from_core`` as
+  unreduced (numerator, denominator) pairs, which it reads back to
+  integers, one checked division each.
 
 ``_held`` compares, and ``_kept`` keeps, a side that is a lane or a tuple.
 A lane value becomes a ``Fraction`` only at the boundary: when the public
@@ -115,17 +119,19 @@ import enum
 from collections import deque
 from fractions import Fraction
 from itertools import chain, compress, cycle, islice, repeat
-from operator import add, and_, eq, itemgetter, mul, not_, sub
+from math import gcd
+from operator import add, and_, attrgetter, eq, itemgetter, mul, not_, sub
 from typing import Callable, NamedTuple, Optional
 
 from . import binet as _binet
 from . import genmatrix as _gm
 from . import sequences as _sequences
 from .exact import Mat2, _Frozen, _lazy, _rational
-from .sequences import _NEGATED_PARITY, SeqParams, SequenceKind, _coefficient, parity
+from .sequences import _NEGATED_PARITY, SeqParams, SequenceKind, _coefficient, _term_shape, parity
 from .sequences import TermTable  # noqa: F401 -- perfbench/layertrace.py times identities.TermTable.term
 
 _FIB, _LUCAS = SequenceKind.FIBONACCI, SequenceKind.LUCAS
+_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
 
 
 class ParityMismatchError(ValueError):
@@ -217,11 +223,15 @@ def _index_op(op, reflected=False):
             return self.derived[key][0]
         if type(other) is int:
             other = _Index(repeat(other), (other, other))
+            other.derived[and_] = other.span[0] & 1
         elif type(other) is not _Index:
             return NotImplemented
         x, y = (other, self) if reflected else (self, other)
         corners = [op(i, j) for i in x.span for j in y.span]  # +, - and * take their extremes there
         column = _Index(list(map(op, x.v, y.v)), (min(corners), max(corners)))
+        bits = x.derived.get(and_), y.derived.get(and_)
+        if None not in bits or op is mul and 0 in bits:  # its parity, from theirs: an even factor's is 0
+            column.derived[and_] = op(*(bit or 0 for bit in bits)) & 1
         self.derived[key] = column, other
         return column
     return apply
@@ -231,11 +241,13 @@ class _Index(_Column):
     """A column of int indices ``v`` within ``span`` = (lo, hi); +, - and * map in C.
 
     ``derived`` keeps the columns it yields under +, - and *, its parity and
-    its gather, so a grid maps ``2 * (m + n + 1)`` once, not once per point.
+    its window key and gather, so a grid maps ``2 * (m + n + 1)`` once, not
+    once per point.
 
     ``& 1`` is the parity the indices share, a plain int, which is how
     ``sequences.parity`` reads a column; on a column of mixed parity it
-    raises TypeError.
+    raises TypeError. A derived column knows its parity where its operands'
+    are known, or where one factor is even.
     """
 
     __slots__ = ("v", "span", "derived")
@@ -258,51 +270,48 @@ class _Index(_Column):
         return self.derived[and_]
 
 
-def _times(x: Optional[list], y: Optional[list]) -> Optional[list]:
-    """x[i] * y[i], None standing for a list of ones."""
-    return y if x is None else x if y is None else list(map(mul, x, y))
-
-
-def _cross(x: "_Lane", y: "_Lane"):
-    """The numerators of x and y over one denominator list, and that list: cross-multiplied,
-    or as they are where the two denominator lists agree (one C compare)."""
+def _common(x: "_Lane", y: "_Lane"):
+    """The numerators of x and y over one denominator, and that denominator: as they are where
+    x.d == y.d, else each side times the other's cofactor of gcd(x.d, y.d), one scalar map each."""
     if x.d == y.d:
         return x.n, y.n, x.d
-    return _times(x.n, y.d), _times(y.n, x.d), _times(x.d, y.d)
+    xs, ys = y.d // (g := gcd(x.d, y.d)), x.d // g
+    return (x.n if xs == 1 else map(mul, x.n, repeat(xs)),
+            y.n if ys == 1 else map(mul, y.n, repeat(ys)), x.d * xs)
 
 
 def _constant(x, size: int) -> "_Lane":
-    """The int or Fraction x as a lane of ``size`` copies, ``d`` None where its denominator is 1."""
-    d = x.denominator
-    return _Lane([x.numerator] * size, None if d == 1 else [d] * size)
+    """The int or Fraction x as a lane of ``size`` copies over its denominator."""
+    return _Lane([x.numerator] * size, x.denominator)
 
 
 def _lane_op(op, reflected=False):
     def apply(self, other):
         if type(other) is int or type(other) is Fraction:
+            if op is mul:  # one scalar map
+                return _Lane(list(map(mul, self.n, repeat(other.numerator))), self.d * other.denominator)
             other = _constant(other, len(self.n))
         elif type(other) is not _Lane:
             return NotImplemented
         x, y = (other, self) if reflected else (self, other)
         if op is mul:
-            return _Lane(_times(x.n, y.n), _times(x.d, y.d))
-        xn, yn, d = _cross(x, y)
+            return _Lane(list(map(mul, x.n, y.n)), x.d * y.d)
+        xn, yn, d = _common(x, y)
         return _Lane(list(map(op, xn, yn)), d)
     return apply
 
 
 class _Lane(_Column):
-    """Rationals n[i]/d[i], never reduced, d[i] of either sign; ``d`` is None where every d[i] is 1.
-
-    n[i] is an int, or an engine's ``Fraction`` over a ``d`` of None.
+    """Rationals n[i]/d over one shared int denominator d, never reduced; d is nonzero, of
+    either sign, and 1 where every value is an integer.
 
     +, - and * with a lane or an int or Fraction constant, ** to an int
-    k >= 0 and / by a nonzero constant map in C.
+    k >= 0 and / by a nonzero constant map in C (``_common`` for + and -).
     """
 
     __slots__ = ("n", "d")
 
-    def __init__(self, n: list, d: Optional[list] = None):
+    def __init__(self, n, d: int = 1):
         self.n, self.d = n, d
 
     __add__ = __radd__ = _lane_op(add)
@@ -312,8 +321,7 @@ class _Lane(_Column):
     def __pow__(self, k):
         if type(k) is not int or k < 0:
             return NotImplemented
-        d = self.d
-        return _Lane(list(map(pow, self.n, repeat(k))), None if d is None else list(map(pow, d, repeat(k))))
+        return _Lane(list(map(pow, self.n, repeat(k))), self.d**k)
 
     def __truediv__(self, other):
         if type(other) is not int and type(other) is not Fraction:
@@ -322,12 +330,14 @@ class _Lane(_Column):
 
 
 def _held(x, y) -> list[bool]:
-    """x[i] == y[i] for each i of two sides of ``_sides``: on lanes n1 * d2 == n2 * d1, else on tuples."""
-    if type(x) is tuple:
+    """x[i] == y[i] for each i of two sides of ``_sides``: on lanes over one denominator
+    (``_common``), on an engine's Fractions p/q against a lane n/d as p * d == n * q, else on tuples."""
+    if type(y) is tuple:
         return list(map(eq, x, y))
-    if x.d == y.d:
-        return list(map(eq, x.n, y.n))
-    return list(map(eq, _times(x.n, y.d), _times(y.n, x.d)))
+    if type(x) is tuple:
+        return list(map(eq, map(mul, map(_NUMERATOR, x), repeat(y.d)), map(mul, y.n, map(_DENOMINATOR, x))))
+    xn, yn, _ = _common(x, y)
+    return list(map(eq, xn, yn))
 
 
 def _sides(evaluate, t: "_Lanes", columns) -> list:
@@ -343,12 +353,12 @@ def _sides(evaluate, t: "_Lanes", columns) -> list:
 
 def _kept(side, flags) -> list:
     """A side's values where ``flags`` is true, as a check computed them: the values
-    of a lane (``_Pair``s where its ``d`` is not None) or of a tuple."""
+    of a lane (``_Pair``s (n[i], d) where its d is not 1) or of a tuple."""
     if type(side) is tuple:
         return list(compress(side, flags))
-    if side.d is None:
+    if side.d == 1:
         return list(compress(side.n, flags))
-    return list(map(_Pair, zip(compress(side.n, flags), compress(side.d, flags))))
+    return list(map(_Pair, zip(compress(side.n, flags), repeat(side.d))))
 
 
 class _Lanes:
@@ -356,10 +366,9 @@ class _Lanes:
 
     ``params`` is the point, the engines' argument, and ``a``, ``b`` and
     ``ab_plus_4`` are its ``Fraction``s. ``fib`` and ``lucas`` are
-    ``_reader``s, one walk per kind laid out as lists. A read is a gather
-    from the numerators and one from the denominators with the column's
-    ``itemgetter``, and only the first where s = den a = 1, whose lanes
-    have ``d`` None.
+    ``_reader``s, one walk per kind laid out as lists. A read is one gather,
+    with the column's ``itemgetter``, from the window of the column's span:
+    the terms over one denominator, 1 where s = den a = 1.
     """
 
     def __init__(self, p: SeqParams):
@@ -368,34 +377,59 @@ class _Lanes:
         self.fib, self.lucas = (_reader(p, kind, integral) for kind in (_FIB, _LUCAS))
 
 
+def _window(p: SeqParams, kind: SequenceKind, laid: list, denominators: Optional[list], lo, hi, bit):
+    """(numerators, d): t(lo..hi) from the walk's numerators ``laid`` out as [t(0..K'), t(-K'..-1)],
+    over d = den(a) * s^K, K the largest k of ``_term_shape`` in lo..hi: t(i) times den(a)^(1-eps) *
+    s^(K-k), the walk's denominator at c - |i| for c = 2K + 1 (lucas) or 2K + 3 (fibonacci; q(0) = 0
+    aside), a slice of ``denominators`` by |n| (None where s = den a = 1, and d is 1). Where ``bit``
+    is not None, only the terms of that parity are scaled: no gather reads the others."""
+    numerators = laid[lo:] + laid[:hi + 1] if lo < 0 <= hi else laid[lo:hi + 1 or None]
+    if denominators is None:
+        return numerators, 1
+    k = _term_shape(kind, max(hi, -lo))[1]
+    c = 2 * k + (3 if kind is _FIB else 1)
+    scales = denominators[c + lo:c + min(hi + 1, 0)] + denominators[c - hi:c - max(lo, 0) + 1][::-1]
+    first, step = (0, 1) if bit is None else ((bit - lo) & 1, 2)
+    numerators[first::step] = map(mul, numerators[first::step], scales[first::step])
+    return numerators, p.a.denominator * p.ab.denominator**k
+
+
 def _reader(p: SeqParams, kind: SequenceKind, integral: bool):
     """``read(idx)``: the lane of t(i) for each index i of the column ``idx``, one gather.
 
     The numerators num(a)^eps * N of the walk's terms a^eps * N/s^k are laid
     out as one list, t(0..K) then t(-K..-1) signed by ``_NEGATED_PARITY``, so
     the list index n is t(n); at a non-integral point the denominators
-    den(a)^eps * s^k, which depend on |n| only, are a second list. A column
-    reaching past K extends the walk with ``islice`` and lays both out again.
+    den(a)^eps * s^k, which depend on |n| only, are kept by |n|. A column
+    reaching within 3 of K extends the walk with ``islice``. A column's
+    window key and gather are kept in its ``derived`` for the grid, and each
+    key gets one ``_window`` per point.
     """
     walk, negated = _sequences._forward(p, kind), _NEGATED_PARITY[kind]
     nums, dens = (1, p.a.numerator), (1, p.a.denominator)
-    numerators, denominators, laid = [], [], [[], []]  # t(0..K); laid out with t(-K..-1)
+    numerators, denominators, laid = [], None if integral else [], [[]]  # t(0..K); laid out with t(-K..-1)
+    windows = {}  # (lo, hi, bit) -> (numerators, d)
 
     def read(idx: _Index) -> _Lane:
-        reach = max(idx.span[1], -idx.span[0])
-        if reach >= len(numerators):
-            eps, n, power = zip(*islice(walk, reach + 1 - len(numerators)))
-            numerators.extend(map(mul, map(nums.__getitem__, eps), n))
-            signs = (-1, 1) if reach & 1 == negated else (1, -1)  # of t(-reach), t(1 - reach), ...
-            laid[0] = numerators + list(map(mul, numerators[:0:-1], cycle(signs)))
-            if not integral:
-                denominators.extend(map(mul, map(dens.__getitem__, eps), power))
-                laid[1] = denominators + denominators[:0:-1]
-        get = idx.derived.get(itemgetter)
-        if get is None:  # itemgetter of one item returns it bare, not in a tuple
-            v = idx.v
-            get = idx.derived[itemgetter] = itemgetter(*v) if len(v) > 1 else lambda seq: (seq[v[0]],)
-        return _Lane(get(laid[0]), None if integral else get(laid[1]))
+        got = idx.derived.get(itemgetter)
+        if got is None:  # once per grid: the window key (lo, hi, the parity where known) and the gather
+            v = list(map(sub, idx.v, repeat(idx.span[0])))  # itemgetter of one item returns it bare
+            got = idx.derived[itemgetter] = (*idx.span, idx.derived.get(and_)), (
+                itemgetter(*v) if len(v) > 1 else lambda seq: (seq[v[0]],))
+        key, get = got
+        window = windows.get(key)
+        if window is None:
+            lo, hi, bit = key
+            reach = max(hi, -lo) + 3  # at least _window's c
+            if reach >= len(numerators):
+                eps, n, power = zip(*islice(walk, reach + 1 - len(numerators)))
+                numerators.extend(map(mul, map(nums.__getitem__, eps), n))
+                signs = (-1, 1) if reach & 1 == negated else (1, -1)  # of t(-reach), t(1 - reach), ...
+                laid[0] = numerators + list(map(mul, numerators[:0:-1], cycle(signs)))
+                if denominators is not None:
+                    denominators.extend(map(mul, map(dens.__getitem__, eps), power))
+            window = windows[key] = _window(p, kind, laid[0], denominators, lo, hi, bit)
+        return _Lane(get(window[0]), window[1])
     return read
 
 
@@ -438,7 +472,7 @@ def _eval_matrix_form(t: _Lanes, n: _Index):
     p, ns, read = t.params, _ints(n), t.fib if _gm._exposed_kind(n) is _FIB else t.lucas
     mid = read(n)
     core = (read(n + 1), mid, mid * (t.b / t.a), read(n - 1))  # e21 = (b/a) * t(n)
-    pairs = zip(*(zip(x.n, x.d or repeat(1)) for x in core))  # unreduced, as _from_core takes them
+    pairs = zip(*(zip(x.n, repeat(x.d)) for x in core))  # unreduced, as _from_core takes them
     return tuple(map(_gm._from_core, repeat(p), ns, pairs)), tuple(map(_gm.matrix_power, repeat(p), ns))
 
 
@@ -448,11 +482,11 @@ def _eval_inverse_power(t: _Lanes, n: _Index):
 
 
 def _eval_binet_fib(t: _Lanes, n: _Index):
-    return _Lane(list(map(_binet.binet_fib, repeat(t.params), _ints(n)))), t.fib(n)
+    return tuple(map(_binet.binet_fib, repeat(t.params), _ints(n))), t.fib(n)
 
 
 def _eval_binet_lucas(t: _Lanes, n: _Index):
-    return _Lane(list(map(_binet.binet_lucas, repeat(t.params), _ints(n)))), t.lucas(n)
+    return tuple(map(_binet.binet_lucas, repeat(t.params), _ints(n))), t.lucas(n)
 
 
 def _eval_thm6_i(t: _Lanes, m: int, n: int):

@@ -4,7 +4,7 @@ import pickle
 from collections import Counter
 from fractions import Fraction as F
 from itertools import chain, product, repeat
-from operator import add, attrgetter, mul, sub
+from operator import add, and_, attrgetter, mul, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -398,7 +398,7 @@ class _OracleTable:
     int index, as a lane entry's formula is run one tuple at a time, or at
     an index column, as an engine entry reads it: the column through
     ``_ints``, as on ``_Lanes``, and the terms as a lane of the oracle's
-    numerators and denominators.
+    values over the lcm of their denominators.
     """
 
     def __init__(self, a, b, reach):
@@ -417,7 +417,8 @@ class _OracleTable:
         if type(n) is int:
             return terms[n]
         values = [terms[k] for k in _ints(n)]
-        return _Lane([v.numerator for v in values], [v.denominator for v in values])
+        d = math.lcm(*(v.denominator for v in values))
+        return _Lane([v.numerator * (d // v.denominator) for v in values], d)
 
 
 def _oracle_sides(ident, table, indices):
@@ -431,8 +432,7 @@ def _oracle_sides(ident, table, indices):
     if ident not in ENGINES:
         return evaluate(table, *indices)
     sides = evaluate(table, *map(_Index, zip(indices)))
-    return tuple(side[0] if type(side) is tuple else F(side.n[0], side.d[0] if side.d else 1)
-                 for side in sides)
+    return tuple(side[0] if type(side) is tuple else F(side.n[0], side.d) for side in sides)
 
 
 def _naive_report(ident, a_values, b_values, n_range, m_range):
@@ -545,7 +545,7 @@ def test_recurrence_checks_build_fractions_and_lanes_per_point_not_per_check(mon
         built[F] += 1
         return new(cls, *args, **kwargs)
 
-    def counting_init(self, n, d=None):
+    def counting_init(self, n, d=1):
         built[_Lane] += 1
         init(self, n, d)
 
@@ -723,6 +723,42 @@ def test_a_grid_derives_its_index_columns_once(monkeypatch):
     assert columns_built(six, six) == 2 * columns_built(six)
 
 
+def test_a_point_cuts_one_window_per_kind_and_span(monkeypatch):
+    # every span a point reads is cut into a window once per kind (and
+    # parity, where the columns know theirs), however many columns and
+    # blocks read it (cassini-lucas's two parity blocks read n - 1 and n
+    # within the same spans), and every point cuts the same windows; a
+    # second verify_grid call cuts its own, so nothing outlives the call
+    window, reader = identities._window, identities._reader
+    cut, read = Counter(), set()
+
+    def counted(p, kind, laid, denominators, lo, hi, bit):
+        cut[p, kind, lo, hi, bit] += 1
+        return window(p, kind, laid, denominators, lo, hi, bit)
+
+    def recorded(p, kind, integral):
+        read_lane = reader(p, kind, integral)
+
+        def read_recorded(idx):
+            read.add((p, kind, idx.span))
+            return read_lane(idx)
+        return read_recorded
+
+    monkeypatch.setattr(identities, "_window", counted)
+    monkeypatch.setattr(identities, "_reader", recorded)
+    a_values, b_values = [2, F(1, 2), F(-5, 3)], [3, F(-4, 3)]
+    for ident, n_range in ((IdentityId.THM6_I, (-3, 5)), (IdentityId.CASSINI_LUCAS, (-6, 9)),
+                           (IdentityId.ADD_QQ, (-4, 4))):
+        cut.clear(), read.clear()
+        for calls in (1, 2):
+            report = verify_grid(ident, a_values, b_values, n_range=n_range)
+            assert report_matches_expectation(report), ident
+            assert set(cut.values()) == {calls}, ident
+        assert {(p, kind, (lo, hi)) for p, kind, lo, hi, bit in cut} == read, ident
+        per_point = Counter(p for p, *_ in cut)
+        assert len(per_point) == len(a_values) * len(b_values) and len(set(per_point.values())) == 1, ident
+
+
 def _assert_report_is_naive(ident, oracle, n_range, m_range):
     """verify_grid's report of ident equals a naive loop's over the tables ``oracle(a, b)``."""
     a_values, b_values = [2, F(1, 2), 2], [3, F(-3, 2)]
@@ -765,7 +801,7 @@ def test_an_impure_evaluator_is_refused(monkeypatch):
         nonlocal runs
         runs += 1
         lhs, rhs = _eval_binet_lucas(t, n)
-        return (lhs + 1 if runs == 1 else lhs), rhs
+        return (tuple(v + 1 for v in lhs) if runs == 1 else lhs), rhs
 
     monkeypatch.setitem(_CATALOG, ident, _CATALOG[ident]._replace(evaluate=flaky))
     with pytest.raises(AssertionError, match="binet-lucas: evaluator is not a pure read of its table"):
@@ -852,7 +888,7 @@ def test_engine_entries_hold_on_the_walks_lanes(ident, a, b):
 
 def test_columns_have_no_truth_value_equality_order_or_hash():
     # so a per-check branch cannot run once for a whole column
-    for column in (_Index([1, 2, 3]), _Lane([1, 2], [3, 4])):
+    for column in (_Index([1, 2, 3]), _Lane([1, 2], 3)):
         for use in (bool, lambda c: c == c, lambda c: c != 1, lambda c: c < 2, hash):
             with pytest.raises(TypeError):
                 use(column)
@@ -872,8 +908,9 @@ def test_column_arithmetic_matches_elementwise_arithmetic():
 
     m, n = _Index([3, -1, 0, 7]), _Index([-2, 5, 4, 1])
     xs, ys = [F(3, 4), F(-5), F(0), F(7, 9)], [F(1, 6), F(2, 3), F(-4, 5), F(3)]
-    x = _Lane([v.numerator * 2 for v in xs], [v.denominator * 2 for v in xs])  # unreduced
-    y = _Lane([v.numerator for v in ys], [v.denominator for v in ys])
+    # over twice the lcm of the denominators, unreduced, and over minus their lcm
+    x, y = _Lane([54, -360, 0, 56], 72), _Lane([-5, -20, 24, -90], -30)
+    assert values(x) == xs and values(y) == ys
     ints = _Lane([4, -3, 0, 2])
     for op in (add, sub, mul):
         for left, right in ((m, n), (m, 3), (3, m), (-2, n), (m, n)):
@@ -895,6 +932,66 @@ def test_column_arithmetic_matches_elementwise_arithmetic():
                 refused()
 
 
+#: points whose terms are not all integers: num a of either sign, s = 1 with
+#: den a > 1 at (1/2, 2) and (-3/2, 2/3), and (1/2, -8) on the line ab = -4
+FRACTIONAL_POINTS = st.one_of(
+    st.sampled_from([(F(1, 2), F(2)), (F(-3, 2), F(2, 3)), (F(1, 2), F(-8)), (F(5, 3), F(-4, 3)),
+                     (F(-5, 3), F(4, 3)), (F(7, 5), F(-11, 3)), (F(2), F(1, 4))]),
+    pairs.filter(lambda ab: (ab[0] * ab[1]).denominator != 1 or ab[0].denominator != 1),
+)
+#: a span (lo, hi): near 0, where it may cross it, or past 2000 on either side
+LANE_SPAN = st.one_of(st.integers(-12, 8), st.integers(2000, 2012), st.integers(-2016, -2004)).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.integers(lo, lo + 4)))
+
+
+@st.composite
+def lane_columns(draw):
+    """Two index columns of one length, each within its own span, which may be wider than its
+    indices; a column of one index included."""
+    spans = draw(st.lists(LANE_SPAN, min_size=2, max_size=2))
+    size = draw(st.integers(1, 5))
+    return [_Index(draw(st.lists(st.integers(*span), min_size=size, max_size=size)), span) for span in spans]
+
+
+@settings(deadline=None, max_examples=20)
+@given(ab=FRACTIONAL_POINTS, columns=lane_columns(), k=st.integers(0, 3), c=nonzero)
+@example(ab=(F(1, 2), F(2)), columns=[_Index([-3, 4, 0], (-3, 4)), _Index([2003], (2001, 2005))], k=2, c=F(-2, 3))
+@example(ab=(F(1, 2), F(-8)), columns=[_Index([-2010, -2007], (-2012, -2006)), _Index([0, 1], (-1, 1))],
+         k=3, c=F(5))
+@example(ab=(F(-5, 3), F(4, 3)), columns=[_Index([2012, 2000], (2000, 2012)), _Index([-1, -1], (-2, -1))],
+         k=1, c=F(-7, 2))
+@example(ab=(F(7, 5), F(-11, 3)), columns=[_Index([-5, -2], (-5, -1)), _Index([5, 3], (2, 5))], k=0, c=F(3))
+@example(ab=(F(-3, 2), F(2, 3)), columns=[_Index([-3, 1], (-4, 2)), _Index([2010, 2004], (2003, 2011))],
+         k=2, c=F(1, 3))
+def test_lane_reads_and_arithmetic_match_the_oracle(ab, columns, k, c):
+    # the fib and lucas lanes that _Lanes reads at two columns, and +, -, *,
+    # ** and / on them and with a constant, against the conftest oracle's
+    # Fractions index by index; the two columns' spans may share their reach
+    # and differ in lo, as at (7/5, -11/3), and a span may start at the
+    # other parity than its column's, as at (-3/2, 2/3)
+    a, b = ab
+    for column in columns:  # a column that knows its one parity reads a window of that parity
+        if len({i & 1 for i in column.v}) == 1:
+            column & 1
+    lo, hi = min(0, *(col.span[0] for col in columns)), max(0, *(col.span[1] for col in columns))
+    oracles = oracle_fib_table(a, b, lo, hi), oracle_lucas_table(a, b, lo, hi)
+    t = _Lanes(SeqParams(a, b))
+    lanes = [read(col) for read in (t.fib, t.lucas) for col in columns]
+    want = [[oracle[i] for i in col.v] for oracle in oracles for col in columns]
+
+    def values(lane):
+        return [_fraction(v) for v in _kept(lane, repeat(True))]
+
+    assert list(map(values, lanes)) == want
+    for (x, xs), (y, ys) in zip(zip(lanes, want), zip(lanes[1:] + lanes[:1], want[1:] + want[:1])):
+        for op in (add, sub, mul):
+            assert values(op(x, y)) == list(map(op, xs, ys)), op
+            assert values(op(x, c)) == [op(v, c) for v in xs] and values(op(c, y)) == [op(c, v) for v in ys], op
+        assert values(x**k) == [v**k for v in xs] and values(x / c) == [v / c for v in xs]
+    fib, lucas = lanes[0], lanes[3]
+    assert values((c * fib * lucas - fib**2) / t.a) == [(c * f * l - f**2) / a for f, l in zip(want[0], want[3])]
+
+
 @settings(deadline=None)
 @given(lo=st.integers(-40, 40), width=st.integers(0, 6), k=st.integers(-9, 9))
 def test_an_index_column_reads_the_parity_its_indices_share(lo, width, k):
@@ -912,6 +1009,15 @@ def test_an_index_column_reads_the_parity_its_indices_share(lo, width, k):
     for read in (lambda c: c & 1, parity, lambda c: _coefficient(a, b, SequenceKind.LUCAS, c)):
         with pytest.raises(TypeError):
             read(mixed)
+    # a derived column knows its parity, with no scan, from its operands' where they know theirs
+    # and from an even factor where they do not
+    even, odd = _Index(list(range(2 * lo, 2 * lo + 2 * width + 1, 2))), _Index(list(range(1, 2 * width + 2, 2)))
+    assert (even & 1, odd & 1) == (0, 1)
+    for derived, want in ((even + odd, 1), (odd - even, 1), (even * odd, 0), (odd * odd, 1), (2 * mixed, 0),
+                          (mixed * 2 + 1, 1), (k * 2 - mixed * 4, 0), (odd * (mixed * 2) + odd, 1)):
+        assert derived.derived[and_] == derived & 1 == want and {v & 1 for v in derived.v} == {want}, want
+    with pytest.raises(TypeError):
+        (mixed + 2 * mixed) & 1
 
 
 def test_an_evaluator_that_branches_on_its_index_raises_on_a_column():
