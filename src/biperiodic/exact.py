@@ -86,9 +86,9 @@ def _lowest_terms(a: Fraction, eps: int, num: int, den: int) -> Fraction:
 
     The pair comes from ``_product_pair`` and becomes a Fraction through
     ``_slots``, with no further gcd. ``sequences._finished_term`` finishes
-    the terms of both O(log n) engines here, and ``TermTable`` those of the
-    recurrence walk, den a power of s where ab = r/s; the matrix core's
-    (2,1) entry (b/a)*t(m) = b*N/s^k too, with b in the place of a.
+    the terms of both O(log n) engines here, den a power of s where
+    ab = r/s; the matrix core's (2,1) entry (b/a)*t(m) = b*N/s^k too, with
+    b in the place of a.
     """
     if eps:
         num, den = _product_pair(a.numerator, a.denominator, num, den)

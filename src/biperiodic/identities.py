@@ -49,13 +49,13 @@ one shared int denominator, whose +, -, *, ** and / are C maps.
 
 * The terms come from the integer walk of ``sequences``, which hands over
   each term t(n) as a^eps * N/s^k with ab = r/s in lowest terms and
-  gcd(N, s) = 1. The walk is laid out as lists, t(0..K) then t(-K..-1),
-  so that the list index n is t(n). A column within the span (lo, hi)
-  reads the window t(lo..hi) over den(a) * s^K, K the largest k in the
-  span (1 where s = den a = 1), cut once per point, of which only the
-  column's parity is scaled where the column knows it; a read is one
-  gather, the column's ``itemgetter`` shifted by lo. So operands grow by
-  the spread of k within a span, not by the depth of the walk. The
+  gcd(N, s) = 1. The walk is kept as lists of t(0..K) only. A column
+  within the span (lo, hi) reads the window t(lo..hi) over den(a) * s^K,
+  K the largest k in the span (1 where s = den a = 1), cut once per point,
+  each t(-k) read from t(k) by the sign rule (``sequences._reflected``).
+  Only the column's parity is scaled where the column knows it; a read is
+  one gather, the column's ``itemgetter`` shifted by lo. So operands grow
+  by the spread of k within a span, not by the depth of the walk. The
   identities are not homogeneous in index weight (at even m and n, add-qq
   sets q(m+n), over s^((m+n-2)/2), against q(m)*q(n-1), over
   s^((m+n-4)/2)), and no operation reduces a value: a product multiplies
@@ -118,7 +118,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from fractions import Fraction
-from itertools import chain, compress, cycle, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import gcd
 from operator import add, and_, attrgetter, eq, itemgetter, mul, not_, sub
 from typing import Callable, NamedTuple, Optional
@@ -127,7 +127,7 @@ from . import binet as _binet
 from . import genmatrix as _gm
 from . import sequences as _sequences
 from .exact import Mat2, _Frozen, _lazy, _rational
-from .sequences import _NEGATED_PARITY, SeqParams, SequenceKind, _coefficient, _term_shape, parity
+from .sequences import SeqParams, SequenceKind, _coefficient, _reflected, _term_shape, parity
 from .sequences import TermTable  # noqa: F401 -- perfbench/layertrace.py times identities.TermTable.term
 
 _FIB, _LUCAS = SequenceKind.FIBONACCI, SequenceKind.LUCAS
@@ -366,9 +366,10 @@ class _Lanes:
 
     ``params`` is the point, the engines' argument, and ``a``, ``b`` and
     ``ab_plus_4`` are its ``Fraction``s. ``fib`` and ``lucas`` are
-    ``_reader``s, one walk per kind laid out as lists. A read is one gather,
-    with the column's ``itemgetter``, from the window of the column's span:
-    the terms over one denominator, 1 where s = den a = 1.
+    ``_reader``s, one walk per kind kept as lists of its nonnegative
+    indices. A read is one gather, with the column's ``itemgetter``, from the
+    window of the column's span: the terms over one denominator, 1 where
+    s = den a = 1.
     """
 
     def __init__(self, p: SeqParams):
@@ -377,13 +378,13 @@ class _Lanes:
         self.fib, self.lucas = (_reader(p, kind, integral) for kind in (_FIB, _LUCAS))
 
 
-def _window(p: SeqParams, kind: SequenceKind, laid: list, denominators: Optional[list], lo, hi, bit):
-    """(numerators, d): t(lo..hi) from the walk's numerators ``laid`` out as [t(0..K'), t(-K'..-1)],
+def _window(p: SeqParams, kind: SequenceKind, walk: list, denominators: Optional[list], lo, hi, bit):
+    """(numerators, d): t(lo..hi) read from the walk's numerators t(0..K') by ``sequences._reflected``,
     over d = den(a) * s^K, K the largest k of ``_term_shape`` in lo..hi: t(i) times den(a)^(1-eps) *
     s^(K-k), the walk's denominator at c - |i| for c = 2K + 1 (lucas) or 2K + 3 (fibonacci; q(0) = 0
     aside), a slice of ``denominators`` by |n| (None where s = den a = 1, and d is 1). Where ``bit``
     is not None, only the terms of that parity are scaled: no gather reads the others."""
-    numerators = laid[lo:] + laid[:hi + 1] if lo < 0 <= hi else laid[lo:hi + 1 or None]
+    numerators = _reflected(kind, walk, lo, hi)
     if denominators is None:
         return numerators, 1
     k = _term_shape(kind, max(hi, -lo))[1]
@@ -397,17 +398,17 @@ def _window(p: SeqParams, kind: SequenceKind, laid: list, denominators: Optional
 def _reader(p: SeqParams, kind: SequenceKind, integral: bool):
     """``read(idx)``: the lane of t(i) for each index i of the column ``idx``, one gather.
 
-    The numerators num(a)^eps * N of the walk's terms a^eps * N/s^k are laid
-    out as one list, t(0..K) then t(-K..-1) signed by ``_NEGATED_PARITY``, so
-    the list index n is t(n); at a non-integral point the denominators
-    den(a)^eps * s^k, which depend on |n| only, are kept by |n|. A column
-    reaching within 3 of K extends the walk with ``islice``. A column's
-    window key and gather are kept in its ``derived`` for the grid, and each
-    key gets one ``_window`` per point.
+    The numerators num(a)^eps * N of the walk's terms a^eps * N/s^k are
+    kept as one list by n, t(0..K) only; at a non-integral point so are the
+    denominators den(a)^eps * s^k, which depend on |n| only. A column
+    reaching within 3 of K extends both with ``islice``. A column's window
+    key and gather are kept in its ``derived`` for the grid, and each key
+    gets one ``_window`` per point, which reads t(-k) from t(k) by the sign
+    rule (``sequences._reflected``).
     """
-    walk, negated = _sequences._forward(p, kind), _NEGATED_PARITY[kind]
+    forward = _sequences._forward(p, kind)
     nums, dens = (1, p.a.numerator), (1, p.a.denominator)
-    numerators, denominators, laid = [], None if integral else [], [[]]  # t(0..K); laid out with t(-K..-1)
+    numerators, denominators = [], None if integral else []  # t(0..K) by n
     windows = {}  # (lo, hi, bit) -> (numerators, d)
 
     def read(idx: _Index) -> _Lane:
@@ -422,13 +423,11 @@ def _reader(p: SeqParams, kind: SequenceKind, integral: bool):
             lo, hi, bit = key
             reach = max(hi, -lo) + 3  # at least _window's c
             if reach >= len(numerators):
-                eps, n, power = zip(*islice(walk, reach + 1 - len(numerators)))
+                eps, n, power = zip(*islice(forward, reach + 1 - len(numerators)))
                 numerators.extend(map(mul, map(nums.__getitem__, eps), n))
-                signs = (-1, 1) if reach & 1 == negated else (1, -1)  # of t(-reach), t(1 - reach), ...
-                laid[0] = numerators + list(map(mul, numerators[:0:-1], cycle(signs)))
                 if denominators is not None:
                     denominators.extend(map(mul, map(dens.__getitem__, eps), power))
-            window = windows[key] = _window(p, kind, laid[0], denominators, lo, hi, bit)
+            window = windows[key] = _window(p, kind, numerators, denominators, lo, hi, bit)
         return _Lane(get(window[0]), window[1])
     return read
 

@@ -50,16 +50,16 @@ r^j and r^(j+1) modulo s and prime to it (X_0 sits over s^0 = 1): each
 term comes out as a^eps * N/s^k with gcd(N, s) = 1, the (eps, k) of
 ``_term_shape``. ``_forward`` is this one walk; it yields (eps, N, s^k)
 per index, carries s^k along and takes no gcd. Every negative index is
-read from it by the sign rule, ``_NEGATED_PARITY``, so the fast path
-never steps backward.
-``term_pairs`` finishes each term it keeps as an integer pair (num, den)
-with the lemma ``exact._product_pair``, ``TermTable`` as a ``Fraction``
-with ``exact._lowest_terms``: gcds against a's numerator and denominator
-only. ``term_pairs`` walks once to the far end of an index range and keeps
-only the terms inside it; the CLI formats its pairs straight to cells.
-``TermTable`` keeps each term of one parameter pair once and reads it in
-O(1); no module of the package reads it. The identity catalog builds its
-values from the same triples, unreduced (see ``identities``).
+read from its positive terms by ``_reflected``, the one reader of the
+sign rule, so the fast path never steps backward.
+``term_pairs`` walks once to the far end of an index range, keeps only
+the terms at the |n| of the range and finishes each as an integer pair
+(num, den) with the lemma ``exact._product_pair``: gcds against a's
+numerator and denominator only. The CLI formats its pairs straight to
+cells. ``TermTable`` is a view of it, one ``Fraction`` per lookup, that
+keeps nothing; no module of the package reads it. The identity catalog
+builds its values from the same triples, unreduced, and reads its
+negative indices through ``_reflected`` too (see ``identities``).
 
 ``_coefficient`` and ``_seeds`` take the values a and b, not a
 ``SeqParams``, and hand them back untouched. ``_coefficient`` reads its
@@ -70,10 +70,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import partial
 from itertools import islice
+from operator import neg
 
-from .exact import Rational, _Frozen, _lazy, _lowest_terms, _product_pair, _rational
+from .exact import Rational, _Frozen, _lazy, _lowest_terms, _product_pair, _rational, _slots
 
 
 class SequenceKind(enum.Enum):
@@ -191,8 +191,8 @@ def _forward(p: SeqParams, kind: SequenceKind):
 
 
 #: The sign rule t(-k) = (-1)^(k+1) * t(k) for fibonacci, (-1)^k * t(k) for
-#: lucas, as data: the parity of the k >= 0 at which t(-k) = -t(k). Its
-#: readers test k & 1 against it inline, with no call per index.
+#: lucas, as data: the parity of the k >= 0 at which t(-k) = -t(k).
+#: ``_reflected`` is its one reader.
 _NEGATED_PARITY = {SequenceKind.FIBONACCI: 0, SequenceKind.LUCAS: 1}
 
 
@@ -240,68 +240,50 @@ def _finished_term(p: SeqParams, kind: SequenceKind, n: int, num: int, x: int, c
     return _lowest_terms(p.a, eps, quotient, p.ab.denominator**k)
 
 
+def _reflected(kind: SequenceKind, terms: list, lo: int, hi: int, base: int = 0, negate=neg) -> list:
+    """t(lo..hi) as a new list, from ``terms[k - base]`` = t(k) for every k = |n|, n in lo..hi.
+
+    The one reader of the sign rule: the negative part t(lo..min(hi, -1))
+    is the slice t(-min(hi, -1)..-lo) reversed, and ``negate`` turns every
+    other element of it, those at the k of ``_NEGATED_PARITY``, in one
+    slice assignment. A window across 0 needs base = 0.
+    """
+    if lo >= 0:
+        return terms[lo - base:hi + 1 - base]
+    below = terms[-min(hi, -1) - base:1 - lo - base][::-1]  # t(-lo) .. t(-min(hi, -1))
+    first = (lo + _NEGATED_PARITY[kind]) & 1  # the first position i at which -lo - i has that parity
+    below[first::2] = map(negate, below[first::2])
+    return below + terms[:hi + 1] if hi >= 0 else below
+
+
 def term_pairs(p: SeqParams, kind: SequenceKind, lo: int, hi: int) -> list[tuple[int, int]]:
     """t(lo), ..., t(hi) as pairs (num, den) in lowest terms, den > 0, from one forward walk.
 
-    The walk runs to max(|lo|, |hi|). Only the terms inside the range are
-    kept, so a far range costs its walk but no memory beyond its own width.
+    The walk runs to max(|lo|, |hi|) and keeps the terms at the |n| of the
+    range only, from the least one, ``base``, on; ``_reflected`` reads the
+    range from them. So a far range costs its walk but no memory beyond its
+    own width.
     """
     if lo > hi:
         raise ValueError(f"empty index range {lo}..{hi}")
-    below, above = [], []  # t(min(hi, -1)) down to t(lo); t(max(lo, 0)) up to t(hi)
-    negated, a = _NEGATED_PARITY[kind], p.a
-    for k, (eps, num, den) in enumerate(islice(_forward(p, kind), max(-lo, hi) + 1)):
-        inside, mirrored = lo <= k <= hi, k and lo <= -k <= hi
-        if inside or mirrored:
-            t = _product_pair(a.numerator, a.denominator, num, den) if eps else (num, den)
-            if inside:
-                above.append(t)
-            if mirrored:
-                below.append((-t[0], t[1]) if k & 1 == negated else t)
-    return below[::-1] + above
-
-
-class _Walk(dict):
-    """n -> value(eps, N, s^k) of t(|n|) for one sequence, signed by ``_NEGATED_PARITY`` for n < 0.
-
-    A missing index extends the one ``_forward`` walk to |n| and stores both
-    signs of every index it passes, so a stored index is a plain dict read:
-    ``walk.__getitem__`` runs no Python frame. ``value`` builds each stored
-    value from the walk's triple t(|n|) = a^eps * N/s^k, once per index
-    walked; the sign of t(-k) is a test of k's low bit, inline.
-    """
-
-    def __init__(self, p: SeqParams, kind: SequenceKind, value):
-        super().__init__()
-        self._negated, self._value = _NEGATED_PARITY[kind], value
-        self._pairs = _forward(p, kind)
-        self._next = 0  # the first index not walked yet
-
-    def __missing__(self, n: int):
-        negated, value, pairs = self._negated, self._value, self._pairs
-        for k in range(self._next, abs(n) + 1):
-            t = value(*next(pairs))
-            self[-k] = -t if k & 1 == negated else t
-            self[k] = t
-        self._next = abs(n) + 1
-        return self[n]
+    base, a = max(lo, -hi, 0), p.a
+    kept = [_product_pair(a.numerator, a.denominator, num, den) if eps else (num, den)
+            for eps, num, den in islice(_forward(p, kind), base, max(-lo, hi) + 1)]
+    return _reflected(kind, kept, lo, hi, base, lambda t: (-t[0], t[1]))
 
 
 class TermTable:
-    """Both sequences for one parameter pair as ``Fraction``s, each term computed once.
+    """Both sequences for one parameter pair as ``Fraction``s: a view of ``term_pairs``.
 
-    A lookup reads one ``_Walk`` per kind, which finishes each term once
-    with ``exact._lowest_terms`` and keeps both signs of its index. Later
-    lookups are O(1) and any access order yields the same values.
+    A lookup walks to |n| and keeps nothing, so any access order yields the
+    same values.
     """
 
     def __init__(self, params: SeqParams):
         self.params = params
-        finish = partial(_lowest_terms, params.a)
-        self._terms = {kind: _Walk(params, kind, finish) for kind in SequenceKind}
 
     def term(self, kind: SequenceKind, n: int) -> Rational:
-        return self._terms[kind][n]
+        return _slots(*term_pairs(self.params, kind, n, n)[0])
 
     def fib(self, n: int) -> Rational:
         return self.term(SequenceKind.FIBONACCI, n)

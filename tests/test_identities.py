@@ -732,9 +732,9 @@ def test_a_point_cuts_one_window_per_kind_and_span(monkeypatch):
     window, reader = identities._window, identities._reader
     cut, read = Counter(), set()
 
-    def counted(p, kind, laid, denominators, lo, hi, bit):
+    def counted(p, kind, walk, denominators, lo, hi, bit):
         cut[p, kind, lo, hi, bit] += 1
-        return window(p, kind, laid, denominators, lo, hi, bit)
+        return window(p, kind, walk, denominators, lo, hi, bit)
 
     def recorded(p, kind, integral):
         read_lane = reader(p, kind, integral)

@@ -1,6 +1,8 @@
+import ast
 from fractions import Fraction as F
 from itertools import islice
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,10 +18,12 @@ from biperiodic import (
     preset,
     term_recurrence,
 )
+from biperiodic import sequences
 from biperiodic.sequences import (
     _coefficient,
     _finished_term,
     _forward,
+    _reflected,
     _seeds,
     _term_shape,
     term_pairs,
@@ -204,6 +208,49 @@ def test_terms_match_oracle_tables(shape, data):
 def test_terms_rejects_an_empty_range():
     with pytest.raises(ValueError):
         term_pairs(SeqParams(2, 3), FIB, 1, 0)
+
+
+#: windows of _reflected: all below 0, across 0 from an odd and from an even
+#: lo, all at or above 0, and the single points 0, 1 and -1
+REFLECTED_SHAPES = {
+    "below-0": ordered(-40, -1),
+    "across-0-from-odd": st.tuples(st.integers(-20, -1).map(lambda j: 2 * j + 1), st.integers(0, 40)),
+    "across-0-from-even": st.tuples(st.integers(-20, -1).map(lambda j: 2 * j), st.integers(0, 40)),
+    "from-0-up": ordered(0, 40),
+    "single-point": st.sampled_from([(0, 0), (1, 1), (-1, -1)]),
+}
+
+
+@pytest.mark.parametrize("shape", REFLECTED_SHAPES)
+@settings(deadline=None)
+@given(data=st.data())
+def test_reflected_reads_a_window_from_the_positive_terms(shape, data):
+    # against the oracle tables, which step backward for n < 0: terms[k - base]
+    # is t(k) from any base up to the least |n| of the window (0 across 0),
+    # and the list may run past the window's reach
+    a, b = data.draw(pairs)
+    lo, hi = data.draw(REFLECTED_SHAPES[shape])
+    reach = max(-lo, hi)
+    base = data.draw(st.integers(0, max(lo, -hi, 0)), label="base")
+    past = data.draw(st.integers(0, 3), label="past")
+    for kind in (FIB, LUC):
+        t = oracle(a, b, kind, -reach, reach)
+        terms = [t[k] for k in range(base, reach + 1)] + [F(0)] * past
+        assert _reflected(kind, terms, lo, hi, base) == [t[n] for n in range(lo, hi + 1)], kind
+
+
+def test_reflected_is_the_one_reader_of_the_sign_rule():
+    # t(-k) = +-t(k) is applied in one place: the catalog's lanes, term_pairs
+    # and TermTable read every negative index through _reflected
+    uses = []
+    for path in sorted(Path(sequences.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if "_NEGATED_PARITY" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                         getattr(node, "name", None)):
+                    ctx = getattr(node, "ctx", None)
+                    uses.append((path.name, getattr(stmt, "name", None), type(ctx).__name__ if ctx else "import"))
+    assert uses == [("sequences.py", None, "Store"), ("sequences.py", "_reflected", "Load")]
 
 
 @settings(deadline=None)
