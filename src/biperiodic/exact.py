@@ -10,7 +10,14 @@ Every value in this package is built from these three layers:
   rationals. The radical is purely formal: no square root is ever taken,
   so negative and non-square d work the same as positive square d.
 * ``Mat2`` -- 2x2 matrices. Entries are usually Rational but any scalar
-  type with field arithmetic (in particular QuadExt) is accepted.
+  type with field arithmetic (in particular QuadExt) is accepted. A
+  product, ``det()`` and ``==`` of matrices whose entries are all
+  ``Fraction``s run on the entries' integer numerators and denominators:
+  each product of two entries through ``_product_pair``, each sum or
+  difference through ``_sum_pair``, and each result built by ``_slots``,
+  so no intermediate ``Fraction`` is made. A matrix with any other entry
+  (the ``QuadExt`` matrices of ``binet.eigen_decompose``) takes the
+  entries' own operators.
 
 All values are immutable; all operations are pure functions.
 """
@@ -109,6 +116,25 @@ def _product_pair(p: int, q: int, num: int, den: int) -> tuple[int, int]:
     """
     g, h = gcd(p, den), gcd(num, q)
     return (p // g) * (num // h), (q // h) * (den // g)
+
+
+def _sum_pair(p: int, q: int, num: int, den: int) -> tuple[int, int]:
+    """p/q + num/den as a lowest-terms pair, for two fractions in lowest terms with q, den > 0.
+
+    Knuth, TAOCP vol. 2, 4.5.1: with g = gcd(q, den), the sum is
+    t / ((q/g) * den) for t = p*(den/g) + num*(q/g), and t is prime to q/g
+    and to den/g, so gcd(t, g) is the whole gcd. Zero comes out as 0/1.
+    """
+    g = gcd(q, den)
+    q //= g
+    t = p * (den // g) + num * q
+    h = gcd(t, g)
+    return t // h, q * (den // h)
+
+
+def _dot(n1: int, d1: int, n2: int, d2: int, n3: int, d3: int, n4: int, d4: int) -> Fraction:
+    """n1/d1 * n2/d2 + n3/d3 * n4/d4, for four lowest-terms pairs, as a Fraction built by ``_slots``."""
+    return _slots(*_sum_pair(*_product_pair(n1, d1, n2, d2), *_product_pair(n3, d3, n4, d4)))
 
 
 def _slots(num: int, den: int) -> Fraction:
@@ -299,8 +325,21 @@ class QuadExt(_Frozen):
         return self.u
 
 
+#: (e11's numerator, e11's denominator, ..., e22's denominator) of a matrix of Fractions
+_PAIRS = attrgetter(*(f"e{ij}.{half}" for ij in ("11", "12", "21", "22") for half in ("_numerator", "_denominator")))
+
+
+def _over_q(m: "Mat2") -> bool:
+    """Whether every entry of m is a Fraction, so that ``_PAIRS`` reads its integers."""
+    return type(m.e11) is type(m.e12) is type(m.e21) is type(m.e22) is Fraction
+
+
 class Mat2(_Frozen):
-    """Row-major 2x2 matrix over any exact scalar (Rational or QuadExt)."""
+    """Row-major 2x2 matrix over any exact scalar (Rational or QuadExt).
+
+    ``*``, ``det()`` and ``==`` of matrices of Fractions run on integer
+    pairs (module docstring); any other entry type takes its own operators.
+    """
 
     __slots__ = _fields = ("e11", "e12", "e21", "e22")
 
@@ -320,9 +359,27 @@ class Mat2(_Frozen):
     def __repr__(self) -> str:
         return f"Mat2[[{self.e11}, {self.e12}], [{self.e21}, {self.e22}]]"
 
+    def __eq__(self, other):
+        if other.__class__ is not Mat2:
+            return NotImplemented
+        if _over_q(self) and _over_q(other):
+            return _PAIRS(self) == _PAIRS(other)  # canonical pairs: equal values, equal integers
+        return self._values == other._values
+
+    __hash__ = _Frozen.__hash__
+
     def __mul__(self, other) -> "Mat2":
         if not isinstance(other, Mat2):
             return NotImplemented
+        if _over_q(self) and _over_q(other):
+            a11, b11, a12, b12, a21, b21, a22, b22 = _PAIRS(self)
+            c11, d11, c12, d12, c21, d21, c22, d22 = _PAIRS(other)
+            return Mat2(
+                _dot(a11, b11, c11, d11, a12, b12, c21, d21),
+                _dot(a11, b11, c12, d12, a12, b12, c22, d22),
+                _dot(a21, b21, c11, d11, a22, b22, c21, d21),
+                _dot(a21, b21, c12, d12, a22, b22, c22, d22),
+            )
         return Mat2(
             self.e11 * other.e11 + self.e12 * other.e21,
             self.e11 * other.e12 + self.e12 * other.e22,
@@ -331,6 +388,9 @@ class Mat2(_Frozen):
         )
 
     def det(self):
+        if _over_q(self):
+            a11, b11, a12, b12, a21, b21, a22, b22 = _PAIRS(self)
+            return _dot(a11, b11, a22, b22, -a12, b12, a21, b21)  # e11*e22 + (-e12)*e21
         return self.e11 * self.e22 - self.e12 * self.e21
 
     def trace(self):

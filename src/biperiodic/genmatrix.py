@@ -66,10 +66,15 @@ integers (u, w), and
 
 by B^2 = t*B - q*I. B is (1, 0), I is (0, -1), and B^h = U_h*B - q*U_(h-1)*I
 for the Lucas sequence U of (t, q). Neither formula reads B itself, only t
-and q, so one ``_Ladder`` powers M for j >= 0 and adj(M) for j < 0. A
-square takes 3 big products, u^2, u*w and w^2; t and q have the size of r
-and s. K lies on the ladder too: K = M + s*I = (r+3s)*I - adj(M) entry by
-entry, which is (1, -s) for B = M and (-1, -(r+3s)) for B = adj(M). So
+and q, so one ``_Ladder`` powers M for j >= 0 and adj(M) for j < 0. As
+q = s^2 is a square, the square factors:
+
+    t*u^2 - 2*u*w = u*(t*u - 2*w),   q*u^2 - w^2 = (s*u - w)*(s*u + w)
+
+so a square takes 2 big products, and the ladder carries s in place of q;
+t and s have the size of r and s. K lies on the ladder too:
+K = M + s*I = (r+3s)*I - adj(M) entry by entry, which is (1, -s) for
+B = M and (-1, -(r+3s)) for B = adj(M). So
 P = B^|j| * K^e is u*B - w*I after at most one more ladder product, and
 the entries u*B11 - w, u*B12, u*B22 - w that the core reads are each a
 big-by-small product. P21 = u*B21 is never formed: B21 = (r/s)*B12 for
@@ -142,24 +147,24 @@ def generating_matrix(p: SeqParams) -> Mat2:
 
 
 class _Ladder:
-    """u*B - w*I for an integer 2x2 matrix B with B^2 = t*B - q*I.
+    """u*B - w*I for an integer 2x2 matrix B with B^2 = t*B - s^2*I.
 
-    ``x * x`` takes the square path: 3 big products (module docstring,
+    ``x * x`` takes the square path: 2 big products (module docstring,
     Cayley-Hamilton ladder).
     """
 
-    __slots__ = ("u", "w", "t", "q")
+    __slots__ = ("u", "w", "t", "s")
 
-    def __init__(self, u: int, w: int, t: int, q: int):
-        self.u, self.w, self.t, self.q = u, w, t, q
+    def __init__(self, u: int, w: int, t: int, s: int):
+        self.u, self.w, self.t, self.s = u, w, t, s
 
     def __mul__(self, other: "_Ladder") -> "_Ladder":
-        u, w, t, q = self.u, self.w, self.t, self.q
+        u, w, t, s = self.u, self.w, self.t, self.s
         if other is self:
-            uu = u * u
-            return _Ladder(t * uu - 2 * u * w, q * uu - w * w, t, q)
+            su = s * u
+            return _Ladder(u * (t * u - 2 * w), (su - w) * (su + w), t, s)
         uu = u * other.u
-        return _Ladder(t * uu - u * other.w - w * other.u, q * uu - w * other.w, t, q)
+        return _Ladder(t * uu - u * other.w - w * other.u, s * s * uu - w * other.w, t, s)
 
 
 def _kernel(p: SeqParams, m: int) -> tuple[tuple[int, int, int], int, int]:
@@ -175,10 +180,10 @@ def _kernel(p: SeqParams, m: int) -> tuple[tuple[int, int, int], int, int]:
         base, k = (r + s, s, s), (1, -s)
     else:
         base, k = (s, -s, r + s), (-1, -r - 3 * s)
-    t, q = r + 2 * s, s * s
-    x, count = _power(_Ladder(1, 0, t, q), abs(j), _Ladder(0, -1, t, q))
+    t = r + 2 * s
+    x, count = _power(_Ladder(1, 0, t, s), abs(j), _Ladder(0, -1, t, s))
     if e:
-        x = x * _Ladder(*k, t, q)
+        x = x * _Ladder(*k, t, s)
         count += j != 0  # at j = 0 the power is I, and P = K takes no product
     u, w = x.u, x.w
     b11, b12, b22 = base
@@ -284,10 +289,14 @@ def det_power(p: SeqParams, n: int) -> Rational:
 
     On the singular line ab + 4 = 0 the determinant is 0 for n >= 1 and 1
     at n = 0; negative powers do not exist there and raise
-    SingularMatrixError.
+    SingularMatrixError. The powers of Q's numerator and denominator are
+    in lowest terms already, and become the Fraction through ``_slots``.
     """
     _refuse_negative_power(p, n)
-    return p.det_g**n
+    qn, qd = p.det_g.numerator, p.det_g.denominator
+    if n < 0:
+        n, (qn, qd) = -n, ((qd, qn) if qn > 0 else (-qd, -qn))
+    return _slots(qn**n, qd**n)
 
 
 def _exposed_kind(n: int) -> SequenceKind:

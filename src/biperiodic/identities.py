@@ -76,6 +76,10 @@ one shared int denominator, whose +, -, *, ** and / are C maps.
   They return one value per index in a tuple: ``binet-*`` the engine's
   ``Fraction``s p/q, held against the walk's lane n/d as p * d == n * q
   on integers, det-power ``Fraction``s and the matrix entries ``Mat2``s.
+  inverse-power takes each power G^k once per block, for the block's
+  indices and their negations, and multiplies G^k by G^-k; ``Mat2``'s
+  product, ``det()`` and ``==`` run on the entries' integer pairs
+  (``exact`` module docstring).
   matrix-form hands its walk core to ``genmatrix._from_core`` as
   unreduced (numerator, denominator) pairs, which it reads back to
   integers, one checked division each.
@@ -120,7 +124,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat
 from math import gcd
-from operator import add, and_, attrgetter, eq, itemgetter, mul, not_, sub
+from operator import add, and_, attrgetter, eq, itemgetter, mul, neg, not_, sub
 from typing import Callable, NamedTuple, Optional
 
 from . import binet as _binet
@@ -477,7 +481,8 @@ def _eval_matrix_form(t: _Lanes, n: _Index):
 
 def _eval_inverse_power(t: _Lanes, n: _Index):
     p, ns = t.params, _ints(n)
-    return tuple(_gm.matrix_power(p, k) * _gm.matrix_power(p, -k) for k in ns), (Mat2.identity(),) * len(ns)
+    power = {k: _gm.matrix_power(p, k) for k in {*ns, *map(neg, ns)}}  # each G^k once, for this block
+    return tuple(power[k] * power[-k] for k in ns), (Mat2.identity(),) * len(ns)
 
 
 def _eval_binet_fib(t: _Lanes, n: _Index):

@@ -43,11 +43,21 @@ def oracle_lucas_table(a, b, lo, hi):
 
 
 def brute_mat_pow(m: Mat2, n: int) -> Mat2:
-    """n-fold repeated multiplication; the oracle for binary exponentiation."""
-    result = Mat2.identity()
+    """n-fold repeated multiplication, entry by entry with the scalars' own operators.
+
+    The oracle for binary exponentiation: it never calls ``Mat2.__mul__``,
+    whose integer-pair path it is compared with.
+    """
+    x11, x12, x21, x22 = m.e11, m.e12, m.e21, m.e22
+    e11, e12, e21, e22 = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
     for _ in range(n):
-        result = result * m
-    return result
+        e11, e12, e21, e22 = (
+            e11 * x11 + e12 * x21,
+            e11 * x12 + e12 * x22,
+            e21 * x11 + e22 * x21,
+            e21 * x12 + e22 * x22,
+        )
+    return Mat2(e11, e12, e21, e22)
 
 
 def classical_fib(count):

@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -181,6 +182,38 @@ class TestQuadExt:
 
 FIB_Q = Mat2(1, 1, 1, 0)
 
+#: entries of Mat2's integer-pair path: zero, small fractions with shared
+#: denominators, and integers and fractions of 200 bits and more, both signs
+WIDE = st.integers(2**200, 2**260)
+pair_entries = st.one_of(
+    st.just(F(0)),
+    rationals,
+    st.builds(lambda n, sign: F(sign * n), WIDE, st.sampled_from((1, -1))),
+    st.builds(lambda n, d, sign: F(sign * n, d), WIDE, WIDE, st.sampled_from((1, -1))),
+    st.builds(lambda x, n: x * n, rationals, WIDE),
+    st.builds(lambda x, d: x / d, rationals, WIDE),
+)
+
+
+def _naive_product(x, y):
+    """The product of two row-major entry tuples by Fraction operators."""
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _canonical(x):
+    """A Fraction in lowest terms with a positive denominator, zero as 0/1."""
+    return (
+        type(x) is F
+        and x.denominator > 0
+        and math.gcd(x.numerator, x.denominator) == 1
+        and (x.numerator != 0 or x.denominator == 1)
+    )
+
 
 class TestMat2:
     def test_entries_are_coerced_unless_all_are_fractions(self):
@@ -236,6 +269,59 @@ class TestMat2:
         result, count = mat_pow_counted(m, n)
         assert result == brute_mat_pow(m, n)
         assert count <= 2 * n.bit_length()
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        x=st.tuples(pair_entries, pair_entries, pair_entries, pair_entries),
+        y=st.tuples(pair_entries, pair_entries, pair_entries, pair_entries),
+        change=st.integers(-1, 3),
+    )
+    def test_fraction_entries_multiply_compare_and_take_det_on_integer_pairs(self, x, y, change):
+        # the integer-pair path against the Fraction formulas: every result
+        # is a canonical Fraction, as Fraction's own operators give it
+        product = Mat2(*x) * Mat2(*y)
+        got = (product.e11, product.e12, product.e21, product.e22)
+        assert got == _naive_product(x, y)
+        assert all(map(_canonical, got))
+        for entries in (x, y, got):
+            det = Mat2(*entries).det()
+            assert det == entries[0] * entries[3] - entries[1] * entries[2]
+            assert _canonical(det)
+        # == against equal entries built anew, or with one entry changed
+        z = [F(v.numerator, v.denominator) for v in x]
+        if change >= 0:
+            z[change] += y[change] if y[change] else 1
+        same, other = Mat2(*x), Mat2(*z)
+        assert (same == other) is (list(x) == z)
+        assert (same != other) is (list(x) != z)
+        if same == other:
+            assert hash(same) == hash(other)
+
+    def test_other_entry_types_keep_their_operators(self):
+        # int entries are coerced to Fractions and take the integer-pair path;
+        # a QuadExt entry, alone or among Fractions, takes the entries' operators
+        ints = Mat2(1, 2, 3, 4) * Mat2(0, -1, 5, 2)
+        assert ints == Mat2(10, 3, 20, 5)
+        assert all(type(v) is F for v in (ints.e11, ints.e12, ints.e21, ints.e22))
+        assert Mat2(1, 2, 3, 4).det() == -2 and type(Mat2(1, 2, 3, 4).det()) is F
+        r = QuadExt(F(1, 2), F(1, 2), 5)  # the golden ratio
+        for x in ((r, F(1), F(0), r.conj()), (r, F(2, 3), -1, F(7, 5)), (r, r, r, r)):
+            y = (F(3), r, r.conj(), F(-1, 4))
+            product = Mat2(*x) * Mat2(*y)
+            assert (product.e11, product.e12, product.e21, product.e22) == _naive_product(x, y)
+            assert Mat2(*x).det() == x[0] * x[3] - x[1] * x[2]
+        # a QuadExt with no radical part equals its rational, and hashes alike
+        rational, lifted = Mat2(F(3), F(1, 2), 0, 1), Mat2(QuadExt(3, 0, 5), F(1, 2), 0, 1)
+        assert rational == lifted and lifted == rational
+        assert hash(rational) == hash(lifted)
+        assert rational != Mat2(QuadExt(3, 1, 5), F(1, 2), 0, 1)
+
+    def test_equality_with_other_types_is_not_implemented(self):
+        m = Mat2(F(1, 2), 3, -1, F(7, 5))
+        for other in ((F(1, 2), F(3), F(-1), F(7, 5)), F(1, 2), 1, None):
+            assert m.__eq__(other) is NotImplemented
+            assert m != other
+        assert {m: 1}[Mat2(F(2, 4), F(6, 2), F(-1), F(14, 10))] == 1
 
     def test_pow_rejects_negative_exponent(self):
         with pytest.raises(ValueError):

@@ -568,6 +568,59 @@ def test_recurrence_checks_build_fractions_and_lanes_per_point_not_per_check(mon
             assert big == small and big[_Lane] and many >= 100 * few, (a, b, ident, counts)
 
 
+#: inverse-power's default range, an asymmetric one, and one with no negative index
+POWER_RANGES = [DEFAULT_RANGES[IdentityId.INVERSE_POWER][0], (-3, 7), (2, 9)]
+
+
+@pytest.mark.parametrize("n_range", POWER_RANGES, ids=str)
+def test_inverse_power_takes_each_power_once(monkeypatch, n_range):
+    # per point, G^k once for each k among a parity block's indices and their
+    # negations; the two blocks' sets are disjoint, so once per point overall
+    power, calls = genmatrix.matrix_power, Counter()
+
+    def counting_power(p, n):
+        calls[p.a, p.b, n] += 1
+        return power(p, n)
+
+    monkeypatch.setattr(genmatrix, "matrix_power", counting_power)
+    ident, b_values = IdentityId.INVERSE_POWER, (*STANDARD_VALUES, F(-4))  # (1, -4) is on ab = -4
+    report = verify_grid(ident, STANDARD_VALUES, b_values, n_range=n_range)
+    lo, hi = n_range
+    powers = {k for n in range(lo, hi + 1) for k in (n, -n)}
+    points = [(a, b) for a in STANDARD_VALUES for b in b_values if a * b != -4]
+    assert len(points) == 41 and report.checked == len(points) * (hi - lo + 1)
+    assert calls == Counter({(a, b, k): 1 for a, b in points for k in powers})
+    monkeypatch.undo()
+    assert (report.checked, report.passed, report.unexpected, list(report.counterexamples)) == (
+        *_naive_report(ident, STANDARD_VALUES, b_values, n_range, None)[:3], []
+    )
+
+
+@pytest.mark.parametrize("ident", [IdentityId.INVERSE_POWER, IdentityId.DET_POWER], ids=attrgetter("value"))
+def test_matrix_checks_build_fractions_per_point_not_per_check(monkeypatch, ident):
+    # G^n, its det and the product G^k * G^-k are built from integer pairs,
+    # so doubling the checks leaves the count of Fractions built unchanged
+    new = F.__new__
+    built = 0
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    counts = {}
+    lo, hi = DEFAULT_RANGES[ident][0]
+    for n_range in ((lo, hi // 2), (lo, hi)):
+        built = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(F, "__new__", counting_new)
+            report = verify_grid(ident, STANDARD_VALUES, STANDARD_VALUES, n_range=n_range)
+        assert report.passed == report.checked > 0
+        counts[n_range] = built, report.checked
+    (half, few), (full, many) = counts.values()
+    assert half == full and many > few, counts
+
+
 #: rule -> the parity classes outside its domain on which it still holds at
 #: every point checked; widening those domains would change pinned counts
 HOLDS_OFF_DOMAIN = {IdentityId.ADD_QQ: {(1, 1)}, IdentityId.ADD_LL: {(0, 0)}}
