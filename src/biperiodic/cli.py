@@ -33,7 +33,7 @@ from itertools import starmap
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .exact import Mat2, SingularMatrixError, _format_pair, format_rational, parse_rational
+from .exact import Mat2, SingularMatrixError, _format_pair, format_rational, parse_int, parse_rational
 from .sequences import SeqParams, SequenceKind, term_pairs
 
 if TYPE_CHECKING:
@@ -60,7 +60,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     if not sep:
         raise UsageError(f"invalid range {text!r}: expected LO..HI")
     try:
-        lo_i, hi_i = int(lo), int(hi)
+        lo_i, hi_i = parse_int(lo), parse_int(hi)
     except ValueError:
         raise UsageError(f"invalid range {text!r}: endpoints must be integers") from None
     if lo_i > hi_i:
@@ -69,10 +69,12 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _parse_rational_set(text: str) -> tuple[Fraction, ...]:
-    items = [s for s in text.split(",") if s.strip()]
-    if not items:
+    items = text.split(",")
+    if not any(map(str.strip, items)):
         raise UsageError("empty parameter set")
-    return tuple(_parse_rational_arg(s) for s in items)
+    if not all(map(str.strip, items)):
+        raise UsageError(f"invalid parameter set {text!r}: empty item")
+    return tuple(map(_parse_rational_arg, items))
 
 
 def _params(args) -> SeqParams:
@@ -406,12 +408,11 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             if value.startswith("--"):
                 raise UsageError(f"argument {flag}: expected one argument")
         spec = flags[flag]
-        convert = spec.get("type", str)
-        try:
-            value = convert(value)
-        except ValueError:
-            message = f"invalid {convert.__name__} value: {value!r}"
-            raise UsageError(f"argument {flag}: {message}") from None
+        if spec.get("type") is int:  # argparse's type for help; read here by the one integer grammar
+            try:
+                value = parse_int(value)
+            except ValueError:
+                raise UsageError(f"argument {flag}: invalid int value: {value!r}") from None
         if value not in spec.get("choices", (value,)):
             choices = ", ".join(map(repr, spec["choices"]))
             raise UsageError(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
-from typing import Union
+from typing import Optional, Union
 
 Rational = Fraction
 
@@ -41,6 +41,25 @@ class SingularMatrixError(ZeroDivisionError):
     """Inverse of a matrix whose determinant is exactly zero."""
 
 
+def _ascii_int(s: str) -> Optional[int]:
+    """s as an int where it is ``-?[0-9]+`` in ASCII, else None: the one integer grammar."""
+    digits = s[1:] if s.startswith("-") else s
+    return int(s) if digits.isascii() and digits.isdigit() else None
+
+
+def parse_int(text: str) -> int:
+    """Parse the strict ``N``, ``-N`` syntax: ASCII digits after ``strip()``.
+
+    ``int()`` also takes a plus sign, underscores and non-ASCII digits
+    (``+5``, ``1_0``, a fullwidth ``３``); ``parse_rational`` refuses them,
+    and so does every integer read here.
+    """
+    value = _ascii_int(text.strip())
+    if value is None:
+        raise ValueError(f"invalid integer {text!r}: expected N or -N")
+    return value
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the strict ``N``, ``-N``, ``N/D`` syntax (D > 0, no decimals).
 
@@ -48,20 +67,16 @@ def parse_rational(text: str) -> Fraction:
     exactness, and accepting ``0.1`` would silently smuggle in a binary or
     denominator-10 approximation the caller did not write.
     """
-    s = text.strip()
-    num_part, slash, den_part = s.partition("/")
-    neg = num_part.startswith("-")
-    if neg:
-        num_part = num_part[1:]
-    if not (num_part.isascii() and num_part.isdigit()):
+    num_part, slash, den_part = text.strip().partition("/")
+    num = _ascii_int(num_part)
+    if num is None:
         raise ValueError(f"invalid rational {text!r}: expected N, -N or N/D")
-    if slash:
-        if not (den_part.isascii() and den_part.isdigit()) or int(den_part) == 0:
-            raise ValueError(f"invalid rational {text!r}: denominator must be a positive integer")
-        value = Fraction(int(num_part), int(den_part))
-    else:
-        value = Fraction(int(num_part))
-    return -value if neg else value
+    if not slash:
+        return Fraction(num)
+    den = _ascii_int(den_part)
+    if den is None or den <= 0:
+        raise ValueError(f"invalid rational {text!r}: denominator must be a positive integer")
+    return Fraction(num, den)
 
 
 def format_rational(x: _RationalLike) -> str:

@@ -84,11 +84,11 @@ one shared int denominator, whose +, -, *, ** and / are C maps.
   unreduced (numerator, denominator) pairs, which it reads back to
   integers, one checked division each.
 
-``_held`` compares, and ``_kept`` keeps, a side that is a lane or a tuple.
-A lane value becomes a ``Fraction`` only at the boundary: when the public
-``evaluate`` returns it (it runs every entry through ``_sides`` too, as a
-grid of one tuple), and when a side of a counterexample that
-``verify_grid`` built is first read.
+``_held`` compares a side that is a lane or a tuple, and ``_value`` reads
+one value of it. A lane value becomes a ``Fraction`` only at the boundary:
+when the public ``evaluate`` returns it (it runs every entry through
+``_sides`` too, as a grid of one tuple), and when a side of a
+counterexample that ``verify_grid`` built is first read.
 
 How a grid runs: a point pays for its own terms and checks, and runs no
 Python loop step per check. A two-index grid is built from its four
@@ -110,19 +110,19 @@ block:
   2 * lhs, thm4-i-printed's (-1)^n * (b - a) * q(n)^2), held against
   lhs - rhs in one more C map. No engine entry has a gap.
 
-A counterexample is built in C loops too, holding each side as the check
-computed it; the side becomes a ``Fraction`` when first read
-(``Counterexample``). So ``verify``, which prints at most 25 counterexamples
-per identity and counts the rest, normalizes at most 50 sides, not two
-per failed check. The failed blocks of every visit of a point are merged
-into index order once, by one stable sort.
+A failed block is kept as the check computed it, and a ``Counterexample``
+is built from it only where one is read (``_Counterexamples``), holding
+each side as computed; the side becomes a ``Fraction`` when first read.
+So ``verify``, which prints at most 25 counterexamples per identity and
+counts the rest, builds 25 and normalizes at most 50 sides.
 """
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
+from itertools import accumulate, compress, islice, repeat
 from math import gcd
 from operator import add, and_, attrgetter, eq, itemgetter, mul, neg, not_, sub
 from typing import Callable, NamedTuple, Optional
@@ -355,14 +355,12 @@ def _sides(evaluate, t: "_Lanes", columns) -> list:
             for side in evaluate(t, *columns)]
 
 
-def _kept(side, flags) -> list:
-    """A side's values where ``flags`` is true, as a check computed them: the values
-    of a lane (``_Pair``s (n[i], d) where its d is not 1) or of a tuple."""
+def _value(side, i: int):
+    """Value i of a side as the check computed it: a lane's int n[i], or its ``_Pair``
+    (n[i], d) where its d is not 1, or item i of a tuple."""
     if type(side) is tuple:
-        return list(compress(side, flags))
-    if side.d == 1:
-        return list(compress(side.n, flags))
-    return list(map(_Pair, zip(compress(side.n, flags), repeat(side.d))))
+        return side[i]
+    return side.n[i] if side.d == 1 else _Pair((side.n[i], side.d))
 
 
 class _Lanes:
@@ -679,8 +677,7 @@ def evaluate(ident: IdentityId, p: SeqParams, *indices: int):
         raise error(message.format(ident.value, *args))
     # as a grid of one tuple
     sides = _sides(idef.evaluate, _Lanes(p), tuple(map(_Index, zip(indices))))
-    lhs, rhs = (_kept(side, (True,))[0] for side in sides)
-    return _fraction(lhs), _fraction(rhs)
+    return _fraction(_value(sides[0], 0)), _fraction(_value(sides[1], 0))
 
 
 def cassini_fib(p: SeqParams, n: int):
@@ -732,25 +729,75 @@ class Counterexample(_Frozen):
         vars(self).update(a=a, b=b, indices=indices, lhs=lhs, rhs=rhs)
 
 
-def _unread_counterexamples(a, b, failures) -> list[Counterexample]:
-    """The ``Counterexample``s at (a, b) of ``failures``, in index order, built in C loops.
-
-    ``failures`` holds the (indices, lhs, rhs) lists of the failed checks of
-    each failed block of every visit of the point, each in index order.
-    They are merged into index order by a stable sort, so the visits of a
-    point given twice interleave, in visit order on a tie. Each
-    counterexample holds its row for ``_side``, stored into its
-    ``__dict__`` by ``object.__setattr__``, past ``Counterexample``'s
-    refusing ``__setattr__``.
-    """
-    if len(failures) == 1:
-        rows = zip(repeat(a), repeat(b), *failures[0])
-    else:
-        merged = sorted(chain.from_iterable(zip(*block) for block in failures), key=itemgetter(0))
-        rows = map(add, repeat((a, b)), merged)
-    built = list(map(object.__new__, repeat(Counterexample, sum(len(block[0]) for block in failures))))
+def _unread(rows: list) -> list[Counterexample]:
+    """A ``Counterexample`` of each row (a, b, indices, lhs, rhs) for ``_side``, built in C loops,
+    its row stored by ``object.__setattr__``, past ``Counterexample``'s refusing ``__setattr__``."""
+    built = list(map(object.__new__, repeat(Counterexample, len(rows))))
     deque(map(object.__setattr__, built, repeat("_row"), rows), maxlen=0)
     return built
+
+
+def _merged(blocks: list) -> list[tuple]:
+    """(indices, j, i) of check i of failed block j, for each failed check of a point, merged into
+    index order by one stable sort: a point given twice interleaves its visits, in visit order."""
+    order = [(block[i], j, i) for j, (block, _, _, held) in enumerate(blocks)
+             for i in compress(range(len(held)), map(not_, held))]
+    return sorted(order, key=itemgetter(0)) if len(blocks) > 1 else order
+
+
+class _Counterexamples:
+    """A report's counterexamples, sorted by (a, b, indices), as a read-only sequence over the
+    failed blocks (index tuples, lhs, rhs, flags) that ``verify_grid`` kept per point (a, b).
+
+    ``len`` builds no ``Counterexample``, and an index or a slice builds only
+    those in it; a point's ``_merged`` order is worked out on its first read.
+    It compares equal to, and hashes, prints, pickles and copies as, the
+    tuple of its counterexamples.
+    """
+
+    __slots__ = ("_points", "_starts", "_orders")
+
+    def __init__(self, found: dict):
+        self._points = sorted(found.items())  # ((a, b), failed blocks)
+        self._starts = [0, *accumulate(sum(held.count(False) for *_, held in blocks)
+                                       for _, blocks in self._points)]
+        self._orders: dict[int, list] = {}  # point -> its _merged, once read
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def _row(self, k: int) -> tuple:
+        """(a, b, indices, lhs, rhs) of counterexample k, 0 <= k < len."""
+        at = bisect_right(self._starts, k) - 1
+        (a, b), blocks = self._points[at]
+        if at not in self._orders:
+            self._orders[at] = _merged(blocks)
+        indices, j, i = self._orders[at][k - self._starts[at]]
+        _, lhs, rhs, _ = blocks[j]
+        return a, b, indices, _value(lhs, i), _value(rhs, i)
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]  # IndexError out of range, as for a tuple
+        if type(rows) is int:
+            return _unread([self._row(rows)])[0]
+        return tuple(_unread(list(map(self._row, rows))))
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Counterexamples)):
+            return NotImplemented
+        return len(self) == len(other) and self[:] == other[:]
+
+    def __hash__(self):
+        return hash(self[:])
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+    def __reduce__(self):
+        return tuple, (self[:],)
 
 
 class ExcludedPoint(NamedTuple):
@@ -769,6 +816,7 @@ class IdentityReport(NamedTuple):
     passed: int
     #: points where lhs - rhs is not the documented value
     unexpected: int
+    #: sorted by (a, b, indices); ``verify_grid``'s builds each when read (``_Counterexamples``)
     counterexamples: tuple[Counterexample, ...] = ()
     excluded: tuple[ExcludedPoint, ...] = ()
 
@@ -845,8 +893,8 @@ def verify_grid(
     A point's checks run as the module docstring says. Where a failed check
     of an entry without a ``gap`` holds when run again, an ``AssertionError``
     is raised: the evaluator is not a pure read of its table, and the counts
-    would not add up. Counterexamples hold their sides as computed,
-    normalized to ``Fraction``s on first read.
+    would not add up. Counterexamples are built where read
+    (``_Counterexamples``), their sides normalized to ``Fraction``s on first read.
     Counterexamples come back sorted lexicographically by (a, b, indices)
     so reports are reproducible byte for byte; the sort is stable, so the
     counterexamples of a point given twice interleave.
@@ -874,7 +922,7 @@ def verify_grid(
     columns = [tuple(map(_Index, zip(*block))) for block in blocks]
     size = sum(map(len, blocks))
     checked = passed = unexpected = 0
-    found: dict[tuple, list] = {}  # (a, b) -> the failed checks of each failed block of every visit
+    found: dict[tuple, list] = {}  # (a, b) -> (indices, lhs, rhs, flags) of each failed block of every visit
     excluded: list[ExcludedPoint] = []
     for a in a_vals:
         for b in b_vals:
@@ -887,22 +935,18 @@ def verify_grid(
             for block, idx in zip(blocks, columns):
                 lhs, rhs = _sides(evaluator, table, idx)
                 flags = _held(lhs, rhs)
-                passed += flags.count(True)
+                held = flags.count(True)
+                passed += held
                 as_documented = flags if gap is None else _held(lhs - rhs, gap(table, lhs, *idx))
                 unexpected += as_documented.count(False)
-                if all(flags):
+                if held == len(flags):
                     continue
-                failed = list(map(not_, flags))
                 if gap is None:  # a failed check runs again, and must fail again
+                    failed = list(map(not_, flags))
                     again = _sides(evaluator, table, [_Index(list(compress(c.v, failed))) for c in idx])
                     if any(_held(*again)):
                         raise AssertionError(f"{ident.value}: evaluator is not a pure read of its table")
-                found.setdefault((a, b), []).append(
-                    (list(compress(block, failed)), _kept(lhs, failed), _kept(rhs, failed)))
-    # sorted by (a, b, indices): each point's blocks are merged into index order
-    counterexamples: list[Counterexample] = []
-    for point in sorted(found):
-        counterexamples += _unread_counterexamples(*point, found[point])
+                found.setdefault((a, b), []).append((block, lhs, rhs, flags))
     excluded.sort(key=lambda ex: (ex.a, ex.b))
     return IdentityReport(
         identity=ident,
@@ -913,7 +957,7 @@ def verify_grid(
         checked=checked,
         passed=passed,
         unexpected=unexpected,
-        counterexamples=tuple(counterexamples),
+        counterexamples=_Counterexamples(found),
         excluded=tuple(excluded),
     )
 

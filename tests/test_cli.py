@@ -200,6 +200,13 @@ class TestVerify:
             assert (code, out) == (2, ""), empty
             assert err.startswith("error: "), empty
 
+    @pytest.mark.parametrize("items", ["1,,2", "1,2,", ",1", "1, ,2"])
+    def test_empty_item_in_a_set_exits_2(self, items):
+        # an empty item is refused, not dropped
+        for flag in ("--a-set", "--b-set"):
+            argv = ["verify", "--identity", "thm6-i", "--a-set", "1", "--b-set", "1", flag, items]
+            assert main_output(argv) == (2, "", f"error: invalid parameter set {items!r}: empty item\n")
+
     def test_unexpected_outcome_exits_1(self, monkeypatch):
         # an evaluator off by one disagrees with its documented value at
         # every point, for an identity that holds and for each erratum entry
@@ -436,6 +443,33 @@ class TestParsing:
         proc = run_cli("tabel", "--a", "2")
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert proc.stderr.startswith(b"error: ")
+
+    @pytest.mark.parametrize("token", ["３", "٣", "1_0", "+5"])
+    def test_every_integer_flag_takes_ascii_digits_only(self, token):
+        # int() reads each token (a fullwidth 3, an Arabic-Indic 3, 10 and 5);
+        # the one integer grammar, -?[0-9]+ after strip(), refuses them all
+        term = ["term", "--kind", "fib", "--a", "2", "--b", "3"]
+        verify = ["verify", "--identity", "thm6-i", "--a-set", "1", "--b-set", "1"]
+        flag_error = f"argument --n: invalid int value: {token!r}"
+        range_error = f"invalid range '{token}..12': endpoints must be integers"
+        for argv, message in [
+            ([*term, "--n", token], flag_error),
+            (["matrix", "--a", "2", "--b", "3", "--n", token], flag_error),
+            ([*term, "--n-range", f"{token}..12"], range_error),
+            (["table", "--a", "2", "--b", "3", "--n-range", f"{token}..12"], range_error),
+            ([*verify, "--n-range", f"{token}..12"], range_error),
+            ([*verify, "--m-range", f"{token}..12"], range_error),
+        ]:
+            assert main_output(argv) == (2, "", f"error: {message}\n"), argv
+        proc = run_cli(*term, "--n", token)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode() == f"error: {flag_error}\n"
+
+    def test_integers_keep_their_surrounding_blanks_and_minus_sign(self):
+        term = ["term", "--kind", "fib", "--a", "2", "--b", "3"]
+        assert main_output([*term, "--n", " -5 "]) == main_output([*term, "--n", "-5"])
+        assert main_output([*term, "--n-range", " -5 .. 3"]) == main_output([*term, "--n-range", "-5..3"])
+        assert main_output([*term, "--n", "-0"])[0] == 0
 
     @pytest.mark.parametrize("command", COMMAND_ARGVS)
     def test_abbreviated_flags(self, command):

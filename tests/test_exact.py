@@ -21,6 +21,7 @@ from biperiodic import (
     preset,
     verify_grid,
 )
+from biperiodic.exact import parse_int
 from conftest import brute_mat_pow
 
 RATIONAL_SAMPLES = [F(0), F(1), F(-1), F(2, 3), F(-7, 5), F(22, 7), F(5)]
@@ -81,10 +82,21 @@ class TestRationalSyntax:
         assert parse_rational("-3/2") == F(-3, 2)
         assert parse_rational("4/6") == F(2, 3)
 
-    @pytest.mark.parametrize("bad", ["2.5", "1e3", "2/-3", "1/0", "", "--1", "3/", "/2", "a"])
+    @pytest.mark.parametrize("bad", ["2.5", "1e3", "2/-3", "1/0", "", "--1", "3/", "/2", "a",
+                                     "+5", "1_0", "３", "1/+2", "3 /2", "3/ 2"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+    def test_parse_int_is_the_integer_grammar_of_parse_rational(self):
+        # -?[0-9]+ in ASCII after strip(): what int() reads beyond it is refused
+        assert [parse_int(s) for s in ("12", "-3", " 7 ", "-0", "007")] == [12, -3, 7, 0, 7]
+        for bad in ("+5", "1_0", "３", "٣", "", "-", "--1", "1.0", "- 1", "1 0"):
+            for parse in (parse_int, parse_rational):
+                with pytest.raises(ValueError):
+                    parse(bad)
+        with pytest.raises(ValueError):
+            parse_int("1/2")
 
     def test_format_omits_unit_denominator(self):
         assert format_rational(F(55)) == "55"

@@ -3,7 +3,7 @@ import math
 import pickle
 from collections import Counter
 from fractions import Fraction as F
-from itertools import chain, product, repeat
+from itertools import chain, product
 from operator import add, and_, attrgetter, mul, sub
 
 import pytest
@@ -41,11 +41,11 @@ from biperiodic.identities import (
     _Index,
     _index_tuples,
     _ints,
-    _kept,
     _Lane,
     _Lanes,
     _sides,
     _sign,
+    _value,
 )
 from biperiodic.sequences import _coefficient, parity
 from conftest import nonzero, oracle_fib_table, oracle_lucas_table, pairs
@@ -56,6 +56,11 @@ GENERIC_PAIRS = [(F(2), F(3)), (F(5, 3), F(-7, 2)), (F(-1), F(1, 2))]
 #: a 4 x 5 grid with four points on the line ab = -4, ON_THE_LINE in (a, b) order
 LINE_GRID = ([1, 2, F(-1, 2), 4], [-4, -2, 8, -1, 3])
 ON_THE_LINE = [(F(-1, 2), 8), (1, -4), (2, -2), (4, -1)]
+
+
+def _lane_values(lane):
+    """A lane's values as Fractions."""
+    return [_fraction(_value(lane, i)) for i in range(len(lane.n))]
 
 
 class TestCassini:
@@ -956,7 +961,7 @@ def test_column_arithmetic_matches_elementwise_arithmetic():
         if type(x) is _Index:
             return x.v
         if type(x) is _Lane:
-            return [_fraction(v) for v in _kept(x, repeat(True))]
+            return _lane_values(x)
         return [_fraction(x)] * size
 
     m, n = _Index([3, -1, 0, 7]), _Index([-2, 5, 4, 1])
@@ -1033,7 +1038,7 @@ def test_lane_reads_and_arithmetic_match_the_oracle(ab, columns, k, c):
     want = [[oracle[i] for i in col.v] for oracle in oracles for col in columns]
 
     def values(lane):
-        return [_fraction(v) for v in _kept(lane, repeat(True))]
+        return _lane_values(lane)
 
     assert list(map(values, lanes)) == want
     for (x, xs), (y, ys) in zip(zip(lanes, want), zip(lanes[1:] + lanes[:1], want[1:] + want[:1])):
@@ -1081,7 +1086,7 @@ def test_an_evaluator_that_branches_on_its_index_raises_on_a_column():
     with pytest.raises(TypeError):
         _eval_cassini_fib(t, _Index([1, 2, 3]))
     lhs, rhs = _sides(_eval_cassini_fib, t, (_Index([-3, 1, 5]),))
-    assert [_fraction(v) for v in _kept(lhs, repeat(True))] == [F(-2)] * 3 == [_fraction(v) for v in _kept(rhs, repeat(True))]
+    assert _lane_values(lhs) == [F(-2)] * 3 == _lane_values(rhs)
 
     def branching(t, n):
         lhs, rhs = _eval_cassini_fib(t, n)
@@ -1122,11 +1127,11 @@ def test_lanes_match_the_oracle_tuple_by_tuple(ab, n_range, m_range):
         for block in _blocks(idef, grid):
             columns = tuple(map(_Index, zip(*block)))
             lhs, rhs = _sides(idef.evaluate, lanes, columns)
-            got = zip(*(map(_fraction, _kept(side, repeat(True))) for side in (lhs, rhs)))
+            got = zip(_lane_values(lhs), _lane_values(rhs))
             want = [idef.evaluate(oracle, *indices) for indices in block]
             assert list(got) == want, (ident, block)
             if idef.gap is not None:
-                gaps = map(_fraction, _kept(idef.gap(lanes, lhs, *columns), repeat(True)))
+                gaps = _lane_values(idef.gap(lanes, lhs, *columns))
                 assert list(gaps) == [idef.gap(oracle, side, *indices)
                                       for (side, _), indices in zip(want, block)], (ident, block)
 
@@ -1235,3 +1240,53 @@ def test_counterexamples_behave_as_if_built_eagerly(ident, a_values, b_values, n
         for side in (ce.lhs, ce.rhs):
             assert type(side) is F
             assert side.denominator > 0 and math.gcd(side.numerator, side.denominator) == 1
+
+
+def test_erratum_counterexamples_are_built_only_where_read(monkeypatch):
+    # verify counts the default thm6-vi-printed report's 23,436
+    # counterexamples and prints 25: the count builds none, and an index or
+    # a slice builds only the counterexamples in it
+    unread = identities._unread
+    built = []
+    monkeypatch.setattr(identities, "_unread", lambda rows: built.extend(rows) or unread(rows))
+    counterexamples = verify_default(IdentityId.THM6_VI_PRINTED).counterexamples
+    assert len(counterexamples) == 23436 and counterexamples and not built
+    shown = counterexamples[:MAX_COUNTEREXAMPLES_SHOWN]
+    assert type(shown) is tuple and len(shown) == len(built) == 25
+    last = counterexamples[-1]
+    assert len(built) == 26
+    assert (last.a, last.b, last.indices) == (3, 3, (25, 25))
+    assert last == counterexamples[23435] and last.lhs == -last.rhs != 0
+    for index in (23436, -23437):
+        with pytest.raises(IndexError):
+            counterexamples[index]
+    with pytest.raises(IndexError):
+        verify_default(IdentityId.CASSINI_FIB).counterexamples[0]
+    assert len(built) == 27
+
+
+@pytest.mark.parametrize("ident, a_values, b_values, n_range, m_range", ERRATUM_GRIDS)
+def test_counterexamples_are_equal_to_their_tuple(ident, a_values, b_values, n_range, m_range):
+    # each report is fresh, so nothing of it is read before the comparison
+    def fresh():
+        return verify_grid(ident, a_values, b_values, n_range=n_range, m_range=m_range)
+
+    eager = tuple(fresh().counterexamples)
+    assert fresh() == fresh() and hash(fresh()) == hash(fresh())
+    assert fresh() == fresh()._replace(counterexamples=eager)
+    assert fresh().counterexamples == eager == fresh().counterexamples
+    assert not fresh().counterexamples != eager and fresh().counterexamples != eager[1:]
+    assert len(eager) > 1 and fresh().counterexamples != eager[::-1] != fresh().counterexamples
+    assert hash(fresh().counterexamples) == hash(eager)
+    assert repr(fresh().counterexamples) == repr(eager)
+    assert repr(fresh()) == repr(fresh()._replace(counterexamples=eager))
+    for how in (pickle.loads, copy.copy, copy.deepcopy):
+        got = pickle.loads(pickle.dumps(fresh().counterexamples)) if how is pickle.loads else how(
+            fresh().counterexamples)
+        assert type(got) is tuple and got == eager, how
+    assert pickle.loads(pickle.dumps(fresh())) == fresh()
+    size = len(eager)
+    for index in (0, 1, size // 2, size - 1, -1, -size):
+        assert fresh().counterexamples[index] == eager[index], index
+    for cut in (slice(None), slice(3), slice(-5, None), slice(2, size - 1, 3), slice(None, None, -1)):
+        assert fresh().counterexamples[cut] == eager[cut], cut
