@@ -37,6 +37,8 @@ the pair ((x^2 + d*y^2) >> 1, x*y) from x^2, y^2 and x*y (d is small).
 The shift is exact: x = d*y and d^2 = d (mod 2), so x^2 = d*y^2 and
 x^2 + d*y^2 = 2*d*y^2 = 0 (mod 2). ``_IntPair`` takes this path when both
 factors are one object, the ``result * result`` step of ``exact._power``.
+The power's base w and its 1, over d, depend on the point only; they are
+built once per ``SeqParams`` instance (``_binet_constants``).
 
 For j < 0, w^j = conj(w^|j|)/s^(2|j|), so
 alpha^(2j) = (ab)^j * w^j/s^j = (ab)^j * T/s^|j| for either sign of j,
@@ -115,11 +117,17 @@ class _IntPair:
         )
 
 
-def _alpha_power(p: SeqParams, j: int) -> tuple[int, int]:
-    """(V, U) with 2*w^|j| = V + U*sqrt(d), U negated when j < 0, from one power of w."""
+def _binet_constants(p: SeqParams) -> tuple[_IntPair, _IntPair]:
+    """w and 1 in Z[w] at p, over d = r(r+4s): read once per point through ``SeqParams._binet_constants``."""
     r, s = p.ab.numerator, p.ab.denominator
     d = r * (r + 4 * s)
-    t, _ = _power(_IntPair(r + 2 * s, 1, d), abs(j), _IntPair(2, 0, d))
+    return _IntPair(r + 2 * s, 1, d), _IntPair(2, 0, d)
+
+
+def _alpha_power(p: SeqParams, j: int) -> tuple[int, int]:
+    """(V, U) with 2*w^|j| = V + U*sqrt(d), U negated when j < 0, from one power of w."""
+    w, one = p._binet_constants
+    t, _ = _power(w, abs(j), one)
     return t.x, -t.y if j < 0 else t.y
 
 

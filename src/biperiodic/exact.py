@@ -168,8 +168,9 @@ class _Frozen:
     """Base of the immutable value types: compared, hashed, printed and copied by ``_fields``.
 
     A subclass stores each field once, in ``__init__``, by
-    ``object.__setattr__`` (``identities.Counterexample``: into its
-    ``__dict__``); assigning or deleting any attribute raises
+    ``object.__setattr__`` (``Mat2``: by its slots' own setters;
+    ``identities.Counterexample``: into its ``__dict__``), past the
+    refusing ``__setattr__``; assigning or deleting any attribute raises
     AttributeError. A copy or pickle is rebuilt through the constructor
     from the fields (``__reduce__``), so it never meets the refusing
     ``__setattr__``.
@@ -362,10 +363,10 @@ class Mat2(_Frozen):
         # the engines' results are Fractions already, with nothing to coerce
         if not (type(e11) is type(e12) is type(e21) is type(e22) is Fraction):
             e11, e12, e21, e22 = map(_coerce_scalar, (e11, e12, e21, e22))
-        object.__setattr__(self, "e11", e11)
-        object.__setattr__(self, "e12", e12)
-        object.__setattr__(self, "e21", e21)
-        object.__setattr__(self, "e22", e22)
+        _set_e11(self, e11)
+        _set_e12(self, e12)
+        _set_e21(self, e21)
+        _set_e22(self, e22)
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -420,6 +421,11 @@ class Mat2(_Frozen):
     def __pow__(self, n: int) -> "Mat2":
         result, _ = mat_pow_counted(self, n)
         return result
+
+
+#: The slot descriptors' setters: a field stored past the refusing ``__setattr__`` in one C call,
+#: where ``object.__setattr__`` first looks the name up
+_set_e11, _set_e12, _set_e21, _set_e22 = (getattr(Mat2, name).__set__ for name in Mat2._fields)
 
 
 def _power(x, n: int, one):

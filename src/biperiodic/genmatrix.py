@@ -117,9 +117,15 @@ their exponents against each other.
 That matters where a/b shares a prime with s: at (a, b) = (2, 1/4),
 a/b = 8, s = 2 and every core denominator is a power of 2.
 ``ClosedForm.materialize`` reads each entry v of its core back as the
-integer Z = v * s^x/c, checked, and finishes it the same way; so does the
-catalog's matrix-form check, which hands ``_from_core`` its core, read
-from the walk, as (numerator, denominator) pairs.
+integer Z = v * s^x/c, checked, and finishes it the same way, through
+``_from_core``, which serves it alone. The catalog's matrix-form check
+runs no code of this module on its rhs: it writes the theorem's prefactor
+itself (``identities``), so ``_scaled`` runs once per check, for G^n.
+
+Per-point constants. The kernel's seeds and its B and K for each sign of
+j, and the finisher's R for each sign of j and its four factors for each
+e, depend on the point only. Each is derived once per ``SeqParams``
+instance, on first read (``_kernel_constants``, ``_scale_constants``).
 
 Degenerate line ab + 4 = 0: Q = det(G) = 0, so G has no inverse and
 G^n = 0 for n >= 2 (trace and determinant both vanish). There R = Q/s = 0,
@@ -167,6 +173,20 @@ class _Ladder:
         return _Ladder(t * uu - u * other.w - w * other.u, s * s * uu - w * other.w, t, s)
 
 
+def _kernel_constants(p: SeqParams) -> tuple:
+    """``_kernel``'s constants at p: the ladder's seeds, then (B11, B12, B22) and K for j >= 0 and j < 0.
+
+    B is M for j >= 0 and adj(M) for j < 0; both powers start from the
+    seeds B = (1, 0) and I = (0, -1), since the ladder reads only t and s.
+    No product changes a ``_Ladder``, so the seeds serve every call. Read
+    once per point through ``SeqParams._kernel_constants``.
+    """
+    r, s = p.ab.numerator, p.ab.denominator
+    t = r + 2 * s
+    seeds = _Ladder(1, 0, t, s), _Ladder(0, -1, t, s)
+    return seeds, (((r + s, s, s), _Ladder(1, -s, t, s)), ((s, -s, r + s), _Ladder(-1, -r - 3 * s, t, s)))
+
+
 def _kernel(p: SeqParams, m: int) -> tuple[tuple[int, int, int], int, int]:
     """((P11, P12, P22), |j|+e, product count) with P = B^|j| * K^e, for m = 2j + e.
 
@@ -174,19 +194,14 @@ def _kernel(p: SeqParams, m: int) -> tuple[tuple[int, int, int], int, int]:
     product by K. The core of G^m is S*P*S^-1 / s^(|j|+e); P21 is not
     formed, as the core reads its (2,1) entry from P12 (module docstring).
     """
-    r, s = p.ab.numerator, p.ab.denominator
     j, e = divmod(m, 2)
-    if j >= 0:
-        base, k = (r + s, s, s), (1, -s)
-    else:
-        base, k = (s, -s, r + s), (-1, -r - 3 * s)
-    t = r + 2 * s
-    x, count = _power(_Ladder(1, 0, t, s), abs(j), _Ladder(0, -1, t, s))
+    (seed, one), by_sign = p._kernel_constants
+    (b11, b12, b22), k = by_sign[j < 0]
+    x, count = _power(seed, abs(j), one)
     if e:
-        x = x * _Ladder(*k, t, s)
+        x = x * k
         count += j != 0  # at j = 0 the power is I, and P = K takes no product
     u, w = x.u, x.w
-    b11, b12, b22 = base
     return (u * b11 - w, u * b12, u * b22 - w), abs(j) + e, count
 
 
@@ -226,6 +241,32 @@ def _times_power(z: int, rd: int, big: int, rn_j: int, rd_j: int) -> tuple[int, 
     return z * rn_j, rd_j // g
 
 
+def _scale_constants(p: SeqParams) -> tuple:
+    """``_scaled``'s constants at p: R = (rn, rd) for j >= 0 and j < 0, and c * (a/(b*s))^e for e = 0, 1.
+
+    R = Q/s and 1/(Q*s) in lowest terms; c * (a/(b*s))^e is four pairs in
+    lowest terms, c = (1, a, b, 1). On the line, where Q = 0, the pair for
+    j < 0 is (-1, 0) and is never read: G^n for n < 0 is refused there.
+    Read once per point through ``SeqParams._scale_constants``.
+    """
+    s = p.ab.denominator
+    qn, qd = p.det_g.numerator, p.det_g.denominator
+    ratios = []
+    for rn, rd in ((qn, qd), (qd, qn) if qn > 0 else (-qd, -qn)):
+        g = gcd(rn, s)
+        ratios.append((rn // g, rd * (s // g)))
+    pa, qa = p.a.numerator, p.a.denominator
+    # u = a/(b*s), a*u and b*u = a/s, each in lowest terms
+    alpha, beta = p.a_over_b.numerator, p.a_over_b.denominator
+    g = gcd(alpha, s)
+    un, ud = alpha // g, beta * (s // g)
+    factors = (
+        ((1, 1), (pa, qa), (p.b.numerator, p.b.denominator), (1, 1)),
+        ((un, ud), _product_pair(pa, qa, un, ud), _product_pair(pa, qa, 1, s), (un, ud)),
+    )
+    return tuple(ratios), factors
+
+
 def _scaled(p: SeqParams, n: int, zs) -> Mat2:
     """G^n from Z = (Z11, Z12, Z21, Z22), the core of G^n times s^(|j|+e)/(1, a, b, 1).
 
@@ -234,22 +275,11 @@ def _scaled(p: SeqParams, n: int, zs) -> Mat2:
     c * (a/(b*s))^e (module docstring, prefactor).
     """
     j, e = divmod(n, 2)
-    big, s = abs(j), p.ab.denominator
-    qn, qd = p.det_g.numerator, p.det_g.denominator
-    if j < 0:
-        qn, qd = (qd, qn) if qn > 0 else (-qd, -qn)
-    g = gcd(qn, s)
-    rn, rd = qn // g, qd * (s // g)  # R = Q/s for j >= 0, 1/(Q*s) for j < 0
+    big = abs(j)
+    ratios, factor_sets = p._scale_constants
+    rn, rd = ratios[j < 0]
     rn_j, rd_j = rn**big, rd**big
-    pa, qa = p.a.numerator, p.a.denominator
-    if e:
-        # u = a/(b*s), a*u and b*u = a/s, each in lowest terms
-        alpha, beta = p.a_over_b.numerator, p.a_over_b.denominator
-        g = gcd(alpha, s)
-        un, ud = alpha // g, beta * (s // g)
-        factors = ((un, ud), _product_pair(pa, qa, un, ud), _product_pair(pa, qa, 1, s), (un, ud))
-    else:
-        factors = ((1, 1), (pa, qa), (p.b.numerator, p.b.denominator), (1, 1))
+    factors = factor_sets[e]
     entries, last = [], None
     for (fn, fd), z in zip(factors, zs):
         if z != last:  # Z21 = Z12 in a core of G^n: one product by R^|j| serves both
@@ -340,28 +370,23 @@ class ClosedForm(NamedTuple):
         integer raises AssertionError. n < 0 on the line ab + 4 = 0 raises
         SingularMatrixError, as in ``matrix_power``.
         """
-        core = self.core
-        entries = (core.e11, core.e12, core.e21, core.e22)
-        return _from_core(self.params, self.n, [(v.numerator, v.denominator) for v in entries])
+        return _from_core(self.params, self.n, self.core)
 
 
-def _from_core(p: SeqParams, n: int, pairs) -> Mat2:
-    """G^n from its core, each entry e11, e12, e21, e22 given as a pair (num, den), den != 0.
+def _from_core(p: SeqParams, n: int, core: Mat2) -> Mat2:
+    """G^n from its core, a ``Mat2`` of ``Fraction``s: ``ClosedForm.materialize``'s finisher.
 
-    A pair need not be in lowest terms, and den may be negative. Each entry
-    is read back as the integer Z = (num/den) * s^(|j|+e)/c, c = (1, a, b,
-    1), by one checked exact division; an entry that gives no integer
+    Each entry v is read back as the integer Z = v * s^(|j|+e)/c, c = (1, a,
+    b, 1), by one checked exact division; an entry that gives no integer
     raises AssertionError. ``_scaled`` finishes G^n from the four Z.
-    ``ClosedForm.materialize`` and the catalog's matrix-form check, which
-    reads its core from the walk, both finish here.
     """
     _refuse_negative_power(p, n)
     j, e = divmod(n, 2)
     x = abs(j) + e
     s_x = p.ab.denominator**x
     zs = []
-    for (num, den), c in zip(pairs, (1, p.a, p.b, 1)):
-        z, rest = divmod(num * s_x * c.denominator, den * c.numerator)
+    for v, c in zip((core.e11, core.e12, core.e21, core.e22), (1, p.a, p.b, 1)):
+        z, rest = divmod(v.numerator * s_x * c.denominator, v.denominator * c.numerator)
         if rest:
             raise AssertionError(f"a core entry is not {c} * Z / s^{x} for an integer Z")
         zs.append(z)

@@ -80,12 +80,18 @@ one shared int denominator, whose +, -, *, ** and / are C maps.
   indices and their negations, and multiplies G^k by G^-k; ``Mat2``'s
   product, ``det()`` and ``==`` run on the entries' integer pairs
   (``exact`` module docstring).
-  matrix-form hands its walk core to ``genmatrix._from_core`` as
-  unreduced (numerator, denominator) pairs, which it reads back to
-  integers, one checked division each.
+  matrix-form holds G^n from ``genmatrix.matrix_power`` against the
+  paper's theorem, G^n = (a/b)^n * (ab+4)^(n//2) * core(n), written here
+  and run on no ``genmatrix`` code: its rhs is ``_Entries``, four lanes,
+  the core t(n+1), t(n), (b/a) * t(n), t(n-1) read from the walk (the
+  kind by the column's parity) times the prefactor, a lane of int powers
+  of the numerators and denominators of a/b and ab + 4 (``_prefactor``).
+  Each lane is held against that entry of the ``Mat2``s as binet-*'s
+  terms are, so a check finishes G^n once, and compares with no gcd.
 
-``_held`` compares a side that is a lane or a tuple, and ``_value`` reads
-one value of it. A lane value becomes a ``Fraction`` only at the boundary:
+``_held`` compares a side that is a lane, a tuple or ``_Entries``, and
+``_value`` reads one value of it. A lane value becomes a ``Fraction``
+(``_Entries`` of them a ``Mat2``) only at the boundary:
 when the public ``evaluate`` returns it (it runs every entry through
 ``_sides`` too, as a grid of one tuple), and when a side of a
 counterexample that ``verify_grid`` built is first read.
@@ -124,13 +130,13 @@ from collections import deque
 from fractions import Fraction
 from itertools import accumulate, compress, islice, repeat
 from math import gcd
-from operator import add, and_, attrgetter, eq, itemgetter, mul, neg, not_, sub
+from operator import add, and_, attrgetter, eq, floordiv, itemgetter, mul, neg, not_, sub
 from typing import Callable, NamedTuple, Optional
 
 from . import binet as _binet
 from . import genmatrix as _gm
 from . import sequences as _sequences
-from .exact import Mat2, _Frozen, _lazy, _rational
+from .exact import _PAIRS, Mat2, _Frozen, _lazy, _rational
 from .sequences import SeqParams, SequenceKind, _coefficient, _reflected, _term_shape, parity
 from .sequences import TermTable  # noqa: F401 -- perfbench/layertrace.py times identities.TermTable.term
 
@@ -200,10 +206,20 @@ class _Pair(tuple):
     __slots__ = ()
 
 
+class _Entries(tuple):
+    """(e11, e12, e21, e22) of a matrix side, row-major: four lanes as a side, and the four values
+    of one check as a value of it (``_value``), which ``_fraction`` turns into a ``Mat2``."""
+
+    __slots__ = ()
+
+
 def _fraction(value):
-    """A ``_Pair`` or an int as a Fraction; any other value (Fraction, Mat2) unchanged."""
+    """A ``_Pair`` or an int as a Fraction, and ``_Entries`` of them as a ``Mat2`` of Fractions;
+    any other value (Fraction, Mat2) unchanged."""
     if type(value) is _Pair:
         return Fraction(*value)
+    if type(value) is _Entries:
+        return Mat2(*map(_fraction, value))
     return Fraction(value) if type(value) is int else value
 
 
@@ -333,13 +349,22 @@ class _Lane(_Column):
         return self * Fraction(1, other)  # ZeroDivisionError where other is 0
 
 
+def _against(nums, dens, lane: "_Lane"):
+    """p * d == n * q for each Fraction p/q, given as its numerators and denominators, and lane n/d."""
+    return map(eq, map(mul, nums, repeat(lane.d)), map(mul, lane.n, dens))
+
+
 def _held(x, y) -> list[bool]:
     """x[i] == y[i] for each i of two sides of ``_sides``: on lanes over one denominator
-    (``_common``), on an engine's Fractions p/q against a lane n/d as p * d == n * q, else on tuples."""
+    (``_common``), on an engine's Fractions p/q against a lane n/d as p * d == n * q, on an
+    engine's ``Mat2``s against ``_Entries`` that way entry by entry, else on tuples."""
     if type(y) is tuple:
         return list(map(eq, x, y))
+    if type(y) is _Entries:
+        ints = list(zip(*map(_PAIRS, x)))  # e11's numerators, e11's denominators, ..., e22's denominators
+        return list(map(all, zip(*(_against(ints[2 * k], ints[2 * k + 1], lane) for k, lane in enumerate(y)))))
     if type(x) is tuple:
-        return list(map(eq, map(mul, map(_NUMERATOR, x), repeat(y.d)), map(mul, y.n, map(_DENOMINATOR, x))))
+        return list(_against(map(_NUMERATOR, x), map(_DENOMINATOR, x), y))
     xn, yn, _ = _common(x, y)
     return list(map(eq, xn, yn))
 
@@ -348,8 +373,8 @@ def _sides(evaluate, t: "_Lanes", columns) -> list:
     """``evaluate``'s (lhs, rhs) on index columns: the one home of the calling convention.
 
     Every entry is called once on the columns. A side comes back as a lane,
-    a constant ``Fraction`` broadcast to one, or a tuple of one ``Mat2`` or
-    ``Fraction`` per index.
+    a constant ``Fraction`` broadcast to one, a tuple of one ``Mat2`` or
+    ``Fraction`` per index, or matrix-form's ``_Entries`` of four lanes.
     """
     return [_constant(side, len(columns[0].v)) if type(side) is Fraction else side
             for side in evaluate(t, *columns)]
@@ -357,9 +382,11 @@ def _sides(evaluate, t: "_Lanes", columns) -> list:
 
 def _value(side, i: int):
     """Value i of a side as the check computed it: a lane's int n[i], or its ``_Pair``
-    (n[i], d) where its d is not 1, or item i of a tuple."""
+    (n[i], d) where its d is not 1, ``_Entries`` of the four lanes' values, or item i of a tuple."""
     if type(side) is tuple:
         return side[i]
+    if type(side) is _Entries:
+        return _Entries(_value(lane, i) for lane in side)
     return side.n[i] if side.d == 1 else _Pair((side.n[i], side.d))
 
 
@@ -468,13 +495,28 @@ def _eval_det_power(t: _Lanes, n: _Index):
     return tuple(_gm.matrix_power(p, k).det() for k in ns), tuple(map(_gm.det_power, repeat(p), ns))
 
 
+def _prefactor(t: _Lanes, ns: list[int]) -> _Lane:
+    """(a/b)^n * (ab+4)^(n//2) for each n >= 0 of ``ns`` (matrix-form's n >= 1), from int powers alone.
+
+    With a/b = u/v and ab + 4 = g/h, value i is u^n * g^j * v^(N-n) * h^(J-j)
+    over v^N * h^J, for n = ns[i], j = n//2 and the largest N and J.
+    """
+    ratio, js = t.a / t.b, list(map(floordiv, ns, repeat(2)))
+    top, top_j = max(ns), max(js)
+    u, v, g, h = ratio.numerator, ratio.denominator, t.ab_plus_4.numerator, t.ab_plus_4.denominator
+    of_ratio = map(mul, map(pow, repeat(u), ns), map(pow, repeat(v), map(sub, repeat(top), ns)))
+    of_ab_plus_4 = map(mul, map(pow, repeat(g), js), map(pow, repeat(h), map(sub, repeat(top_j), js)))
+    return _Lane(list(map(mul, of_ratio, of_ab_plus_4)), v**top * h**top_j)
+
+
 def _eval_matrix_form(t: _Lanes, n: _Index):
-    # the core comes from the walk, so binary exponentiation is checked against it
-    p, ns, read = t.params, _ints(n), t.fib if _gm._exposed_kind(n) is _FIB else t.lucas
-    mid = read(n)
-    core = (read(n + 1), mid, mid * (t.b / t.a), read(n - 1))  # e21 = (b/a) * t(n)
-    pairs = zip(*(zip(x.n, repeat(x.d)) for x in core))  # unreduced, as _from_core takes them
-    return tuple(map(_gm._from_core, repeat(p), ns, pairs)), tuple(map(_gm.matrix_power, repeat(p), ns))
+    # G^n by binary exponentiation against the paper's theorem on the walk's lanes:
+    # (a/b)^n * (ab+4)^(n//2) * [[t(n+1), t(n)], [(b/a) * t(n), t(n-1)]], fib at even n
+    ns, read = _ints(n), t.fib if parity(n) == 0 else t.lucas
+    prefactor = _prefactor(t, ns)
+    mid = prefactor * read(n)
+    rhs = _Entries((prefactor * read(n + 1), mid, mid * (t.b / t.a), prefactor * read(n - 1)))
+    return tuple(map(_gm.matrix_power, repeat(t.params), ns)), rhs
 
 
 def _eval_inverse_power(t: _Lanes, n: _Index):
@@ -714,11 +756,12 @@ class Counterexample(_Frozen):
 
     One that ``verify_grid`` built holds only ``_row``, the tuple (a, b,
     indices, lhs, rhs) with each side as the check computed it: an int or a
-    ``_Pair`` of a lane, or an engine's ``Fraction`` or ``Mat2``. The first
-    read of a field takes it from the row through ``_fraction``, which
-    normalizes a side and passes any other value as it is (``_side``). A
-    copy or pickle is built through the constructor from the fields, so it
-    holds the normalized sides, never a raw one.
+    ``_Pair`` of a lane, ``_Entries`` of four of them, or an engine's
+    ``Fraction`` or ``Mat2``. The first read of a field takes it from the
+    row through ``_fraction``, which normalizes a side and passes any other
+    value as it is (``_side``). A copy or pickle is built through the
+    constructor from the fields, so it holds the normalized sides, never a
+    raw one.
     """
 
     _fields = ("a", "b", "indices", "lhs", "rhs")

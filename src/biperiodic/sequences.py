@@ -88,8 +88,10 @@ class SeqParams(_Frozen):
     radicand of the characteristic roots, ``a_over_b`` and ``det_g`` =
     (a/b)^2 * (ab+4), the determinant of the generating matrix, are
     computed on first read, once per instance (``exact._lazy``): a
-    ``table`` request reads ``ab`` only. Equality, hashing and repr use
-    (a, b) only.
+    ``table`` request reads ``ab`` only. So are the constants of the
+    O(log n) engines: the matrix kernel's, its finisher's and Binet's,
+    each derived in the engine's own module and read on every call there.
+    Equality, hashing and repr use (a, b) only.
     """
 
     _fields = ("a", "b")
@@ -120,6 +122,24 @@ class SeqParams(_Frozen):
     @_lazy
     def det_g(self) -> Rational:
         return self.a_over_b * self.a_over_b * self.ab_plus_4
+
+    # The O(log n) engines' constants, derived by the engine that reads them,
+    # on its first call at this point; importing this module loads no engine.
+
+    @_lazy
+    def _kernel_constants(self) -> tuple:
+        from . import genmatrix
+        return genmatrix._kernel_constants(self)
+
+    @_lazy
+    def _scale_constants(self) -> tuple:
+        from . import genmatrix
+        return genmatrix._scale_constants(self)
+
+    @_lazy
+    def _binet_constants(self) -> tuple:
+        from . import binet
+        return binet._binet_constants(self)
 
 
 def parity(n: int) -> int:

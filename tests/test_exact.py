@@ -240,6 +240,20 @@ class TestMat2:
         with pytest.raises(TypeError):
             Mat2(F(1, 2), F(-3), F(0), 0.5)
 
+    def test_fields_stored_through_the_slots_still_refuse_assignment(self):
+        # __init__ stores a matrix of Fractions by the slots' own setters, past
+        # the refusing __setattr__, which still guards every later assignment
+        for m in (Mat2(F(1, 2), F(-3), F(0), F(7, 5)), Mat2(1, 2, 3, QuadExt(1, 1, 5))):
+            before = m._values
+            for name in Mat2._fields:
+                with pytest.raises(AttributeError, match=name):
+                    setattr(m, name, F(9))
+                with pytest.raises(AttributeError, match=name):
+                    delattr(m, name)
+            with pytest.raises(AttributeError):
+                m.e11 = F(9)
+            assert m._values == before
+
     def test_identity_commutes(self):
         m = Mat2(F(16, 3), F(4, 3), 2, F(4, 3))
         identity = Mat2.identity()

@@ -352,20 +352,18 @@ def test_a_core_entry_off_its_term_shape_is_refused():
 
 @pytest.mark.parametrize("a, b", [(F(5, 3), F(-4, 3)), (F(2), F(1, 4)), (F(-3, 2), F(1, 2))])
 @pytest.mark.parametrize("n", [1, 2, 9, -10])
-def test_a_core_given_as_unreduced_pairs_finishes_like_materialize(a, b, n):
-    # the catalog hands the core over as (numerator, denominator) pairs, not
-    # in lowest terms and with either sign of denominator
+def test_from_core_reads_the_core_fractions_back_like_materialize(a, b, n):
+    # materialize, _from_core's only caller, hands it the core's Fractions;
+    # each entry is read back as an integer times c/s^x, checked
     p = SeqParams(a, b)
     fib = oracle_fib_table(a, b, n - 1, n + 1)
     luc = oracle_lucas_table(a, b, n - 1, n + 1)
     core = oracle_core(a, b, n, fib, luc)
-    entries = (core.e11, core.e12, core.e21, core.e22)
-    pairs = [(-7 * v.numerator, -7 * v.denominator) for v in entries]
     power = matrix_power(p, n)
-    assert genmatrix._from_core(p, n, pairs) == ClosedForm(p, n, core).materialize() == power
-    pairs[2] = (pairs[2][0] + 1, pairs[2][1])
+    assert genmatrix._from_core(p, n, core) == ClosedForm(p, n, core).materialize() == power
+    bad = Mat2(core.e11, core.e12, core.e21 + F(1, 7 * core.e21.denominator), core.e22)
     with pytest.raises(AssertionError, match="for an integer Z"):
-        genmatrix._from_core(p, n, pairs)
+        genmatrix._from_core(p, n, bad)
 
 
 def oracle_core(a, b, n, fib, luc):

@@ -15,6 +15,7 @@ from biperiodic import (
     STANDARD_VALUES,
     Expectation,
     IdentityId,
+    Mat2,
     ParityMismatchError,
     SeqParams,
     SequenceKind,
@@ -33,6 +34,7 @@ from biperiodic.identities import (
     _CATALOG,
     Counterexample,
     _blocks,
+    _Entries,
     _eval_binet_lucas,
     _eval_cassini_fib,
     _eval_sub_qq,
@@ -431,13 +433,20 @@ def _oracle_sides(ident, table, indices):
 
     A lane entry's formula runs on the int indices. An engine entry runs on
     columns of one index each, and its sides of one value are read back by
-    hand: a tuple's item, or a lane's n/d.
+    hand: a tuple's item, a lane's n/d, or matrix-form's four lanes' n/d.
     """
     evaluate = _CATALOG[ident].evaluate
     if ident not in ENGINES:
         return evaluate(table, *indices)
     sides = evaluate(table, *map(_Index, zip(indices)))
-    return tuple(side[0] if type(side) is tuple else F(side.n[0], side.d) for side in sides)
+
+    def read(side):
+        if type(side) is tuple:
+            return side[0]
+        if type(side) is _Entries:
+            return Mat2(*map(read, side))
+        return F(side.n[0], side.d)
+    return tuple(map(read, sides))
 
 
 def _naive_report(ident, a_values, b_values, n_range, m_range):
@@ -936,12 +945,120 @@ ENGINE_POINTS = [(F(2), F(1, 4)), (F(1, 2), F(-8)), (F(5, 3), F(-4, 3)), (F(-3, 
     ids=lambda ident: ident.value,
 )
 def test_engine_entries_hold_on_the_walks_lanes(ident, a, b):
-    # matrix-form hands the walk's lanes, unreduced, to genmatrix._from_core,
-    # and binet-* compare their Fractions with them, over the default range
+    # matrix-form holds G^n's entries against the theorem's four lanes, the
+    # walk's core times its prefactor, and binet-* their Fractions against
+    # the walk's lanes, over the default range
     n_range, _ = DEFAULT_RANGES[ident]
     report = verify_grid(ident, [a], [b], n_range=n_range)
     assert report.passed == report.checked == n_range[1] - n_range[0] + 1
     assert report.excluded == ()
+
+
+STANDARD_POINTS = [(a, b) for a in STANDARD_VALUES for b in STANDARD_VALUES]
+
+
+def _negated_at_5(scaled):
+    """genmatrix._scaled with all four entries of G^n negated at |n| = 5."""
+    def mutant(p, n, zs):
+        m = scaled(p, n, zs)
+        return Mat2(-m.e11, -m.e12, -m.e21, -m.e22) if abs(n) == 5 else m
+    return mutant
+
+
+def _ceil_exponent(scaled):
+    """genmatrix._scaled with the prefactor (ab+4)^ceil(n/2): one factor ab + 4 too many at odd n."""
+    def mutant(p, n, zs):
+        m, f = scaled(p, n, zs), p.ab_plus_4 ** (n & 1)
+        return Mat2(m.e11 * f, m.e12 * f, m.e21 * f, m.e22 * f)
+    return mutant
+
+
+@pytest.mark.parametrize("mutant, failing", [
+    (_negated_at_5, {(a, b, (5,)) for a, b in STANDARD_POINTS}),
+    # invisible only where ab + 4 = 1
+    (_ceil_exponent, {(a, b, (n,)) for a, b in STANDARD_POINTS if a * b != -3 for n in range(1, 65, 2)}),
+], ids=["negated-at-5", "ceil-exponent"])
+def test_a_wrong_power_fails_matrix_form(monkeypatch, capsys, mutant, failing):
+    # the rhs is the paper's theorem on the walk's lanes, so a wrong G^n from
+    # the finisher fails the check; when both sides ended in it, verify exited 0
+    from biperiodic import cli
+    from conftest import brute_mat_pow
+
+    monkeypatch.setattr(genmatrix, "_scaled", mutant(genmatrix._scaled))
+    report = verify_grid(IdentityId.MATRIX_FORM, STANDARD_VALUES, STANDARD_VALUES, n_range=(1, 64))
+    assert {(ce.a, ce.b, ce.indices) for ce in report.counterexamples} == failing
+    assert report.failed == report.unexpected == len(failing)
+    ce = report.counterexamples[-1]
+    power = brute_mat_pow(genmatrix.generating_matrix(SeqParams(ce.a, ce.b)), ce.indices[0])
+    # the rhs side of a counterexample reads as a Mat2 of canonical Fractions
+    assert type(ce.rhs) is Mat2 and ce.rhs == power != ce.lhs
+    assert cli.main(["verify", "--identity", "matrix-form"]) == 1
+    capsys.readouterr()
+
+
+def test_matrix_form_finishes_each_power_once(monkeypatch):
+    # genmatrix._scaled runs for the lhs, G^n, and never for the rhs
+    scaled, calls = genmatrix._scaled, Counter()
+
+    def counted(p, n, zs):
+        calls[p, n] += 1
+        return scaled(p, n, zs)
+
+    monkeypatch.setattr(genmatrix, "_scaled", counted)
+    report = verify_grid(IdentityId.MATRIX_FORM, [2, F(-3, 2)], [3, -2], n_range=(1, 12))
+    assert report.passed == report.checked == sum(calls.values()) == len(calls) == 48
+
+
+@pytest.mark.parametrize("ident, derivations", [
+    (IdentityId.DET_POWER, ((genmatrix, "_kernel_constants"), (genmatrix, "_scale_constants"))),
+    (IdentityId.BINET_FIB, ((binet, "_binet_constants"),)),
+], ids=["det-power", "binet-fib"])
+def test_engines_derive_their_constants_once_per_point(monkeypatch, ident, derivations):
+    # each engine reads its constants from the point's SeqParams, derived on
+    # the first call there; (1/2, -8) is on the line ab = -4
+    counts = Counter()
+
+    def counted(module, name):
+        derive = getattr(module, name)
+
+        def derive_counted(p):
+            counts[name, p.a, p.b] += 1
+            return derive(p)
+        monkeypatch.setattr(module, name, derive_counted)
+
+    for module, name in derivations:
+        counted(module, name)
+    a_values, b_values = [2, F(-3, 2), F(1, 2)], [3, -2, -8]
+    report = verify_grid(ident, a_values, b_values, n_range=DEFAULT_RANGES[ident][0])
+    assert report.passed == report.checked > 9 * 30
+    assert counts == Counter({(name, F(a), F(b)): 1 for _, name in derivations
+                              for a in a_values for b in b_values})
+
+
+def test_matrix_form_rhs_runs_no_genmatrix_code(monkeypatch):
+    # with the engine's powers taken beforehand, and genmatrix and det(G) out
+    # of reach, the rhs alone still holds every check; its lanes are ints, so
+    # no Fraction was raised to a column and no float came in
+    from types import SimpleNamespace
+
+    a_values, b_values, n_range = [2, F(-3, 2), F(1, 2)], [F(1, 4), -2, -8], (1, 12)
+    powers = {(SeqParams(a, b), n): genmatrix.matrix_power(SeqParams(a, b), n)
+              for a in a_values for b in b_values for n in range(n_range[0], n_range[1] + 1)}
+
+    def refuse(*args):
+        raise AssertionError("the rhs read genmatrix or det(G)")
+
+    monkeypatch.setattr(identities, "_gm", SimpleNamespace(matrix_power=lambda p, n: powers[p, n]))
+    monkeypatch.setattr(SeqParams, "det_g", property(refuse))
+    for name in ("_exposed_kind", "_from_core", "_scaled", "_kernel"):
+        monkeypatch.setattr(genmatrix, name, refuse)
+    report = verify_grid(IdentityId.MATRIX_FORM, a_values, b_values, n_range=n_range)
+    assert report.passed == report.checked == 9 * 12
+    for block in ([1, 3, 5], [2, 4, 6, 8]):
+        _, rhs = _sides(_CATALOG[IdentityId.MATRIX_FORM].evaluate, _Lanes(SeqParams(F(-3, 2), F(1, 4))),
+                        (_Index(block),))
+        assert type(rhs) is _Entries and len(rhs) == 4
+        assert all(type(v) is int for lane in rhs for v in (*lane.n, lane.d))
 
 
 def test_columns_have_no_truth_value_equality_order_or_hash():
